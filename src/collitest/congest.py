@@ -4,7 +4,9 @@ The network is a connected simple graph over k nodes with identifiers
 0..k-1.  A round lets every node push up to `channel_bits` bits over
 each incident edge *per direction*; the meter raises on any overrun.
 Every node holds exactly one sample from the input distribution, drawn
-from stream ``(trial, node)``.
+from stream ``(trial, node)``; `draw_node_samples` draws all nodes'
+samples in one `dist.sample_children` call, bitwise equal to one
+generator per node.
 
 Protocols:
 
@@ -38,13 +40,14 @@ import numpy as np
 
 from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
                          certify_stats, equal_cliques_stats)
-from .dist import Distribution
+from .dist import Distribution, sample_children
 from .encoding import message_bit_width, sample_bit_width
 from .models import Message
 from .errors import (CapacityError, InvalidNetworkError,
                      ModelViolationError, ProtocolRefusedError)
 from .graph import ComparisonGraph
 from .rng import Stream
+from .tester import within_clique_collisions
 
 CHANNEL_COEFF = 8        # channel_bits = ceil(8 (log2 n + log2 k)) per direction
 C_BFS = 2                # tree build finishes within C_BFS * D + C0 rounds
@@ -306,10 +309,7 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
 
 def draw_node_samples(net: Network, p: Distribution, stream: Stream) -> np.ndarray:
     """One sample per node, node v from stream.child(v)."""
-    values = np.empty(net.k, dtype=np.int64)
-    for v in range(net.k):
-        values[v] = p.sample(1, stream.child(v).rng())[0]
-    return values
+    return sample_children(p, stream, np.arange(net.k), 1)[:, 0]
 
 
 @dataclass
@@ -518,7 +518,7 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
     z_bundles = []
     messages = []
     for members in assignment.bundles:
-        z_j = int(_pair_collisions(values[np.array(members, dtype=np.int64)]))
+        z_j = within_clique_collisions(values[np.array(members, dtype=np.int64)])
         z_bundles.append(z_j)
         messages.append(Message(None if z_j >= t else z_j, base_bits))
     saw_sentinel = any(m.is_sentinel for m in messages)
@@ -536,11 +536,6 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
         rounds_breakdown={"tree": tree_rounds, "count": count_rounds,
                           "pipeline": pipe_rounds, "answers": answer_rounds},
         messages=messages)
-
-
-def _pair_collisions(values: np.ndarray) -> int:
-    counts = np.bincount(values)
-    return int(np.sum(counts * (counts - 1)) // 2)
 
 
 @dataclass

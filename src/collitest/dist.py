@@ -3,6 +3,8 @@
 Construction validates and renormalizes a float64 probability vector.
 Sampling goes through a Walker alias table: O(n) setup per distribution,
 O(1) per draw afterwards, vectorized over numpy generators.
+`sample_children` draws the samples of many sibling streams at once,
+bitwise equal to drawing each from its own generator.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, bounded_indices, child_raw
 
 SUM_TOLERANCE = 1e-12
 
@@ -80,11 +82,14 @@ class Distribution:
         """Draw `count` i.i.d. 1-based values using the supplied generator."""
         if count < 0:
             raise ValueError("count must be >= 0")
+        idx = gen.integers(0, self.n, size=count)
+        return self._lookup(idx, gen.random(count))
+
+    def _lookup(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Alias-table values (1-based) for uniform indices and uniforms."""
         if self._accept is None:
             # idempotent lazy build; concurrent builders compute identical tables
             self._accept, self._alias = _build_alias_table(self.probs)
-        idx = gen.integers(0, self.n, size=count)
-        u = gen.random(count)
         return np.where(u < self._accept[idx], idx, self._alias[idx]) + 1
 
     def to_json(self) -> dict:
@@ -99,6 +104,48 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution(n={self.n})"
+
+
+def sample_children(p: Distribution, stream: Stream, indices,
+                    count: int) -> np.ndarray:
+    """`count` samples from each child stream, drawn together.
+
+    Row ``r`` of the (len(indices), count) int64 result is bitwise equal
+    to ``p.sample(count, stream.child(indices[r]).rng())``.  That call
+    draws ``count`` bounded integers (two per raw 64-bit word, low half
+    first) and then ``count`` doubles (one word each, ``(w >> 11) *
+    2**-53``); here the raw words of every child come from `child_raw`
+    and are mapped the same way.  A row whose integers numpy would
+    redraw (see `bounded_indices`), a negative index or one of 2**32 or
+    more, and every row when ``n >= 2**32``, are drawn from their own
+    generator instead.  For ``n == 1`` every sample is 1 whatever the
+    bits, as with `Distribution.sample`.
+
+    Worth it for many children with few samples each: the shared cost
+    grows with the total number of samples, where one generator per
+    child costs tens of microseconds before its first sample.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty((indices.size, count), dtype=np.int64)
+    if p.n == 1 or count == 0:
+        out[:] = 1
+        return out
+    batched = (indices >= 0) & (indices < 2**32) & (p.n < 2**32)
+    if batched.any():
+        halves = (count + 1) // 2
+        raw = child_raw(stream, indices[batched], halves + count)
+        draws = np.empty((raw.shape[0], 2 * halves), dtype=np.uint32)
+        draws[:, 0::2] = raw[:, :halves]  # keeps the low 32 bits
+        draws[:, 1::2] = raw[:, :halves] >> np.uint64(32)
+        idx, accepted = bounded_indices(draws[:, :count], p.n)
+        u = (raw[:, halves:] >> np.uint64(11)) * 2.0**-53
+        out[batched] = p._lookup(idx, u)
+        batched[batched] = accepted.all(axis=1)  # redraw rows with a rejection
+    for r in np.flatnonzero(~batched):
+        out[r] = p.sample(count, stream.child(int(indices[r])).rng())
+    return out
 
 
 def make_uniform(n: int) -> Distribution:

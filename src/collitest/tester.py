@@ -26,6 +26,10 @@ from .graph import ComparisonGraph
 from .rng import Stream
 
 ENUMERATION_CAP = 10_000_000
+# equal blocks up to this size are counted row-wise by `row_collisions`
+SMALL_BLOCK = 64
+# elements per gathered edge-endpoint matrix in `collision_counts_batch`
+GATHER_ELEMENTS = 4_000_000
 _UNIFORM_TOL = 1e-12
 
 
@@ -72,6 +76,19 @@ def within_clique_collisions(values: np.ndarray) -> int:
     return int(np.sum(counts * (counts - 1)) // 2)
 
 
+def row_collisions(rows: np.ndarray) -> np.ndarray:
+    """Equal pairs within each row of a 2-d array, as int64 per row.
+
+    Sorts each row; an element equal to the ``j`` elements before it in
+    its run closes ``j`` pairs.
+    """
+    rows = np.sort(rows, axis=1)
+    pos = np.arange(1, rows.shape[1])
+    run_start = np.maximum.accumulate(
+        np.where(rows[:, 1:] != rows[:, :-1], pos, 0), axis=1)
+    return (pos - run_start).sum(axis=1, dtype=np.int64)
+
+
 def _block_collisions(values: np.ndarray, blocks) -> int:
     sizes = {b - a for a, b in blocks}
     if len(sizes) == 1:
@@ -80,17 +97,8 @@ def _block_collisions(values: np.ndarray, blocks) -> int:
             return 0
         if len(blocks) == 1:
             return within_clique_collisions(values)
-        if size > 64:
-            return sum(within_clique_collisions(values[a:b]) for a, b in blocks)
-        # many equal small blocks: sort each row, count equal-adjacent runs
-        rows = np.sort(values.reshape(len(blocks), size), axis=1)
-        eq = rows[:, 1:] == rows[:, :-1]
-        run = np.zeros(len(blocks), dtype=np.int64)
-        total = 0
-        for j in range(size - 1):
-            run = np.where(eq[:, j], run + 1, 0)
-            total += int(run.sum())
-        return total
+        if size <= SMALL_BLOCK:
+            return int(row_collisions(values.reshape(len(blocks), size)).sum())
     return sum(within_clique_collisions(values[a:b]) for a, b in blocks)
 
 
@@ -159,19 +167,27 @@ def collision_counts_batch(graph: ComparisonGraph, p: Distribution,
 
     Used by moment audits, where only the distribution of Z matters; the
     whole batch comes from this single stream rather than per-trial
-    sub-streams.
+    sub-streams.  Trials are drawn in chunks of about `GATHER_ELEMENTS`
+    samples, and each chunk's edges are compared in slices of about
+    `GATHER_ELEMENTS` endpoint pairs, so the gathered matrices stay the
+    same size whatever |E|.
     """
     gen = stream.rng()
     nv = graph.vertex_count
     e = graph.edges
     out = np.empty(trials, dtype=np.int64)
-    chunk = max(1, min(trials, 4_000_000 // max(nv, 1)))
+    chunk = max(1, min(trials, GATHER_ELEMENTS // max(nv, 1)))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
         values = p.sample(m * nv, gen).reshape(m, nv)
-        eq = values[:, e[:, 0]] == values[:, e[:, 1]]
-        out[done:done + m] = eq.sum(axis=1)
+        step = max(1, GATHER_ELEMENTS // m)
+        z = np.zeros(m, dtype=np.int64)
+        for a in range(0, len(e), step):
+            part = e[a:a + step]
+            z += np.count_nonzero(values[:, part[:, 0]] == values[:, part[:, 1]],
+                                  axis=1)
+        out[done:done + m] = z
         done += m
     return out
 

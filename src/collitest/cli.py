@@ -15,13 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from .conditions import (cycle_plus_hub_counterexample, plan_asymmetric,
-                         plan_centralized, plan_simultaneous,
-                         plan_simultaneous_streaming, plan_streaming)
+from .conditions import cycle_plus_hub_counterexample
 from .errors import CapacityError
 from .harness import (build_distribution, build_graph, load_scenarios,
-                      moment_audit, records_to_jsonl, run_scenario, run_suite,
-                      summaries_to_csv)
+                      moment_audit, plan_for, records_to_jsonl, run_scenario,
+                      run_suite, summaries_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,25 +75,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_plan(args) -> int:
-    if args.model == "centralized":
-        plan = plan_centralized(args.n, args.eps)
-    elif args.model == "simultaneous":
-        if args.k is None:
-            raise SystemExit("--k is required for the simultaneous model")
-        plan = plan_simultaneous(args.n, args.eps, args.k)
-    elif args.model == "asymmetric":
-        if not args.rates:
-            raise SystemExit("--rates is required for the asymmetric model")
-        rates = [float(x) for x in args.rates.split(",")]
-        plan = plan_asymmetric(args.n, args.eps, rates)
-    elif args.model == "streaming":
-        if args.m_bits is None:
-            raise SystemExit("--m-bits is required for the streaming model")
-        plan = plan_streaming(args.n, args.eps, args.m_bits)
-    else:
-        if args.k is None or args.m_bits is None:
-            raise SystemExit("--k and --m-bits are required for this model")
-        plan = plan_simultaneous_streaming(args.n, args.eps, args.k, args.m_bits)
+    rates = None if not args.rates else [float(x) for x in args.rates.split(",")]
+    plan = plan_for(args.model, args.n, args.eps, args.k, rates, args.m_bits)
     if args.table:
         print(_plan_table(plan))
     else:
@@ -179,6 +160,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

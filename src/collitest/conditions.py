@@ -22,6 +22,12 @@ directed count, because |E| >= ell q^2 / 3 and |E|^2 / c(G) >= ell q / 9
 whenever q >= 3.  `certify_disjoint_cliques` reports both next to the
 exact certificate so the gap stays visible.  Planners never rely on the
 closed forms; they search with exact statistics.
+
+For fixed |E| and c(G) the three conditions solve to an interval
+[tau_lo, tau_hi] (`_feasible_tau`).  Planners take the smallest layout
+whose interval is non-empty and report a tau from inside it.  Detection
+protocols send tau down a tree as a grid index, so they certify on an
+explicit grid instead (`first_certified_tau`).
 """
 from __future__ import annotations
 
@@ -229,99 +235,76 @@ def _feasible_tau(edge_count: int, two_path: int, n: int, eps: float) -> float |
     return None
 
 
-def minimal_clique_size(n: int, eps: float, tau: float, ell: int) -> int:
-    """Smallest q >= 2 such that `ell` q-cliques are certified at tau."""
+def first_certified_tau(edge_count: int, two_path: int, grid, n: int,
+                        eps: float) -> float | None:
+    """The first tau of `grid` that certifies these statistics, or None.
 
-    def ok(q: int) -> bool:
-        return _stats_pass(*equal_cliques_stats(q, ell), tau, n, eps)
+    Detection protocols certify on an explicit grid because the chosen
+    tau travels down the tree as a grid index; the planners use the
+    exact interval of `_feasible_tau` instead.
+    """
+    if edge_count < 1:
+        return None
+    return next((tau for tau in grid
+                 if _stats_pass(edge_count, two_path, tau, n, eps)), None)
 
-    if ok(2):
-        return 2
-    lo, hi = 2, 4
+
+def _smallest(ok, lo: int, what: str) -> int:
+    """Smallest integer x >= lo with ok(x), by doubling then bisection.
+
+    `ok` must be monotone above lo (certification is monotone in the
+    clique count, and in the clique size from q = 3 on, which is why
+    ok(lo) is tried on its own first).
+    """
+    if ok(lo):
+        return lo
+    hi = 2 * lo
     while not ok(hi):
         lo, hi = hi, hi * 2
         if hi > 1 << 40:
-            raise CapacityError("clique size search diverged")
-    while hi - lo > 1:  # certification is monotone in q from q = 3 on
+            raise CapacityError(f"{what} search diverged")
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def minimal_clique_size(n: int, eps: float, tau: float, ell: int) -> int:
+    """Smallest q >= 2 such that `ell` q-cliques are certified at tau."""
+    return _smallest(
+        lambda q: _stats_pass(*equal_cliques_stats(q, ell), tau, n, eps),
+        2, "clique size")
 
 
 def minimal_clique_count(n: int, eps: float, tau: float, q: int) -> int:
     """Smallest ell >= 1 such that `ell` q-cliques are certified at tau."""
     if q < 2:
         raise ValueError("cliques need q >= 2")
-
-    def ok(ell: int) -> bool:
-        return _stats_pass(*equal_cliques_stats(q, ell), tau, n, eps)
-
-    if ok(1):
-        return 1
-    lo, hi = 1, 2
-    while not ok(hi):
-        lo, hi = hi, hi * 2
-        if hi > 1 << 40:
-            raise CapacityError("clique count search diverged")
-    while hi - lo > 1:  # certification is monotone in ell
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _smallest(
+        lambda ell: _stats_pass(*equal_cliques_stats(q, ell), tau, n, eps),
+        1, "clique count")
 
 
-def _minimal_feasible_size(n: int, eps: float, ell: int) -> int:
-    """Smallest q >= 2 such that `ell` q-cliques certify for SOME tau."""
+def _smallest_feasible(stats, lo: int, what: str, n: int,
+                       eps: float) -> tuple[int, float]:
+    """Smallest x >= lo whose statistics `stats(x)` certify for SOME tau.
 
-    def ok(q: int) -> bool:
-        return _feasible_tau(*equal_cliques_stats(q, ell), n, eps) is not None
-
-    if ok(2):
-        return 2
-    lo, hi = 2, 4
-    while not ok(hi):
-        lo, hi = hi, hi * 2
-        if hi > 1 << 40:
-            raise CapacityError("clique size search diverged")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    Returns x and the tau `_feasible_tau` picks from its exact interval.
+    The planners choose tau only this way: the interval also finds a
+    knife-edge optimum whose certifying tau is a single point, which no
+    sampled set of tau values would hit.
+    """
+    x = _smallest(lambda v: _feasible_tau(*stats(v), n, eps) is not None,
+                  lo, what)
+    return x, _feasible_tau(*stats(x), n, eps)
 
 
-def _minimal_feasible_count(n: int, eps: float, q: int) -> int:
-    """Smallest ell >= 1 such that `ell` q-cliques certify for SOME tau."""
-
-    def ok(ell: int) -> bool:
-        return _feasible_tau(*equal_cliques_stats(q, ell), n, eps) is not None
-
-    if ok(1):
-        return 1
-    lo, hi = 1, 2
-    while not ok(hi):
-        lo, hi = hi, hi * 2
-        if hi > 1 << 40:
-            raise CapacityError("clique count search diverged")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _minimal_time(n: int, eps: float, rates, passes) -> tuple[float, tuple[int, ...]]:
-    """Smallest sampling time t such that cliques of size floor(R_i t) satisfy
-    `passes(edge_count, two_path_count)`.
+def _minimal_time(n: int, eps: float, rates) -> tuple[float, tuple[int, ...]]:
+    """Smallest sampling time t such that cliques of size floor(R_i t)
+    certify for some tau.
 
     The returned t is snapped down to the first moment the winning size
     vector becomes available.
@@ -331,7 +314,7 @@ def _minimal_time(n: int, eps: float, rates, passes) -> tuple[float, tuple[int, 
         return tuple(int(math.floor(r * t)) for r in rates)
 
     def ok(t: float) -> bool:
-        return passes(*clique_union_stats(sizes(t)))
+        return _feasible_tau(*clique_union_stats(sizes(t)), n, eps) is not None
 
     hi = 1.0
     while not ok(hi):
@@ -351,54 +334,6 @@ def _minimal_time(n: int, eps: float, rates, passes) -> tuple[float, tuple[int, 
     while sizes(snap) != final_sizes:
         snap = math.nextafter(snap, math.inf)
     return snap, final_sizes
-
-
-def _optimize_tau(objective, grid=COARSE_TAU_GRID, refine=True):
-    """Minimize `objective` over the tau grid, then refine locally.
-
-    `objective(tau)` returns (cost, payload) or None when infeasible.
-    Returns (cost, tau, payload) or None if infeasible everywhere.
-    """
-    best = None
-    for tau in grid:
-        r = objective(tau)
-        if r is not None and (best is None or r[0] < best[0]):
-            best = (r[0], tau, r[1])
-    if best is None or not refine:
-        return best
-
-    step = grid[1] - grid[0] if len(grid) > 1 else 0.05
-    a = max(best[1] - step, 1e-9)
-    b = min(best[1] + step, 1.0 - 1e-9)
-
-    def f(tau):
-        r = objective(tau)
-        return (math.inf, None) if r is None else r
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    if fc[0] < best[0]:
-        best = (fc[0], c, fc[1])
-    if fd[0] < best[0]:
-        best = (fd[0], d, fd[1])
-    for _ in range(48):
-        if fc[0] <= fd[0]:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-            if fc[0] < best[0]:
-                best = (fc[0], c, fc[1])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-            if fd[0] < best[0]:
-                best = (fd[0], d, fd[1])
-        if b - a < 1e-4:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +449,11 @@ def _validate_inputs(n: int, eps: float) -> None:
         raise ValueError("eps must lie in (0, 1]")
 
 
-def _polished_clique_size(n: int, eps: float, ell: int) -> tuple[int, float]:
-    """Grid-plus-golden tau sweep, then exact-interval polish.
-
-    The sweep alone can miss a knife-edge optimum whose feasible tau is a
-    single point off the sampled set; the feasibility interval closes
-    that gap and supplies the reported (numeric) tau.
-    """
-    cost, tau, _ = _optimize_tau(
-        lambda t: (minimal_clique_size(n, eps, t, ell),) * 2)
-    q = min(cost, _minimal_feasible_size(n, eps, ell))
-    tau = _feasible_tau(*equal_cliques_stats(q, ell), n, eps) or tau
-    return q, tau
-
-
 def plan_centralized(n: int, eps: float) -> Plan:
     """Smallest certified single clique: q samples, all pairs compared."""
     _validate_inputs(n, eps)
-    q, tau = _polished_clique_size(n, eps, 1)
+    q, tau = _smallest_feasible(lambda q: equal_cliques_stats(q, 1), 2,
+                                "clique size", n, eps)
     edge_count, two_paths = equal_cliques_stats(q, 1)
     return Plan(
         family="clique", n=n, eps=eps, tau=tau,
@@ -547,7 +469,8 @@ def plan_simultaneous(n: int, eps: float, k: int) -> Plan:
     _validate_inputs(n, eps)
     if k < 1:
         raise ValueError("need at least one player")
-    q, tau = _polished_clique_size(n, eps, k)
+    q, tau = _smallest_feasible(lambda q: equal_cliques_stats(q, k), 2,
+                                "clique size", n, eps)
     edge_count, two_paths = equal_cliques_stats(q, k)
     t = edge_count * (1.0 + tau * eps**2) / n
     return Plan(
@@ -568,19 +491,9 @@ def plan_asymmetric(n: int, eps: float, rates) -> Plan:
         raise ValueError("rates must be non-negative")
     if not any(r > 0 for r in rates):
         raise ValueError("at least one rate must be positive")
-
-    def objective(tau):
-        t, sizes = _minimal_time(
-            n, eps, rates, lambda e, c: _stats_pass(e, c, tau, n, eps))
-        return t, sizes
-
-    t, tau, sizes = _optimize_tau(objective)
-    t_exact, sizes_exact = _minimal_time(
-        n, eps, rates, lambda e, c: _feasible_tau(e, c, n, eps) is not None)
-    if t_exact < t:
-        t, sizes = t_exact, sizes_exact
+    t, sizes = _minimal_time(n, eps, rates)
     edge_count, two_paths = clique_union_stats(sizes)
-    tau = _feasible_tau(edge_count, two_paths, n, eps) or tau
+    tau = _feasible_tau(edge_count, two_paths, n, eps)
     thr = edge_count * (1.0 + tau * eps**2) / n
     return Plan(
         family="rate_cliques", n=n, eps=eps, tau=tau,
@@ -631,11 +544,9 @@ def plan_streaming(n: int, eps: float, m_bits: int) -> Plan:
         return replace(
             base, m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
             resources=replace(base.resources, memory_bits=peak))
-    cost, tau, _ = _optimize_tau(
-        lambda t: (minimal_clique_count(n, eps, t, m_prime),) * 2)
-    ell = min(cost, _minimal_feasible_count(n, eps, m_prime))
+    ell, tau = _smallest_feasible(lambda ell: equal_cliques_stats(m_prime, ell),
+                                  1, "clique count", n, eps)
     edge_count, two_paths = equal_cliques_stats(m_prime, ell)
-    tau = _feasible_tau(edge_count, two_paths, n, eps) or tau
     thr = edge_count * (1.0 + tau * eps**2) / n
     _check_counter_budget(thr, m_bits)
     peak = m_prime * bps + counter_bit_width(thr)
@@ -665,20 +576,13 @@ def plan_simultaneous_streaming(n: int, eps: float, k: int, m_bits: int) -> Plan
         return replace(
             sim, m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
             resources=replace(sim.resources, memory_bits=peak))
-
-    def objective(tau):
-        ell = minimal_clique_count(n, eps, tau, m_prime)
-        batches = math.ceil(ell / k)
-        return batches, batches
-
-    cost, tau, _ = _optimize_tau(objective)
-    batches = min(cost, math.ceil(_minimal_feasible_count(n, eps, m_prime) / k))
-    while batches > 1 and _feasible_tau(
-            *equal_cliques_stats(m_prime, (batches - 1) * k), n, eps) is not None:
-        batches -= 1
+    # feasibility is monotone in ell, so ceil(min_count / k) batches is minimal
+    min_count, _ = _smallest_feasible(
+        lambda ell: equal_cliques_stats(m_prime, ell), 1, "clique count", n, eps)
+    batches = math.ceil(min_count / k)
     ell = batches * k
     edge_count, two_paths = equal_cliques_stats(m_prime, ell)
-    tau = _feasible_tau(edge_count, two_paths, n, eps) or tau
+    tau = _feasible_tau(edge_count, two_paths, n, eps)
     thr = edge_count * (1.0 + tau * eps**2) / n
     _check_counter_budget(thr, m_bits)
     peak = m_prime * bps + counter_bit_width(thr)
@@ -792,13 +696,8 @@ def cycle_plus_hub_counterexample(n: int, eps: float, b: float,
     _validate_inputs(n, eps)
     length = max(3, math.ceil(b * n / eps**4))
     cyc = make_cycle(length)
-    cycle_tau = None
-    cycle_report = None
-    for tau in tau_grid:
-        report = certify_graph(cyc, tau, n, eps)
-        if report.overall:
-            cycle_tau, cycle_report = tau, report
-            break
+    cycle_tau = first_certified_tau(cyc.edge_count, cyc.two_path_count,
+                                    tau_grid, n, eps)
     if cycle_tau is None:
         raise CapacityError(
             f"b = {b} is too small: the cycle of size {length} certifies "
@@ -811,6 +710,7 @@ def cycle_plus_hub_counterexample(n: int, eps: float, b: float,
     ratio = augmented.two_path_count / augmented.edge_count**2
     return CounterexampleResult(
         cycle=cyc, augmented=augmented, cycle_tau=cycle_tau,
-        cycle_report=cycle_report, augmented_reports=reports,
+        cycle_report=certify_graph(cyc, cycle_tau, n, eps),
+        augmented_reports=reports,
         augmented_ratio=ratio,
     )

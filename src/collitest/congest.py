@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
-                         certify_stats, equal_cliques_stats)
+                         certify_stats, equal_cliques_stats,
+                         first_certified_tau)
 from .dist import Distribution, sample_children
 from .encoding import message_bit_width, sample_bit_width
 from .models import Message
@@ -290,16 +291,10 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
     edge_count = degree_sum // 2
     up_bits = (sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1))
     rounds = _convergecast(net, tree, meter, up_bits)
-    certified = False
-    tau_star = None
-    report = None
-    if edge_count >= 1:
-        for tau in tau_grid:
-            if _stats_pass(edge_count, two_path, tau, n, eps):
-                certified = True
-                tau_star = tau
-                report = certify_stats(edge_count, two_path, tau, n, eps)
-                break
+    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
+    certified = tau_star is not None
+    report = (certify_stats(edge_count, two_path, tau_star, n, eps)
+              if certified else None)
     down_bits = 1 + sample_bit_width(len(tau_grid) + 1)
     rounds += _broadcast(net, tree, meter, down_bits)
     return DetectionResult(certified=certified, tau_star=tau_star,
@@ -642,15 +637,10 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
     two_path = int(np.sum(power_degrees * (power_degrees - 1)))
     up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
     rounds += _convergecast(net, tree, meter, up_bits)
-    certified = False
-    tau_star = None
-    if edge_count >= 1:
-        for tau in tau_grid:
-            if _stats_pass(edge_count, two_path, tau, n, eps):
-                certified, tau_star = True, tau
-                break
+    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
     rounds += _broadcast(net, tree, meter, 1 + sample_bit_width(len(tau_grid) + 1))
-    return PowerDetectionResult(certified=certified, tau_star=tau_star,
+    return PowerDetectionResult(certified=tau_star is not None,
+                                tau_star=tau_star,
                                 congestion_ok=congestion_ok,
                                 edge_count=edge_count,
                                 two_path_count=two_path, rounds=rounds)

@@ -19,9 +19,9 @@ import numpy as np
 from . import congest as cg
 from . import models
 from . import tester
-from .conditions import (Plan, plan_asymmetric, plan_centralized,
-                         plan_simultaneous, plan_simultaneous_streaming,
-                         plan_streaming)
+from .conditions import (COARSE_TAU_GRID, Plan, _feasible_tau,
+                         plan_asymmetric, plan_centralized, plan_simultaneous,
+                         plan_simultaneous_streaming, plan_streaming)
 from .dist import Distribution, make_bump, make_heavy, make_uniform
 from .graph import (ComparisonGraph, make_bipartite, make_clique, make_cycle,
                     make_disjoint_cliques, make_matching, make_path,
@@ -213,9 +213,12 @@ class ScenarioResult:
 
 
 def _detection_grid(net: cg.Network, scenario: Scenario):
-    """The coarse tau grid plus the exactly-feasible tau, when one exists."""
-    from .conditions import COARSE_TAU_GRID, _feasible_tau
+    """The coarse tau grid plus the exactly-feasible tau, when one exists.
 
+    Scenario runs certify every topology that certifies for some tau.
+    The bare grid is the protocols' default and is narrower: path(150) at
+    n=4, eps=1 has the non-empty interval [0.328, 0.345] and no grid tau.
+    """
     grid = list(COARSE_TAU_GRID)
     extra = _feasible_tau(net.topology.edge_count, net.topology.two_path_count,
                           scenario.n, scenario.eps)
@@ -224,27 +227,28 @@ def _detection_grid(net: cg.Network, scenario: Scenario):
     return grid
 
 
-def _plan_for(scenario: Scenario) -> Plan:
-    if scenario.model == "centralized":
-        return plan_centralized(scenario.n, scenario.eps)
-    if scenario.model == "simultaneous":
-        if scenario.k is None:
-            raise ValueError("simultaneous scenarios need k")
-        return plan_simultaneous(scenario.n, scenario.eps, scenario.k)
-    if scenario.model == "asymmetric":
-        if scenario.rates is None:
-            raise ValueError("asymmetric scenarios need rates")
-        return plan_asymmetric(scenario.n, scenario.eps, scenario.rates)
-    if scenario.model == "streaming":
-        if scenario.m_bits is None:
-            raise ValueError("streaming scenarios need m_bits")
-        return plan_streaming(scenario.n, scenario.eps, scenario.m_bits)
-    if scenario.model == "simultaneous_streaming":
-        if scenario.k is None or scenario.m_bits is None:
-            raise ValueError("combined scenarios need k and m_bits")
-        return plan_simultaneous_streaming(scenario.n, scenario.eps,
-                                           scenario.k, scenario.m_bits)
-    raise ValueError(f"{scenario.model} does not use a plan")
+def plan_for(model: str, n: int, eps: float, k: int | None = None,
+             rates=None, m_bits: int | None = None) -> Plan:
+    """The certified plan of one planned model; ValueError names what is missing."""
+    if model == "centralized":
+        return plan_centralized(n, eps)
+    if model == "simultaneous":
+        if k is None:
+            raise ValueError("the simultaneous model needs k")
+        return plan_simultaneous(n, eps, k)
+    if model == "asymmetric":
+        if rates is None:
+            raise ValueError("the asymmetric model needs rates")
+        return plan_asymmetric(n, eps, rates)
+    if model == "streaming":
+        if m_bits is None:
+            raise ValueError("the streaming model needs m_bits")
+        return plan_streaming(n, eps, m_bits)
+    if model == "simultaneous_streaming":
+        if k is None or m_bits is None:
+            raise ValueError("the simultaneous_streaming model needs k and m_bits")
+        return plan_simultaneous_streaming(n, eps, k, m_bits)
+    raise ValueError(f"{model} does not use a plan")
 
 
 def run_scenario(scenario: Scenario, master_seed: int,
@@ -264,7 +268,8 @@ def run_scenario(scenario: Scenario, master_seed: int,
 
     if scenario.model in ("centralized", "simultaneous", "asymmetric",
                           "streaming", "simultaneous_streaming"):
-        plan = _plan_for(scenario)
+        plan = plan_for(scenario.model, scenario.n, scenario.eps, scenario.k,
+                        scenario.rates, scenario.m_bits)
         family, q, ell = plan.family, max(plan.clique_sizes), len(plan.clique_sizes)
         tau, thr, edges = plan.tau, plan.threshold, plan.edge_count
         sampling_time = plan.sampling_time
@@ -306,33 +311,19 @@ def run_scenario(scenario: Scenario, master_seed: int,
                                        tau_grid=_detection_grid(net, scenario),
                                        tree=tree)
         base_rounds = tree.rounds + detection.rounds
+        if scenario.model == "congest_local" and not detection.certified:
+            raise cg.ProtocolRefusedError(
+                "topology not certified; the local path cannot run")
         bundle_plan = None
-        if scenario.model == "congest_local":
-            if not detection.certified:
-                raise cg.ProtocolRefusedError(
-                    "topology not certified; the local path cannot run")
-            family, q, ell = "topology", net.k, 1
-            tau, thr = detection.tau_star, (
-                detection.edge_count
-                * (1 + detection.tau_star * scenario.eps**2) / scenario.n)
-            edges = detection.edge_count
-        elif scenario.model == "congest_pipelined":
+        if scenario.model == "congest_pipelined" or not detection.certified:
             bundle_plan = cg.choose_bundle_plan(scenario.n, scenario.eps, net.k)
             family, q, ell = "bundled", bundle_plan.s, bundle_plan.ell
             tau, thr, edges = (bundle_plan.tau, bundle_plan.threshold,
                                bundle_plan.edge_count)
         else:
-            if detection.certified:
-                family, q, ell = "topology", net.k, 1
-                tau, thr = detection.tau_star, (
-                    detection.edge_count
-                    * (1 + detection.tau_star * scenario.eps**2) / scenario.n)
-                edges = detection.edge_count
-            else:
-                bundle_plan = cg.choose_bundle_plan(scenario.n, scenario.eps, net.k)
-                family, q, ell = "bundled", bundle_plan.s, bundle_plan.ell
-                tau, thr, edges = (bundle_plan.tau, bundle_plan.threshold,
-                                   bundle_plan.edge_count)
+            family, q, ell = "topology", net.k, 1
+            tau, edges = detection.tau_star, detection.edge_count
+            thr = edges * (1 + tau * scenario.eps**2) / scenario.n
         sampling_time = None
         for t_idx in order:
             stream = master.child(t_idx)

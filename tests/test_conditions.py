@@ -7,11 +7,13 @@ from collitest.conditions import (COARSE_TAU_GRID, Plan,
                                   certify_stats, clique_union_stats,
                                   conjectured_floor,
                                   cycle_plus_hub_counterexample,
-                                  equal_cliques_stats, minimal_clique_count,
+                                  equal_cliques_stats, first_certified_tau,
+                                  minimal_clique_count,
                                   minimal_clique_size, plan_asymmetric,
                                   plan_centralized, plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
-from collitest.conditions import _feasible_tau
+from collitest.conditions import (_feasible_tau, _smallest_feasible,
+                                  _streaming_memory_fields)
 from collitest.encoding import message_bit_width
 from collitest.errors import CapacityError
 from collitest.graph import make_clique, make_matching, make_star
@@ -300,6 +302,16 @@ class TestPlanSimultaneousStreaming:
         plan = plan_simultaneous_streaming(256, 1.0, 4, 64)
         assert certify_graph(plan.build_graph(), plan.tau, 256, 1.0).overall
 
+    @pytest.mark.parametrize("n, eps, k, m_bits",
+                             [(256, 1.0, 4, 64), (1024, 0.5, 8, 400)])
+    def test_fewest_batches(self, n, eps, k, m_bits):
+        plan = plan_simultaneous_streaming(n, eps, k, m_bits)
+        batches = len(plan.clique_sizes) // k
+        assert batches > 1 and plan.report.overall
+        # one batch fewer per player certifies for no tau at all
+        fewer = equal_cliques_stats(plan.m_prime, (batches - 1) * k)
+        assert _feasible_tau(*fewer, n, eps) is None
+
 
 class TestSearchHelpers:
     def test_minimal_clique_size_boundary(self):
@@ -315,6 +327,34 @@ class TestSearchHelpers:
     def test_matching_sized_plans_allowed(self):
         # enough players make two-sample cliques certifiable
         assert minimal_clique_size(1, 1.0, 0.2, 10_000) == 2
+
+    def test_exact_count_far_past_any_grid(self):
+        # plan_streaming(10**5, 0.1, 102) stores m' = 3 samples per batch; a
+        # tau sampled near 1 made its search give up, the exact one does not
+        assert _streaming_memory_fields(10**5, 102) == (17, 3)
+
+        def stats(ell):
+            return equal_cliques_stats(3, ell)
+
+        ell, tau = _smallest_feasible(stats, 1, "clique count", 10**5, 0.1)
+        assert ell == 12_000_000_000 < 2**40
+        assert certify_stats(*stats(ell), tau, 10**5, 0.1).overall
+        assert _feasible_tau(*stats(ell - 1), 10**5, 0.1) is None
+
+    def test_first_certified_tau_follows_the_grid_order(self):
+        edges, paths = equal_cliques_stats(1000, 1)
+        passing = [t for t in COARSE_TAU_GRID
+                   if certify_stats(edges, paths, t, 16, 1.0).overall]
+        assert len(passing) > 1
+        assert first_certified_tau(edges, paths, COARSE_TAU_GRID, 16,
+                                   1.0) == passing[0]
+        assert first_certified_tau(edges, paths, COARSE_TAU_GRID[::-1], 16,
+                                   1.0) == passing[-1]
+
+    def test_first_certified_tau_none(self):
+        assert first_certified_tau(0, 0, COARSE_TAU_GRID, 16, 1.0) is None
+        assert first_certified_tau(*equal_cliques_stats(5, 1),
+                                   COARSE_TAU_GRID, 16, 1.0) is None
 
 
 class TestConjecturedFloors:
@@ -360,6 +400,15 @@ class TestCounterexample:
         assert aug.edge_count == 2 * aug.vertex_count - 3
         assert result.augmented_ratio >= 1 / 12
         assert result.augmented_fails_everywhere
+
+    def test_cycle_tau_is_the_first_certified_grid_tau(self):
+        result = cycle_plus_hub_counterexample(16, 1.0, 40.0)
+        cyc = result.cycle
+        for tau in COARSE_TAU_GRID:
+            if tau == result.cycle_tau:
+                break
+            assert not certify_graph(cyc, tau, 16, 1.0).overall
+        assert result.cycle_report.tau == result.cycle_tau
 
     def test_small_b_is_reported(self):
         with pytest.raises(CapacityError, match="too small"):

@@ -5,14 +5,15 @@ import time
 import numpy as np
 import pytest
 
+from collitest import conditions, harness
 from collitest.cli import main as cli_main
 from collitest.conditions import Plan, plan_centralized
 from collitest.dist import make_bump, make_uniform
 from collitest.graph import make_matching, make_star
 from collitest.harness import (Scenario, build_distribution, build_graph,
                                build_topology, load_scenarios, moment_audit,
-                               records_to_jsonl, run_scenario, run_suite,
-                               summaries_to_csv, wilson_interval)
+                               plan_for, records_to_jsonl, run_scenario,
+                               run_suite, summaries_to_csv, wilson_interval)
 from collitest.rng import Stream
 
 
@@ -207,6 +208,33 @@ class TestMomentAudit:
         assert abs(report.mean_z - 1.0) <= 4 * math.sqrt(report.formula_variance / 10**5)
 
 
+class TestPlanFor:
+    def test_names_the_missing_parameter(self):
+        for model, given, missing in (
+                ("simultaneous", {}, "k"), ("asymmetric", {"k": 2}, "rates"),
+                ("streaming", {"k": 2}, "m_bits"),
+                ("simultaneous_streaming", {"k": 2}, "m_bits")):
+            with pytest.raises(ValueError, match=missing):
+                plan_for(model, 16, 1.0, **given)
+
+    def test_congest_models_have_no_plan(self):
+        with pytest.raises(ValueError, match="does not use a plan"):
+            plan_for("congest_local", 16, 1.0)
+
+    def test_calls_the_planner_through_the_module(self, monkeypatch):
+        # benchmark hooks wrap harness.plan_<model> and must see every call
+        calls = []
+
+        def spy(n, eps, k):
+            calls.append((n, eps, k))
+            return conditions.plan_simultaneous(n, eps, k)
+
+        monkeypatch.setattr(harness, "plan_simultaneous", spy)
+        plan_for("simultaneous", 16, 1.0, k=3)
+        run_scenario(scenario("simultaneous", k=3, trials=1), 0)
+        assert calls == [(16, 1.0, 3)] * 2
+
+
 class TestCli:
     def test_plan_subcommand(self, capsys):
         code = cli_main(["plan", "--model", "centralized", "--n", "16",
@@ -220,6 +248,19 @@ class TestCli:
                          "--eps", "1.0", "--m-bits", "20"])
         assert code == 2
         assert "capacity" in capsys.readouterr().err
+
+    def test_missing_model_parameter_exit_code(self, capsys):
+        code = cli_main(["plan", "--model", "simultaneous", "--n", "16",
+                         "--eps", "1.0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " k" in err
+
+    def test_plan_matches_the_harness_dispatch(self, capsys):
+        assert cli_main(["plan", "--model", "asymmetric", "--n", "16",
+                         "--eps", "1.0", "--rates", "2,1"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj == plan_for("asymmetric", 16, 1.0, rates=(2.0, 1.0)).to_json()
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -48,7 +48,7 @@ from .errors import (CapacityError, InvalidNetworkError,
                      ModelViolationError, ProtocolRefusedError)
 from .graph import ComparisonGraph
 from .rng import Stream
-from .tester import within_clique_collisions
+from .tester import row_collisions
 
 CHANNEL_COEFF = 8        # channel_bits = ceil(8 (log2 n + log2 k)) per direction
 C_BFS = 2                # tree build finishes within C_BFS * D + C0 rounds
@@ -224,32 +224,22 @@ def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
                    children=children, preorder=preorder, rounds=rounds)
 
 
-def _by_depth_descending(tree: BfsTree) -> list[list[int]]:
-    """Node lists per convergecast round: deepest layer first."""
+def _tree_rounds(tree: BfsTree, meter: BitMeter, bits_per_message: int,
+                 toward_root: bool) -> int:
+    """Charge one message per tree edge, one depth layer per round: child to
+    parent deepest layer first (convergecast), or parent to child top first."""
     layers: dict[int, list[int]] = {}
     for v, d in enumerate(tree.depth):
-        layers.setdefault(int(d), []).append(v)
-    return [layers[d] for d in sorted(layers, reverse=True) if d > 0]
-
-
-def _convergecast(net: Network, tree: BfsTree, meter: BitMeter,
-                  bits_per_message: int) -> int:
-    """Charge one up-tree message per non-root node, deepest layer first."""
-    layers = _by_depth_descending(tree)
-    for layer in layers:
+        if d > 0:
+            layers.setdefault(int(d), []).append(v)
+    for d in sorted(layers, reverse=toward_root):
         meter.begin_round()
-        for v in layer:
-            meter.send(v, int(tree.parent[v]), bits_per_message)
-    return len(layers)
-
-
-def _broadcast(net: Network, tree: BfsTree, meter: BitMeter,
-               bits_per_message: int) -> int:
-    layers = _by_depth_descending(tree)
-    for layer in reversed(layers):
-        meter.begin_round()
-        for v in layer:
-            meter.send(int(tree.parent[v]), v, bits_per_message)
+        for v in layers[d]:
+            parent = int(tree.parent[v])
+            if toward_root:
+                meter.send(v, parent, bits_per_message)
+            else:
+                meter.send(parent, v, bits_per_message)
     return len(layers)
 
 
@@ -290,13 +280,13 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
     assert degree_sum % 2 == 0
     edge_count = degree_sum // 2
     up_bits = (sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1))
-    rounds = _convergecast(net, tree, meter, up_bits)
+    rounds = _tree_rounds(tree, meter, up_bits, toward_root=True)
     tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
     certified = tau_star is not None
     report = (certify_stats(edge_count, two_path, tau_star, n, eps)
               if certified else None)
     down_bits = 1 + sample_bit_width(len(tau_grid) + 1)
-    rounds += _broadcast(net, tree, meter, down_bits)
+    rounds += _tree_rounds(tree, meter, down_bits, toward_root=False)
     return DetectionResult(certified=certified, tau_star=tau_star,
                            edge_count=edge_count, two_path_count=two_path,
                            rounds=rounds, tree=tree, report=report)
@@ -340,8 +330,8 @@ def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
     colliding = values[e[:, 0]] == values[e[:, 1]]
     z_local = np.bincount(e[:, 1][colliding], minlength=net.k)
     rounds = 1
-    rounds += _convergecast(net, tree, meter,
-                            sample_bit_width(topo.edge_count + 1))
+    rounds += _tree_rounds(tree, meter, sample_bit_width(topo.edge_count + 1),
+                           toward_root=True)
     z = int(z_local.sum())
     t = topo.edge_count * (1.0 + tau_star * eps**2) / n
     return LocalRun(decision="YES" if z < t else "NO", rounds=rounds, z=z,
@@ -505,21 +495,18 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
     if len(assignment.bundles) != plan.ell:
         raise ModelViolationError("bundle count does not match the plan")
 
-    count_rounds = _convergecast(net, tree, meter, sample_bit_width(net.k + 1))
+    count_rounds = _tree_rounds(tree, meter, sample_bit_width(net.k + 1),
+                                toward_root=True)
     pipe_rounds = _pipeline_rounds(net, tree, assignment, meter)
 
     t = plan.threshold
     base_bits = message_bit_width(t)
-    z_bundles = []
-    messages = []
-    for members in assignment.bundles:
-        z_j = within_clique_collisions(values[np.array(members, dtype=np.int64)])
-        z_bundles.append(z_j)
-        messages.append(Message(None if z_j >= t else z_j, base_bits))
+    z_bundles = row_collisions(values[np.array(assignment.bundles)]).tolist()
+    messages = [Message(None if z_j >= t else z_j, base_bits) for z_j in z_bundles]
     saw_sentinel = any(m.is_sentinel for m in messages)
     total = sum(z_bundles)
     answer_bits = 1 + sample_bit_width(plan.edge_count + 1)
-    answer_rounds = _convergecast(net, tree, meter, answer_bits)
+    answer_rounds = _tree_rounds(tree, meter, answer_bits, toward_root=True)
     if saw_sentinel:
         decision, z_out = "NO", None
     else:
@@ -636,9 +623,10 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
     edge_count = degree_sum // 2
     two_path = int(np.sum(power_degrees * (power_degrees - 1)))
     up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
-    rounds += _convergecast(net, tree, meter, up_bits)
+    rounds += _tree_rounds(tree, meter, up_bits, toward_root=True)
     tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
-    rounds += _broadcast(net, tree, meter, 1 + sample_bit_width(len(tau_grid) + 1))
+    rounds += _tree_rounds(tree, meter, 1 + sample_bit_width(len(tau_grid) + 1),
+                           toward_root=False)
     return PowerDetectionResult(certified=tau_star is not None,
                                 tau_star=tau_star,
                                 congestion_ok=congestion_ok,

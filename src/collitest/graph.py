@@ -20,26 +20,29 @@ import numpy as np
 class ComparisonGraph:
     """Simple undirected graph with cached comparison statistics.
 
+    A graph is given by `edges` or, for a disjoint union of cliques, by
+    `clique_blocks`: contiguous vertex ranges partitioning 0..|V|-1.  A
+    block graph derives degrees, |E| and c(G) from the block sizes and
+    builds `edges` only when it is first read.
+
     `owner`, when present, maps every vertex to the player or batch that
     holds its sample; edges may only join vertices with the same owner
     (a cross-owner comparison is impossible in partitioned models).
-
-    `clique_blocks`, when present, asserts that the edge set is exactly
-    the union of complete graphs over the given contiguous vertex ranges
-    (a partition of 0..|V|-1).  Collision counting uses it as a fast
-    path; constructors that build such graphs set it.
     """
 
-    __slots__ = ("vertex_count", "edges", "owner", "clique_blocks",
+    __slots__ = ("vertex_count", "_edges", "owner", "clique_blocks",
                  "degrees", "edge_count", "two_path_count")
 
-    def __init__(self, vertex_count, edges, owner=None, clique_blocks=None,
-                 validate=True):
+    def __init__(self, vertex_count, edges=None, owner=None, clique_blocks=None):
         vertex_count = int(vertex_count)
         if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if validate:
+        if (edges is None) == (clique_blocks is None):
+            raise ValueError("give a graph by its edges or by its clique blocks")
+        self.vertex_count = vertex_count
+
+        if clique_blocks is None:
+            arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
             if arr.size and (arr.min() < 0 or arr.max() >= vertex_count):
                 raise ValueError("edge endpoint out of range")
             arr = np.sort(arr, axis=1)
@@ -47,25 +50,13 @@ class ComparisonGraph:
                 raise ValueError("self-loops are not allowed")
             order = np.lexsort((arr[:, 1], arr[:, 0]))
             arr = arr[order]
-            if arr.shape[0] > 1:
-                dup = np.all(arr[1:] == arr[:-1], axis=1)
-                if np.any(dup):
-                    raise ValueError("duplicate edges are not allowed")
-        arr = arr.astype(np.int32, copy=False)
-        arr.flags.writeable = False
-        self.vertex_count = vertex_count
-        self.edges = arr
-
-        if owner is not None:
-            owner = np.asarray(owner, dtype=np.int32)
-            if owner.shape != (vertex_count,):
-                raise ValueError("owner map must assign every vertex")
-            owner.flags.writeable = False
-            if arr.size and np.any(owner[arr[:, 0]] != owner[arr[:, 1]]):
-                raise ValueError("edges may not cross owners")
-        self.owner = owner
-
-        if clique_blocks is not None:
+            if np.any(np.all(arr[1:] == arr[:-1], axis=1)):
+                raise ValueError("duplicate edges are not allowed")
+            arr = arr.astype(np.int32)
+            arr.flags.writeable = False
+            degrees = np.bincount(arr.ravel(), minlength=vertex_count)
+            ends = (arr[:, 0], arr[:, 1])
+        else:
             blocks = tuple((int(a), int(b)) for a, b in clique_blocks)
             pos = 0
             for a, b in blocks:
@@ -74,18 +65,43 @@ class ComparisonGraph:
                 pos = b
             if pos != vertex_count:
                 raise ValueError("clique blocks must cover every vertex")
-            expected = sum((b - a) * (b - a - 1) // 2 for a, b in blocks)
-            if expected != arr.shape[0]:
-                raise ValueError("clique blocks do not describe this edge set")
+            starts, stops = np.array(blocks, dtype=np.int64).reshape(-1, 2).T
+            sizes = stops - starts
+            degrees = np.repeat(sizes - 1, sizes)
+            # a block joins each of its vertices to its first vertex
+            ends = (np.repeat(starts, sizes), np.arange(vertex_count))
+            arr = None
             clique_blocks = blocks
+        self._edges = arr
         self.clique_blocks = clique_blocks
 
-        degrees = np.bincount(arr.ravel(), minlength=vertex_count) if arr.size \
-            else np.zeros(vertex_count, dtype=np.int64)
+        if owner is not None:
+            owner = np.asarray(owner, dtype=np.int32)
+            if owner.shape != (vertex_count,):
+                raise ValueError("owner map must assign every vertex")
+            owner.flags.writeable = False
+            if np.any(owner[ends[0]] != owner[ends[1]]):
+                raise ValueError("edges may not cross owners")
+        self.owner = owner
+
         degrees.flags.writeable = False
         self.degrees = degrees
-        self.edge_count = int(arr.shape[0])
+        self.edge_count = int(degrees.sum()) // 2
         self.two_path_count = int(np.sum(degrees * (degrees - 1)))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Sorted, read-only (|E|, 2) int32 array of edges u < v."""
+        if self._edges is None:
+            # vertex v joins the later vertices v+1 .. stop-1 of its block
+            starts, stops = np.array(self.clique_blocks, dtype=np.int64).reshape(-1, 2).T
+            later = np.repeat(stops, stops - starts) - np.arange(self.vertex_count) - 1
+            u = np.repeat(np.arange(self.vertex_count), later)
+            rank = np.arange(u.size) - np.repeat(np.cumsum(later) - later, later)
+            arr = np.column_stack((u, u + 1 + rank)).astype(np.int32)
+            arr.flags.writeable = False
+            self._edges = arr
+        return self._edges
 
     def to_json(self) -> dict:
         return {
@@ -100,11 +116,12 @@ class ComparisonGraph:
 
     def adjacency(self) -> list[np.ndarray]:
         """Sorted neighbor array per vertex."""
-        neigh = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return [np.array(sorted(xs), dtype=np.int64) for xs in neigh]
+        e = self.edges.astype(np.int64)
+        tail = np.concatenate((e[:, 0], e[:, 1]))
+        head = np.concatenate((e[:, 1], e[:, 0]))
+        head = head[np.lexsort((head, tail))]
+        # the piece after the last vertex is always empty
+        return np.split(head, np.cumsum(self.degrees))[:-1]
 
     def __repr__(self) -> str:
         return (f"ComparisonGraph(|V|={self.vertex_count}, |E|={self.edge_count}, "
@@ -116,17 +133,11 @@ def two_path_count(graph: ComparisonGraph) -> int:
     return graph.two_path_count
 
 
-def _clique_edges(q: int, offset: int = 0) -> np.ndarray:
-    u, v = np.triu_indices(q, k=1)
-    return np.column_stack((u, v)).astype(np.int64) + offset
-
-
 def make_clique(q: int) -> ComparisonGraph:
     """Complete graph on q >= 2 vertices."""
     if q < 2:
         raise ValueError("a clique needs q >= 2 to have an edge")
-    return ComparisonGraph(q, _clique_edges(q), clique_blocks=[(0, q)],
-                           validate=False)
+    return ComparisonGraph(q, clique_blocks=[(0, q)])
 
 
 def make_clique_union(sizes) -> ComparisonGraph:
@@ -139,20 +150,10 @@ def make_clique_union(sizes) -> ComparisonGraph:
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 0 for s in sizes):
         raise ValueError("sizes must be a non-empty list of integers >= 0")
-    blocks = []
-    chunks = []
-    owner = []
-    pos = 0
-    for i, s in enumerate(sizes):
-        blocks.append((pos, pos + s))
-        if s >= 2:
-            chunks.append(_clique_edges(s, offset=pos))
-        owner.append(np.full(s, i, dtype=np.int32))
-        pos += s
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    owner = np.concatenate(owner) if owner else None
-    return ComparisonGraph(pos, edges, owner=owner, clique_blocks=blocks,
-                           validate=False)
+    stops = np.cumsum(sizes)
+    blocks = zip(stops - sizes, stops)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    return ComparisonGraph(int(stops[-1]), owner=owner, clique_blocks=blocks)
 
 
 def make_disjoint_cliques(q: int, ell: int) -> ComparisonGraph:
@@ -168,11 +169,8 @@ def make_matching(pairs: int) -> ComparisonGraph:
     """`pairs` disjoint edges; the zero-dependency comparison graph."""
     if pairs < 1:
         raise ValueError("need at least one pair")
-    base = np.arange(pairs, dtype=np.int64) * 2
-    edges = np.column_stack((base, base + 1))
-    return ComparisonGraph(2 * pairs, edges,
-                           clique_blocks=[(2 * i, 2 * i + 2) for i in range(pairs)],
-                           validate=False)
+    return ComparisonGraph(2 * pairs,
+                           clique_blocks=[(2 * i, 2 * i + 2) for i in range(pairs)])
 
 
 def make_star(leaves: int) -> ComparisonGraph:
@@ -181,7 +179,7 @@ def make_star(leaves: int) -> ComparisonGraph:
         raise ValueError("need at least one leaf")
     hub = np.zeros(leaves, dtype=np.int64)
     edges = np.column_stack((hub, np.arange(1, leaves + 1, dtype=np.int64)))
-    return ComparisonGraph(leaves + 1, edges, validate=False)
+    return ComparisonGraph(leaves + 1, edges)
 
 
 def make_bipartite(a: int, b: int) -> ComparisonGraph:
@@ -190,7 +188,7 @@ def make_bipartite(a: int, b: int) -> ComparisonGraph:
         raise ValueError("both sides need at least one vertex")
     left = np.repeat(np.arange(a, dtype=np.int64), b)
     right = np.tile(np.arange(a, a + b, dtype=np.int64), a)
-    return ComparisonGraph(a + b, np.column_stack((left, right)), validate=False)
+    return ComparisonGraph(a + b, np.column_stack((left, right)))
 
 
 def make_cycle(length: int) -> ComparisonGraph:
@@ -207,7 +205,7 @@ def make_path(length: int) -> ComparisonGraph:
     if length < 2:
         raise ValueError("a path needs length >= 2")
     i = np.arange(length - 1, dtype=np.int64)
-    return ComparisonGraph(length, np.column_stack((i, i + 1)), validate=False)
+    return ComparisonGraph(length, np.column_stack((i, i + 1)))
 
 
 def graph_power(graph: ComparisonGraph, t: int) -> ComparisonGraph:
@@ -215,7 +213,7 @@ def graph_power(graph: ComparisonGraph, t: int) -> ComparisonGraph:
     if t < 1:
         raise ValueError("power must be >= 1")
     if t == 1:
-        return ComparisonGraph(graph.vertex_count, graph.edges, validate=False)
+        return ComparisonGraph(graph.vertex_count, graph.edges)
     adjacency = graph.adjacency()
     pairs = []
     for source in range(graph.vertex_count):
@@ -236,7 +234,7 @@ def graph_power(graph: ComparisonGraph, t: int) -> ComparisonGraph:
         if reached.size:
             pairs.append(np.column_stack((np.full(reached.size, source), reached)))
     edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    return ComparisonGraph(graph.vertex_count, edges, validate=False)
+    return ComparisonGraph(graph.vertex_count, edges)
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,7 @@ def random_simple_graph(vertex_count: int, edge_prob: float,
     u, v = np.triu_indices(vertex_count, k=1)
     keep = gen.random(u.size) < edge_prob
     edges = np.column_stack((u[keep], v[keep])).astype(np.int64)
-    return ComparisonGraph(vertex_count, edges, validate=False)
+    return ComparisonGraph(vertex_count, edges)
 
 
 def random_connected_graph(vertex_count: int, gen: np.random.Generator,
@@ -315,4 +313,4 @@ def random_connected_graph(vertex_count: int, gen: np.random.Generator,
         for a, b in zip(u[keep], v[keep]):
             edge_set.add((int(a), int(b)))
     edges = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
-    return ComparisonGraph(vertex_count, edges, validate=False)
+    return ComparisonGraph(vertex_count, edges)

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collitest.conditions import plan_centralized
 from collitest.graph import (ComparisonGraph, check_graph_inequalities,
                              graph_power, make_bipartite, make_clique,
                              make_clique_union, make_cycle,
@@ -110,8 +112,14 @@ class TestValidation:
 
     def test_clique_blocks_must_describe_edges(self):
         with pytest.raises(ValueError):
-            ComparisonGraph(4, [(0, 1)], clique_blocks=[(0, 2), (2, 4)],
-                            validate=False)
+            ComparisonGraph(4, [(0, 1)], clique_blocks=[(0, 2), (2, 4)])
+
+    def test_owner_must_be_constant_on_each_block(self):
+        with pytest.raises(ValueError):
+            ComparisonGraph(4, clique_blocks=[(0, 2), (2, 4)], owner=[0, 1, 1, 1])
+        g = ComparisonGraph(4, clique_blocks=[(0, 2), (2, 4)], owner=[0, 0, 1, 1])
+        assert g.owner.tolist() == [0, 0, 1, 1]
+        assert make_clique_union([2, 0, 2]).owner.tolist() == [0, 0, 2, 2]
 
     def test_json_roundtrip(self):
         g = make_disjoint_cliques(3, 2)
@@ -119,6 +127,47 @@ class TestValidation:
         assert np.array_equal(h.edges, g.edges)
         assert np.array_equal(h.owner, g.owner)
         assert h.two_path_count == g.two_path_count
+
+
+class TestBlockGraphs:
+    def test_planned_clique_builds_no_edge_array(self):
+        tracemalloc.start()
+        try:
+            g = plan_centralized(256, 0.5).build_graph()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 9_000_000
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("graph, sizes", [
+        (make_clique_union([5, 0, 3, 1, 2]), [5, 0, 3, 1, 2]),
+        (make_matching(3), [2, 2, 2]),
+    ])
+    def test_lazy_edges_equal_explicit_construction(self, graph, sizes):
+        chunks, offset = [], 0
+        for s in sizes:
+            u, v = np.triu_indices(s, k=1)
+            chunks.append(np.column_stack((u, v)) + offset)
+            offset += s
+        expected = np.concatenate(chunks)
+        assert np.array_equal(graph.edges, expected)
+        assert graph.edges.dtype == np.int32
+        assert not graph.edges.flags.writeable
+        assert graph.edge_count == len(expected)
+
+    def test_adjacency_matches_edge_loop(self):
+        isolated = [make_clique_union([5, 0, 3, 1, 2]), ComparisonGraph(0, [])]
+        for g in corpus_small() + isolated:
+            neigh = [[] for _ in range(g.vertex_count)]
+            for u, v in g.edges.tolist():
+                neigh[u].append(v)
+                neigh[v].append(u)
+            got = g.adjacency()
+            assert len(got) == g.vertex_count
+            for xs, arr in zip(neigh, got):
+                assert arr.dtype == np.int64
+                assert arr.tolist() == sorted(xs)
 
 
 class TestTwoPathCount:

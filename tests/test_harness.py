@@ -82,6 +82,12 @@ class TestRunScenario:
             scenario(dist={"kind": "bump"}, trials=200), master_seed=5)
         assert result.summary.yes_rate <= 0.30
 
+    def test_centralized_clique_beyond_edge_array_memory(self):
+        # |E| = 2,535,396,445: an int32 edge array would take ~20 GB
+        result = run_scenario(scenario(n=4096, eps=0.25, trials=3), master_seed=3)
+        assert result.summary.edge_count == 2535396445
+        assert len(result.records) == 3
+
     def test_single_trial_summary_matches_record(self):
         result = run_scenario(scenario(trials=1), master_seed=9)
         rec = result.records[0]

@@ -2,11 +2,19 @@
 
 The network is a connected simple graph over k nodes with identifiers
 0..k-1.  A round lets every node push up to `channel_bits` bits over
-each incident edge *per direction*; the meter raises on any overrun.
-Every node holds exactly one sample from the input distribution, drawn
-from stream ``(trial, node)``; `draw_node_samples` draws all nodes'
-samples in one `dist.sample_children` call, bitwise equal to one
-generator per node.
+each incident edge *per direction*.  `BitMeter.send` is the one checked
+charge: it takes one message or arrays of them, optionally spread over
+several rounds, and raises as soon as the running total of any
+(round, directed edge) exceeds the channel.  Every node holds exactly
+one sample from the input distribution, drawn from stream
+``(trial, node)``; `draw_node_samples` draws all nodes' samples in one
+`dist.sample_children` call, bitwise equal to one generator per node.
+
+Schedules are computed on arrays over the CSR adjacency that `Network`
+keeps, never by a Python loop over edges: a tree layer pass or a whole
+pipelining schedule is one `send` call, and the BFS flood one call per
+round.  `Network` checks connectivity with one BFS; its `diameter` is
+computed on first read, by a bit-parallel BFS from every node.
 
 Protocols:
 
@@ -35,6 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -58,10 +68,15 @@ C_PIPE = 8               # pipelined path (incl. detection) within C_PIPE (D + s
 C_POW = 8                # power-t detection within C_POW * t * D + C0 when balls fit
 C0 = 10
 BALL_ROUND_CAP = 4       # a t-ball is "too large" if it cannot be sent in this many rounds
+REACH_WORDS = 1 << 20    # bit-parallel BFS: uint64 words per block (see _reach_levels)
 
 
 class Network:
-    """Connected topology plus the per-round channel budget."""
+    """Connected topology plus the per-round channel budget.
+
+    The adjacency is kept twice: `adjacency[v]` is v's sorted neighbour
+    array, and `indptr`/`indices` are the same lists as one CSR array.
+    """
 
     def __init__(self, topology: ComparisonGraph, n: int):
         if topology.vertex_count < 1:
@@ -72,45 +87,82 @@ class Network:
         self.n = int(n)
         self.k = topology.vertex_count
         self.adjacency = topology.adjacency()
-        dist = _all_pairs_distances(topology)
-        if np.any(dist < 0):
+        self.indptr = np.concatenate(([0], np.cumsum(topology.degrees)))
+        self.indices = np.concatenate(self.adjacency)
+        seen = np.zeros(self.k, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            _, heads = self.out_edges(frontier)
+            frontier = np.unique(heads[~seen[heads]])
+            seen[frontier] = True
+        if not seen.all():
             raise InvalidNetworkError("the topology is disconnected")
-        self.diameter = int(dist.max()) if self.k > 1 else 0
         self.channel_bits = math.ceil(
             CHANNEL_COEFF * (math.log2(max(self.n, 1)) + math.log2(max(self.k, 1))))
         self.id_bits = sample_bit_width(self.k)
 
+    @cached_property
+    def diameter(self) -> int:
+        """Largest eccentricity, computed on first read."""
+        return max(h for h, _ in _reach_levels(self))
 
-def _all_pairs_distances(topology: ComparisonGraph) -> np.ndarray:
-    k = topology.vertex_count
-    dist = np.full((k, k), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    if k == 1:
-        return dist
-    adj = np.zeros((k, k), dtype=np.float32)
-    e = topology.edges
-    adj[e[:, 0], e[:, 1]] = 1.0
-    adj[e[:, 1], e[:, 0]] = 1.0
-    frontier = np.eye(k, dtype=bool)
-    visited = frontier.copy()
-    d = 0
-    while frontier.any():
-        d += 1
-        nxt = (frontier.astype(np.float32) @ adj) > 0
-        nxt &= ~visited
-        dist[nxt] = d
-        visited |= nxt
-        frontier = nxt
-    return dist
+    def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of every directed edge leaving `nodes`: grouped by
+        tail in the order given, heads ascending within a tail."""
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        tails = np.repeat(nodes, counts)
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return tails, self.indices[np.arange(tails.size) + shift]
+
+
+def _reach_levels(net: Network, hops: int | None = None):
+    """Bit-parallel BFS from every node of `net` at once.
+
+    Sources are packed 64 to a uint64 word and run in blocks of words,
+    so that a block's reach bits (k rows) and its neighbour gather (2|E|
+    rows) hold at most REACH_WORDS words, or one word per row when 2|E|
+    alone is more.  For each block, yields (h, reach) for h = 0, 1, ...:
+    bit s of reach[v] is set when v is within h hops of the block's
+    source s.  Without `hops` a block stops at the last h that reached
+    a new node; with it, every block yields h = 0..hops.  `reach` is
+    updated in place once the consumer asks for the next level.
+    """
+    k = net.k
+    indptr, indices = net.indptr, net.indices
+    words = -(-k // 64)
+    width = max(1, min(words, REACH_WORDS // max(k, indices.size)))
+    for w0 in range(0, words, width):
+        w1 = min(words, w0 + width)
+        sources = np.arange(64 * w0, min(k, 64 * w1))
+        reach = np.zeros((k, w1 - w0), dtype=np.uint64)
+        reach[sources, sources // 64 - w0] = np.left_shift(
+            np.uint64(1), (sources % 64).astype(np.uint64))
+        yield 0, reach
+        frontier, h = reach, 0
+        while hops is None or h < hops:
+            grown = (np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+                     & ~reach) if indices.size else np.zeros_like(reach)
+            if hops is None and not grown.any():
+                break
+            reach |= grown
+            frontier, h = grown, h + 1
+            yield h, reach
 
 
 class BitMeter:
     """Counts rounds and bits per directed edge per round.
 
-    `send` charges one directed edge; `send_bulk` charges many distinct
-    directed edges the same amount at once (the caller guarantees
-    distinctness, which holds for the one-shot exchange pattern).  Any
-    overrun of the per-direction channel budget raises immediately.
+    `send(u, v, bits, offset)` is the one checked charge.  `u` and `v`
+    are one tail and head or equal-length arrays of them; `bits` and
+    `offset` broadcast against them.  A message with offset j travels j
+    rounds after the current one, so one call can charge a multi-round
+    schedule; the meter opens every round the offsets reach, and the
+    last of them becomes the current round.  Each message adds to the
+    running total of its (round, directed edge), across calls too, and a
+    total over the per-direction channel budget raises before the call
+    charges anything.  `send_bulk` is `send` without offsets.
     """
 
     def __init__(self, net: Network, record_transcript: bool = False):
@@ -118,37 +170,69 @@ class BitMeter:
         self.rounds = 0
         self.record = record_transcript
         self.transcript: list[list] = []
-        self._this_round: dict[tuple[int, int], int] = {}
+        # directed edges charged in the current round (u * k + v, sorted)
+        # and their running totals
+        self._edges = self._totals = np.zeros(0, dtype=np.int64)
         self.max_edge_bits = 0
 
     def begin_round(self) -> None:
         self.rounds += 1
-        self._this_round = {}
+        self._edges = self._totals = np.zeros(0, dtype=np.int64)
         if self.record:
             self.transcript.append([])
 
-    def send(self, u: int, v: int, bits: int) -> None:
-        bits = int(bits)
-        total = self._this_round.get((u, v), 0) + bits
-        if total > self.net.channel_bits:
+    def send(self, u, v, bits, offset=0) -> None:
+        u = np.asarray(u, dtype=np.int64).ravel()
+        v = np.asarray(v, dtype=np.int64).ravel()
+        if u.shape != v.shape:
+            raise ValueError("tails and heads must have the same length")
+        bits = np.broadcast_to(np.asarray(bits, dtype=np.int64), u.shape)
+        offset = np.broadcast_to(np.asarray(offset, dtype=np.int64), u.shape)
+        if not u.size:
+            return
+        last = int(offset.max())
+        if offset.min() < 0:
+            raise ValueError("round offsets must be >= 0")
+        k = self.net.k
+        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= k:
+            raise ValueError(f"node ids must lie in 0..{k - 1}")
+        span = k * k
+        keys = u * k + v
+        if last:
+            keys += offset * span
+        totals = bits
+        if self._edges.size:  # earlier charges of the current round
+            keys = np.concatenate((self._edges, keys))
+            totals = np.concatenate((self._totals, bits))
+        if not np.all(keys[1:] > keys[:-1]):
+            keys, where = np.unique(keys, return_inverse=True)
+            totals = np.bincount(where, weights=totals).astype(np.int64)
+        over = np.flatnonzero(totals > self.net.channel_bits)
+        if over.size:
+            key, total = int(keys[over[0]]), int(totals[over[0]])
+            ahead, edge = divmod(key, span)
             raise ModelViolationError(
-                f"round {self.rounds}: edge {u}->{v} carries {total} bits, "
-                f"channel allows {self.net.channel_bits}")
-        self._this_round[(u, v)] = total
-        self.max_edge_bits = max(self.max_edge_bits, total)
+                f"round {self.rounds + ahead}: edge {edge // k}->{edge % k} "
+                f"carries {total} bits, channel allows {self.net.channel_bits}")
+        self.max_edge_bits = max(self.max_edge_bits, int(totals.max()))
+        if last:  # keep the totals of the round that is now current
+            cut = np.searchsorted(keys, last * span)
+            keys, totals = keys[cut:] - last * span, totals[cut:]
+        self._edges, self._totals = keys, totals
         if self.record:
-            self.transcript[-1].append([int(u), int(v), bits])
+            rows = np.column_stack((u, v, bits))
+            if last:
+                order = np.argsort(offset, kind="stable")
+                ends = np.cumsum(np.bincount(offset, minlength=last + 1))
+                rows = np.split(rows[order], ends[:-1])
+            else:
+                rows = [rows]
+            self.transcript[-1].extend(rows[0].tolist())
+            self.transcript.extend(r.tolist() for r in rows[1:])
+        self.rounds += last
 
     def send_bulk(self, us: np.ndarray, vs: np.ndarray, bits: int) -> None:
-        bits = int(bits)
-        if bits > self.net.channel_bits:
-            raise ModelViolationError(
-                f"round {self.rounds}: bulk message of {bits} bits exceeds "
-                f"channel {self.net.channel_bits}")
-        self.max_edge_bits = max(self.max_edge_bits, bits)
-        if self.record:
-            self.transcript[-1].extend(
-                [int(u), int(v), bits] for u, v in zip(us, vs))
+        self.send(us, vs, bits)
 
     def to_json(self) -> list:
         return [{"round": i + 1, "sends": sends}
@@ -174,7 +258,9 @@ def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
 
     Every node repeatedly offers (best root id seen, its depth under that
     root); larger root ids win, then smaller depths, then smaller sender
-    ids pick the parent deterministically.
+    ids pick the parent deterministically.  Each round, the nodes whose
+    state changed send one message per incident edge, charged in one
+    `send`.
     """
     k = net.k
     if k == 1:
@@ -182,65 +268,61 @@ def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
                        children=[[]], preorder=[0], rounds=0)
     meter = meter or BitMeter(net)
     msg_bits = 2 * net.id_bits  # root candidate + depth
-    root_of = list(range(k))
-    depth = [0] * k
-    parent = [-1] * k
-    changed = list(range(k))
+    root_of = np.arange(k)
+    depth = np.zeros(k, dtype=np.int64)
+    parent = np.full(k, -1, dtype=np.int64)
+    changed = np.arange(k)
     rounds = 0
-    while changed:
+    while changed.size:
         meter.begin_round()
         rounds += 1
-        offers: dict[int, tuple] = {}
-        for v in changed:
-            for u in net.adjacency[v]:
-                meter.send(v, int(u), msg_bits)
-                offer = (root_of[v], depth[v] + 1, v)
-                best = offers.get(int(u))
-                if (best is None or offer[0] > best[0]
-                        or (offer[0] == best[0] and offer[1] < best[1])
-                        or (offer[0] == best[0] and offer[1] == best[1]
-                            and offer[2] < best[2])):
-                    offers[int(u)] = offer
-        changed = []
-        for u in sorted(offers):
-            r, d, sender = offers[u]
-            if r > root_of[u] or (r == root_of[u] and d < depth[u]):
-                root_of[u], depth[u], parent[u] = r, d, sender
-                changed.append(u)
+        senders, heads = net.out_edges(changed)
+        meter.send(senders, heads, msg_bits)
+        # (root r, depth d) ranks as (k - 1 - r) * (k + 1) + d, smaller is
+        # better (depths stay <= k); an offer through v adds 1 to v's rank,
+        # and v's id breaks ties (rank * k + v is exact for k < 2**21)
+        rank = (k - 1 - root_of) * (k + 1) + depth
+        best = np.full(k, np.iinfo(np.int64).max)
+        np.minimum.at(best, heads, ((rank + 1) * k + np.arange(k))[senders])
+        changed = np.flatnonzero(best < rank * k)
+        sender = best[changed] % k
+        root_of[changed], depth[changed] = root_of[sender], depth[sender] + 1
+        parent[changed] = sender
     root = k - 1
     children: list[list[int]] = [[] for _ in range(k)]
-    for v, par in enumerate(parent):
+    for v, par in enumerate(parent.tolist()):
         if par >= 0:
             children[par].append(v)
-    for c in children:
-        c.sort()
     preorder = []
     stack = [root]
     while stack:
         v = stack.pop()
         preorder.append(v)
         stack.extend(reversed(children[v]))
-    return BfsTree(root=root, parent=np.array(parent), depth=np.array(depth),
+    return BfsTree(root=root, parent=parent, depth=depth,
                    children=children, preorder=preorder, rounds=rounds)
 
 
 def _tree_rounds(tree: BfsTree, meter: BitMeter, bits_per_message: int,
                  toward_root: bool) -> int:
     """Charge one message per tree edge, one depth layer per round: child to
-    parent deepest layer first (convergecast), or parent to child top first."""
-    layers: dict[int, list[int]] = {}
-    for v, d in enumerate(tree.depth):
-        if d > 0:
-            layers.setdefault(int(d), []).append(v)
-    for d in sorted(layers, reverse=toward_root):
-        meter.begin_round()
-        for v in layers[d]:
-            parent = int(tree.parent[v])
-            if toward_root:
-                meter.send(v, parent, bits_per_message)
-            else:
-                meter.send(parent, v, bits_per_message)
-    return len(layers)
+    parent deepest layer first (convergecast), or parent to child top first.
+    One `send` charges every layer."""
+    child = np.flatnonzero(tree.depth > 0)
+    if not child.size:
+        return 0
+    depths, layer = np.unique(tree.depth[child], return_inverse=True)
+    if toward_root:
+        layer = depths.size - 1 - layer
+    order = np.argsort(layer, kind="stable")
+    child, layer = child[order], layer[order]
+    parent = tree.parent[child]
+    meter.begin_round()
+    if toward_root:
+        meter.send(child, parent, bits_per_message, layer)
+    else:
+        meter.send(parent, child, bits_per_message, layer)
+    return depths.size
 
 
 @dataclass
@@ -304,6 +386,7 @@ class LocalRun:
     z: int
     threshold: float
     values: np.ndarray
+    rounds_breakdown: dict
 
 
 def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
@@ -326,16 +409,16 @@ def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
     values = draw_node_samples(net, p, stream)
     e = topo.edges
     meter.begin_round()
-    meter.send_bulk(e[:, 0], e[:, 1], sample_bit_width(n))
+    meter.send(e[:, 0], e[:, 1], sample_bit_width(n))
     colliding = values[e[:, 0]] == values[e[:, 1]]
     z_local = np.bincount(e[:, 1][colliding], minlength=net.k)
-    rounds = 1
-    rounds += _tree_rounds(tree, meter, sample_bit_width(topo.edge_count + 1),
-                           toward_root=True)
+    sum_rounds = _tree_rounds(tree, meter, sample_bit_width(topo.edge_count + 1),
+                              toward_root=True)
     z = int(z_local.sum())
     t = topo.edge_count * (1.0 + tau_star * eps**2) / n
-    return LocalRun(decision="YES" if z < t else "NO", rounds=rounds, z=z,
-                    threshold=t, values=values)
+    return LocalRun(decision="YES" if z < t else "NO", rounds=1 + sum_rounds,
+                    z=z, threshold=t, values=values,
+                    rounds_breakdown={"exchange": 1, "sum": sum_rounds})
 
 
 # ---------------------------------------------------------------------------
@@ -426,37 +509,61 @@ def bundle_assignment(tree: BfsTree, s: int) -> BundleAssignment:
 
 def _pipeline_rounds(net: Network, tree: BfsTree, assignment: BundleAssignment,
                      meter: BitMeter) -> int:
-    """Simulate the remainder convergecast with per-edge FIFO pipelining."""
+    """Simulate the remainder convergecast with per-edge FIFO pipelining.
+
+    Each round, every node other than the root sends its parent the
+    lowest-ranked samples (at most as many as one message fits) that it
+    holds and still has to forward; a sample that arrives can move on in
+    the next round.  The schedule is simulated on arrays of (node, rank)
+    items and charged in one `send`.
+    """
     sample_bits = sample_bit_width(net.n)
     per_round = max(1, net.channel_bits // sample_bits)
-    to_forward = [set(f) for f in assignment.forward]
-    pending = [sorted(f) for f in assignment.forward]
-    have = [{int(assignment.rank_of[v])} for v in range(net.k)]
-    delivered = [len(f) == 0 for f in assignment.forward]
-    rounds = 0
-    while not all(delivered):
-        meter.begin_round()
-        rounds += 1
-        arrivals: list[tuple[int, int]] = []
-        moved = False
-        for v in range(net.k):
-            if delivered[v] or int(tree.parent[v]) < 0:
-                delivered[v] = True
-                continue
-            ready = [r for r in pending[v] if r in have[v]][:per_round]
-            if ready:
-                meter.send(v, int(tree.parent[v]), len(ready) * sample_bits)
-                for r in ready:
-                    arrivals.append((int(tree.parent[v]), r))
-                    pending[v].remove(r)
-                moved = True
-            if not pending[v]:
-                delivered[v] = True
-        for u, r in arrivals:
-            have[u].add(r)
-        if not moved:
+    parent = np.asarray(tree.parent)
+    node = np.repeat(np.arange(net.k), [len(f) for f in assignment.forward])
+    rank = np.fromiter(chain.from_iterable(assignment.forward), dtype=np.int64,
+                       count=node.size)
+    keep = parent[node] >= 0  # the root keeps what reaches it
+    node, rank = node[keep], rank[keep]
+    order = np.lexsort((rank, node))
+    node, rank = node[order], rank[order]
+    # the item each one becomes at the parent; -1 where the parent bundles it
+    span = int(rank.max(initial=0)) + 1
+    keys = node * span + rank
+    up_keys = parent[node] * span + rank
+    up = np.minimum(np.searchsorted(keys, up_keys), max(keys.size - 1, 0))
+    up = np.where(keys[up] == up_keys, up, -1)
+    live = rank == np.asarray(assignment.rank_of)[node]  # held and not yet sent
+    sent = np.zeros(node.size, dtype=bool)
+    senders, counts = [], []
+    left = node.size
+    while left:
+        ready = np.flatnonzero(live)
+        if not ready.size:
             raise ModelViolationError("pipeline stalled; assignment is inconsistent")
-    return rounds
+        holder = node[ready]
+        first = np.ones(ready.size, dtype=bool)
+        np.not_equal(holder[1:], holder[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, ready.size))
+        if sizes.max() > per_round:  # each holder sends its lowest ranks
+            place = np.arange(ready.size) - np.repeat(starts, sizes)
+            ready = ready[place < per_round]
+            sizes = np.minimum(sizes, per_round)
+        live[ready] = False
+        sent[ready] = True
+        left -= ready.size
+        arrive = up[ready]
+        arrive = arrive[arrive >= 0]
+        live[arrive] = ~sent[arrive]  # movable from the next round on
+        senders.append(holder[starts])
+        counts.append(sizes)
+    if senders:
+        meter.begin_round()
+        tails = np.concatenate(senders)
+        meter.send(tails, parent[tails], np.concatenate(counts) * sample_bits,
+                   np.repeat(np.arange(len(senders)), [s.size for s in senders]))
+    return len(senders)
 
 
 @dataclass
@@ -526,6 +633,7 @@ class CombinedRun:
     rounds: int
     path: str  # "local" | "pipelined"
     detection: DetectionResult
+    rounds_breakdown: dict
     local: LocalRun | None = None
     pipelined: PipelinedRun | None = None
 
@@ -547,12 +655,17 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     if detection.certified:
         run = local_collision_protocol(net, n, eps, detection.tau_star, p,
                                        stream, tree=tree)
-        return CombinedRun(decision=run.decision,
-                           rounds=base_rounds + run.rounds, path="local",
-                           detection=detection, local=run)
-    run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree)
+        path, local, pipelined = "local", run, None
+    else:
+        run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree)
+        path, local, pipelined = "pipelined", None, run
+    # the pipelined run was handed the tree, so its own "tree" entry is 0
+    breakdown = {**run.rounds_breakdown, "tree": tree.rounds,
+                 "detect": detection.rounds}
     return CombinedRun(decision=run.decision, rounds=base_rounds + run.rounds,
-                       path="pipelined", detection=detection, pipelined=run)
+                       path=path, detection=detection,
+                       rounds_breakdown=breakdown, local=local,
+                       pipelined=pipelined)
 
 
 @dataclass
@@ -581,6 +694,8 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
     needs more than BALL_ROUND_CAP rounds is flagged as a local
     congestion risk.  Degrees in the power graph are ball sizes minus
     one; their sums are aggregated and certified like plain detection.
+    Ball sizes are popcounts of the bit-parallel BFS that also gives the
+    diameter, and each hop round is charged in one `send`.
     """
     if t < 1:
         raise ValueError("power must be >= 1")
@@ -588,36 +703,28 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
     k = net.k
-    adj = np.zeros((k, k), dtype=bool)
-    e = net.topology.edges
-    adj[e[:, 0], e[:, 1]] = True
-    adj[e[:, 1], e[:, 0]] = True
-    reach = np.eye(k, dtype=bool)
+    ball_sizes = np.zeros((t + 1, k), dtype=np.int64)
+    for h, reach in _reach_levels(net, t):
+        ball_sizes[h] += np.bitwise_count(reach).sum(axis=1, dtype=np.int64)
+    tails, heads = net.out_edges(np.arange(k))
+    linked = net.topology.degrees > 0
     rounds = 0
     congestion_ok = True
-    for _ in range(t):
-        ball_sizes = reach.sum(axis=1)
-        bits_per_node = ball_sizes * net.id_bits
-        hop_rounds = 1
-        for v in range(k):
-            if not net.adjacency[v].size:
-                continue
-            need = max(1, math.ceil(bits_per_node[v] / net.channel_bits))
-            hop_rounds = max(hop_rounds, int(need))
-            if need > BALL_ROUND_CAP:
-                congestion_ok = False
+    for h in range(t):
+        bits_per_node = ball_sizes[h] * net.id_bits
+        need = -(-bits_per_node[linked] // net.channel_bits)
+        hop_rounds = int(need.max(initial=1))
+        if np.any(need > BALL_ROUND_CAP):
+            congestion_ok = False
+        bits = bits_per_node[tails]
         for r in range(hop_rounds):
             meter.begin_round()
-            for v in range(k):
-                remaining = int(bits_per_node[v]) - r * net.channel_bits
-                if remaining <= 0:
-                    continue
-                chunk = min(net.channel_bits, remaining)
-                for u in net.adjacency[v]:
-                    meter.send(v, int(u), chunk)
+            remaining = bits - r * net.channel_bits
+            live = remaining > 0
+            meter.send(tails[live], heads[live],
+                       np.minimum(net.channel_bits, remaining[live]))
         rounds += hop_rounds
-        reach = reach | (reach.astype(np.float32) @ adj.astype(np.float32) > 0)
-    power_degrees = reach.sum(axis=1).astype(np.int64) - 1
+    power_degrees = ball_sizes[t] - 1
     degree_sum = int(power_degrees.sum())
     assert degree_sum % 2 == 0
     edge_count = degree_sum // 2

@@ -60,6 +60,35 @@ class TestBitMeter:
         meter.send(0, 1, 8)
         meter.send(1, 0, 8)
 
+    def test_bulk_charge_counts_toward_the_edge_total(self):
+        net = cg.Network(make_path(2), 1)
+        meter = cg.BitMeter(net)
+        meter.begin_round()
+        meter.send_bulk(np.array([0]), np.array([1]), 8)
+        with pytest.raises(ModelViolationError):
+            meter.send(0, 1, 8)
+
+    def test_bulk_charge_with_a_repeated_edge_raises(self):
+        net = cg.Network(make_path(2), 1)
+        meter = cg.BitMeter(net)
+        meter.begin_round()
+        with pytest.raises(ModelViolationError):
+            meter.send_bulk(np.array([0, 0]), np.array([1, 1]), 8)
+
+    def test_offsets_open_later_rounds(self):
+        net = cg.Network(make_path(3), 1)  # channel = 8 * (0 + log2 3) -> 13 bits
+        meter = cg.BitMeter(net, record_transcript=True)
+        meter.begin_round()
+        meter.send([0, 1, 2], [1, 2, 1], [3, 4, 5], offset=[0, 2, 2])
+        assert meter.rounds == 3
+        assert [r["sends"] for r in meter.to_json()] == [
+            [[0, 1, 3]], [], [[1, 2, 4], [2, 1, 5]]]
+        meter.send(1, 2, net.channel_bits - 4)  # the current round is now 3
+        with pytest.raises(ModelViolationError, match="round 3: edge 1->2"):
+            meter.send(1, 2, 1)
+        meter.begin_round()
+        meter.send(1, 2, net.channel_bits)
+
     def test_transcript_records_sends(self):
         net = cg.Network(make_path(3), 4)
         meter = cg.BitMeter(net, record_transcript=True)
@@ -341,6 +370,27 @@ class TestCombined:
         piped = cg.pipelined_bundle_protocol(net, 4, 1.0, make_uniform(4),
                                              Stream(15).child(0), tree=tree)
         assert local.rounds <= piped.rounds
+
+
+class TestRoundsBreakdown:
+    def test_breakdowns_sum_to_rounds(self):
+        plan = plan_centralized(4, 1.0)
+        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
+        clique = cg.Network(make_clique(plan.clique_sizes[0]), 4)
+        local = cg.combined_protocol(clique, 4, 1.0, make_uniform(4),
+                                     Stream(16).child(0), tau_grid=grid)
+        star = cg.Network(make_star(149), 4)
+        piped = cg.combined_protocol(star, 4, 1.0, make_uniform(4),
+                                     Stream(16).child(1))
+        assert (local.path, piped.path) == ("local", "pipelined")
+        assert local.local.rounds_breakdown == {
+            "exchange": 1, "sum": local.local.rounds - 1}
+        assert set(local.rounds_breakdown) == {"tree", "detect", "exchange", "sum"}
+        assert set(piped.rounds_breakdown) == {"tree", "detect", "count",
+                                               "pipeline", "answers"}
+        for run in (local, piped, local.local, piped.pipelined):
+            assert sum(run.rounds_breakdown.values()) == run.rounds
+        assert piped.rounds_breakdown["tree"] == piped.detection.tree.rounds > 0
 
 
 class TestRoundReplay:

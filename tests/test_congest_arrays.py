@@ -1,0 +1,327 @@
+"""The array schedules of `congest` against per-message reference loops.
+
+The oracles below compute the BFS flood, the tree layer passes, the
+pipelining schedule and the power-detection hops one edge and one node
+at a time, and charge one message per call into `ListMeter`, which only
+records.  The array versions charge a recording `BitMeter`, so the
+channel check runs on them too.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from collitest import congest as cg
+from collitest.conditions import COARSE_TAU_GRID, first_certified_tau
+from collitest.encoding import sample_bit_width
+from collitest.errors import (CapacityError, InvalidNetworkError,
+                              ModelViolationError)
+from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
+                             make_cycle, make_path, make_star,
+                             random_connected_graph)
+from collitest.rng import Stream
+
+
+class ListMeter:
+    """Records what a per-message oracle sends, one list per round."""
+
+    def __init__(self):
+        self.transcript = []
+
+    def begin_round(self):
+        self.transcript.append([])
+
+    def send(self, u, v, bits):
+        self.transcript[-1].append([int(u), int(v), int(bits)])
+
+
+def oracle_bfs_tree(net, meter):
+    k = net.k
+    msg_bits = 2 * net.id_bits
+    root_of = list(range(k))
+    depth = [0] * k
+    parent = [-1] * k
+    changed = list(range(k))
+    rounds = 0
+    while changed:
+        meter.begin_round()
+        rounds += 1
+        offers = {}
+        for v in changed:
+            for u in net.adjacency[v]:
+                meter.send(v, int(u), msg_bits)
+                offer = (root_of[v], depth[v] + 1, v)
+                best = offers.get(int(u))
+                if (best is None or offer[0] > best[0]
+                        or (offer[0] == best[0] and offer[1] < best[1])
+                        or (offer[0] == best[0] and offer[1] == best[1]
+                            and offer[2] < best[2])):
+                    offers[int(u)] = offer
+        changed = []
+        for u in sorted(offers):
+            r, d, sender = offers[u]
+            if r > root_of[u] or (r == root_of[u] and d < depth[u]):
+                root_of[u], depth[u], parent[u] = r, d, sender
+                changed.append(u)
+    root = k - 1
+    children = [[] for _ in range(k)]
+    for v, par in enumerate(parent):
+        if par >= 0:
+            children[par].append(v)
+    for c in children:
+        c.sort()
+    preorder = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        stack.extend(reversed(children[v]))
+    return cg.BfsTree(root=root, parent=np.array(parent), depth=np.array(depth),
+                      children=children, preorder=preorder, rounds=rounds)
+
+
+def oracle_tree_rounds(tree, meter, bits_per_message, toward_root):
+    layers = {}
+    for v, d in enumerate(tree.depth):
+        if d > 0:
+            layers.setdefault(int(d), []).append(v)
+    for d in sorted(layers, reverse=toward_root):
+        meter.begin_round()
+        for v in layers[d]:
+            parent = int(tree.parent[v])
+            if toward_root:
+                meter.send(v, parent, bits_per_message)
+            else:
+                meter.send(parent, v, bits_per_message)
+    return len(layers)
+
+
+def oracle_pipeline_rounds(net, tree, assignment, meter):
+    sample_bits = sample_bit_width(net.n)
+    per_round = max(1, net.channel_bits // sample_bits)
+    pending = [sorted(f) for f in assignment.forward]
+    have = [{int(assignment.rank_of[v])} for v in range(net.k)]
+    delivered = [len(f) == 0 for f in assignment.forward]
+    rounds = 0
+    while not all(delivered):
+        meter.begin_round()
+        rounds += 1
+        arrivals = []
+        moved = False
+        for v in range(net.k):
+            if delivered[v] or int(tree.parent[v]) < 0:
+                delivered[v] = True
+                continue
+            ready = [r for r in pending[v] if r in have[v]][:per_round]
+            if ready:
+                meter.send(v, int(tree.parent[v]), len(ready) * sample_bits)
+                for r in ready:
+                    arrivals.append((int(tree.parent[v]), r))
+                    pending[v].remove(r)
+                moved = True
+            if not pending[v]:
+                delivered[v] = True
+        for u, r in arrivals:
+            have[u].add(r)
+        if not moved:
+            raise ModelViolationError("pipeline stalled; assignment is inconsistent")
+    return rounds
+
+
+def oracle_power_detection(net, n, eps, t, tree, meter):
+    """(certified, tau_star, congestion_ok, edge_count, two_path, rounds)."""
+    k = net.k
+    adj = np.zeros((k, k), dtype=bool)
+    e = net.topology.edges
+    adj[e[:, 0], e[:, 1]] = True
+    adj[e[:, 1], e[:, 0]] = True
+    reach = np.eye(k, dtype=bool)
+    rounds = 0
+    congestion_ok = True
+    for _ in range(t):
+        bits_per_node = reach.sum(axis=1) * net.id_bits
+        hop_rounds = 1
+        for v in range(k):
+            if not net.adjacency[v].size:
+                continue
+            need = max(1, math.ceil(bits_per_node[v] / net.channel_bits))
+            hop_rounds = max(hop_rounds, int(need))
+            if need > cg.BALL_ROUND_CAP:
+                congestion_ok = False
+        for r in range(hop_rounds):
+            meter.begin_round()
+            for v in range(k):
+                remaining = int(bits_per_node[v]) - r * net.channel_bits
+                if remaining <= 0:
+                    continue
+                chunk = min(net.channel_bits, remaining)
+                for u in net.adjacency[v]:
+                    meter.send(v, int(u), chunk)
+        rounds += hop_rounds
+        reach = reach | (reach.astype(np.float32) @ adj.astype(np.float32) > 0)
+    power_degrees = reach.sum(axis=1).astype(np.int64) - 1
+    edge_count = int(power_degrees.sum()) // 2
+    two_path = int(np.sum(power_degrees * (power_degrees - 1)))
+    up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
+    rounds += oracle_tree_rounds(tree, meter, up_bits, toward_root=True)
+    tau_star = first_certified_tau(edge_count, two_path, COARSE_TAU_GRID, n, eps)
+    rounds += oracle_tree_rounds(
+        tree, meter, 1 + sample_bit_width(len(COARSE_TAU_GRID) + 1),
+        toward_root=False)
+    return (tau_star is not None, tau_star, congestion_ok, edge_count,
+            two_path, rounds)
+
+
+def oracle_distances(topology, source):
+    adjacency = topology.adjacency()
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if int(v) not in dist:
+                    dist[int(v)] = dist[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    return dist
+
+
+def _random(k, seed, prob):
+    return random_connected_graph(k, Stream(seed).rng(), extra_edge_prob=prob)
+
+
+CORPUS = {
+    "path12": lambda: make_path(12),
+    "path150": lambda: make_path(150),
+    "path300": lambda: make_path(300),
+    "cycle200": lambda: make_cycle(200),
+    "clique9": lambda: make_clique(9),
+    "clique60": lambda: make_clique(60),
+    "clique280": lambda: make_clique(280),
+    "star150": lambda: make_star(149),
+    "random30": lambda: _random(30, 1, 0.2),
+    "random120": lambda: _random(120, 2, 0.05),
+    "random250": lambda: _random(250, 3, 0.01),
+    "random400": lambda: _random(400, 4, 0.01),
+}
+SETTINGS = [(4, 1.0), (16, 1.0), (16, 0.9)]
+
+
+@pytest.fixture(scope="module")
+def topologies():
+    return {name: build() for name, build in CORPUS.items()}
+
+
+def assert_same_tree(tree, ref):
+    assert tree.root == ref.root
+    assert tree.parent.tolist() == ref.parent.tolist()
+    assert tree.depth.tolist() == ref.depth.tolist()
+    assert tree.parent.dtype == ref.parent.dtype
+    assert tree.depth.dtype == ref.depth.dtype
+    assert tree.children == ref.children
+    assert tree.preorder == ref.preorder
+    assert tree.rounds == ref.rounds
+
+
+@pytest.mark.parametrize("n, eps", SETTINGS)
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_schedules_match_per_message_oracles(topologies, name, n, eps):
+    net = cg.Network(topologies[name], n)
+
+    meter, ref_meter = cg.BitMeter(net, record_transcript=True), ListMeter()
+    tree = cg.build_bfs_tree(net, meter)
+    assert_same_tree(tree, oracle_bfs_tree(net, ref_meter))
+    assert meter.transcript == ref_meter.transcript
+    assert meter.rounds == tree.rounds
+
+    for toward_root in (True, False):
+        meter, ref_meter = cg.BitMeter(net, record_transcript=True), ListMeter()
+        bits = sample_bit_width(net.k + 1)
+        rounds = cg._tree_rounds(tree, meter, bits, toward_root)
+        assert rounds == oracle_tree_rounds(tree, ref_meter, bits, toward_root)
+        assert meter.transcript == ref_meter.transcript
+        assert meter.rounds == rounds
+
+    try:
+        s = cg.choose_bundle_plan(n, eps, net.k).s
+    except CapacityError:
+        s = 3
+    assignment = cg.bundle_assignment(tree, s)
+    meter, ref_meter = cg.BitMeter(net, record_transcript=True), ListMeter()
+    rounds = cg._pipeline_rounds(net, tree, assignment, meter)
+    assert rounds == oracle_pipeline_rounds(net, tree, assignment, ref_meter)
+    assert meter.transcript == ref_meter.transcript
+    assert meter.rounds == rounds
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("name", ["path150", "cycle200", "clique60", "star150",
+                                  "random30", "random120"])
+def test_power_detection_matches_oracle(topologies, name, t):
+    net = cg.Network(topologies[name], 16)
+    tree = cg.build_bfs_tree(net)
+    meter, ref_meter = cg.BitMeter(net, record_transcript=True), ListMeter()
+    pw = cg.graph_power_detection(net, 16, 1.0, t, tree=tree, meter=meter)
+    got = (pw.certified, pw.tau_star, pw.congestion_ok, pw.edge_count,
+           pw.two_path_count, pw.rounds)
+    assert got == oracle_power_detection(net, 16, 1.0, t, tree, ref_meter)
+    assert meter.transcript == ref_meter.transcript
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_power_detection_on_one_node(t):
+    net = cg.Network(make_clique_union([1]), 16)
+    tree = cg.build_bfs_tree(net)
+    meter, ref_meter = cg.BitMeter(net, record_transcript=True), ListMeter()
+    pw = cg.graph_power_detection(net, 16, 1.0, t, tree=tree, meter=meter)
+    got = (pw.certified, pw.tau_star, pw.congestion_ok, pw.edge_count,
+           pw.two_path_count, pw.rounds)
+    assert got == oracle_power_detection(net, 16, 1.0, t, tree, ref_meter)
+    assert meter.transcript == ref_meter.transcript == [[]] * t
+    assert net.diameter == 0
+
+
+def test_forward_rank_that_never_arrives_stalls():
+    net = cg.Network(make_path(9), 4)
+    tree = cg.build_bfs_tree(net)
+    assignment = cg.bundle_assignment(tree, 3)
+    sender = next(v for v in range(net.k)
+                  if tree.parent[v] >= 0 and assignment.forward[v])
+    # a rank held by no node below the sender
+    stranger = int(assignment.rank_of[tree.root])
+    assignment.forward[sender] = sorted(assignment.forward[sender] + [stranger])
+    with pytest.raises(ModelViolationError, match="pipeline stalled"):
+        cg._pipeline_rounds(net, tree, assignment, cg.BitMeter(net))
+
+
+def test_long_path_diameter():
+    assert cg.Network(make_path(1600), 4).diameter == 1599
+
+
+def test_diameter_matches_per_source_bfs():
+    gen = Stream(83).rng()
+    for _ in range(25):
+        k = int(gen.integers(1, 90))
+        topo = random_connected_graph(k, gen,
+                                      extra_edge_prob=float(gen.random()) * 0.2)
+        expected = max(max(oracle_distances(topo, s).values()) for s in range(k))
+        assert cg.Network(topo, 8).diameter == expected
+
+
+def test_disconnected_topologies_raise():
+    with pytest.raises(InvalidNetworkError):
+        cg.Network(ComparisonGraph(5, [(0, 1), (1, 2), (2, 3)]), 4)
+    with pytest.raises(InvalidNetworkError):
+        cg.Network(ComparisonGraph(130, [(v, v + 1) for v in range(128)]), 4)
+
+
+def test_flood_memory_on_a_dense_clique():
+    tracemalloc.start()
+    try:
+        cg.build_bfs_tree(cg.Network(make_clique(280), 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

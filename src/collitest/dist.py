@@ -121,8 +121,11 @@ def sample_children(p: Distribution, stream: Stream, indices,
     generator instead.  For ``n == 1`` every sample is 1 whatever the
     bits, as with `Distribution.sample`.
 
-    Worth it for many children with few samples each: the shared cost
-    grows with the total number of samples, where one generator per
+    Worth it for many children with few samples each.  A call costs
+    about 50 us for the seed words, then per child either ~90 ns per
+    sample (rows of up to `rng.SHORT_ROW_WORDS` raw words, that is up to
+    26 samples, computed by numpy limb arithmetic) or ~2-3 us plus ~1.5 ns
+    per sample (longer rows, one ``PCG64`` each); one generator per
     child costs tens of microseconds before its first sample.
     """
     if count < 0:

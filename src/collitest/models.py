@@ -16,9 +16,12 @@ can only ever turn into a NO that the monolithic tester also reaches.
 The streaming simulators draw each player's batches a chunk at a time
 through `dist.sample_children`, which is bitwise equal to one
 ``stream.child(c).rng()`` per batch, and count a chunk with one
-`row_collisions` call per batch size.  A chunk may run past the batch at
-which the player's counter reaches T; those batches are drawn and
-discarded, which no other batch can notice since each has its own path.
+`row_collisions` call per batch size.  Batches of up to 26 samples are
+drawn by numpy arithmetic over the whole chunk, larger ones by one
+``PCG64`` per batch (see `rng.child_raw`).  A chunk may run past the
+batch at which the player's counter reaches T; those batches are drawn
+and discarded, which no other batch can notice since each has its own
+path.
 The simultaneous and asymmetric simulators draw clique by clique from
 per-path generators: for thousands of samples per path that is the
 faster route.

@@ -128,9 +128,14 @@ def draw_labeling(graph: ComparisonGraph, p: Distribution, stream: Stream) -> Sa
     if graph.owner is None:
         values[:] = p.sample(graph.vertex_count, stream.child(0).rng())
     else:
-        for oid in np.unique(graph.owner):
-            idx = np.nonzero(graph.owner == oid)[0]
-            values[idx] = p.sample(idx.size, stream.child(int(oid)).rng())
+        # owner groups in ascending owner id, vertices ascending in each
+        order = np.argsort(graph.owner, kind="stable")
+        owners, sizes = np.unique(graph.owner, return_counts=True)
+        start = 0
+        for oid, size in zip(owners.tolist(), sizes.tolist()):
+            values[order[start:start + size]] = p.sample(
+                size, stream.child(oid).rng())
+            start += size
     return SampleLabeling(values=values, seed_path=stream.label())
 
 

@@ -5,12 +5,15 @@ many child streams together; every result here is compared bitwise with
 the per-path loop it replaces, kept below as the reference.
 """
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collitest import congest, dist, models, tester
+from collitest import congest, dist, models, rng, tester
 from collitest.conditions import plan_simultaneous_streaming, plan_streaming
 from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
                             sample_children)
@@ -18,7 +21,7 @@ from collitest.graph import make_clique, random_connected_graph
 from collitest.models import (ResourceLedger, SimulationRun,
                               simulate_simultaneous_streaming,
                               simulate_streaming)
-from collitest.rng import Stream, bounded_indices, child_raw
+from collitest.rng import SHORT_ROW_WORDS, Stream, bounded_indices, child_raw
 from collitest.tester import (count_collisions, row_collisions,
                               within_clique_collisions)
 
@@ -169,6 +172,86 @@ class TestSampleChildren:
                 bounded_indices(np.zeros(3, dtype=np.uint32), n)
 
 
+def assert_rows_equal_random_raw(stream, indices, words):
+    got = child_raw(stream, indices, words)
+    assert got.dtype == np.uint64 and got.shape == (len(indices), words)
+    for row, i in zip(got, indices):
+        want = stream.child(i).rng().bit_generator.random_raw(words)
+        assert np.array_equal(row, want), (stream, i, words)
+
+
+class TestChildRawKernel:
+    """Rows of at most SHORT_ROW_WORDS words come from the vectorised
+    PCG64 pass, longer rows from one PCG64 each; both against numpy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**200),
+           path=st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                                   st.integers(2**32, 2**64)), max_size=3),
+           indices=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]),
+                                      st.integers(0, 2**32 - 1)),
+                            min_size=1, max_size=8),
+           words=st.one_of(st.integers(0, SHORT_ROW_WORDS + 8),
+                           st.sampled_from([SHORT_ROW_WORDS,
+                                            SHORT_ROW_WORDS + 1])))
+    def test_fuzz_against_random_raw(self, seed, path, indices, words):
+        assert_rows_equal_random_raw(Stream(seed, tuple(path)), indices, words)
+
+    @pytest.mark.parametrize("words", [1, SHORT_ROW_WORDS - 1, SHORT_ROW_WORDS,
+                                       SHORT_ROW_WORDS + 1])
+    def test_both_sides_of_the_size_rule(self, words):
+        stream = Stream(2**64 + 9, (3, 2**33))
+        assert_rows_equal_random_raw(stream, [0, 1, 77, 2**32 - 1], words)
+
+    def test_empty_indices_and_zero_words(self):
+        for words in (0, 2, SHORT_ROW_WORDS + 5):
+            out = child_raw(Stream(4), [], words)
+            assert out.shape == (0, words) and out.dtype == np.uint64
+        out = child_raw(Stream(4, (1,)), [0, 5], 0)
+        assert out.shape == (2, 0) and out.dtype == np.uint64
+
+    def test_table_grows_after_a_shorter_call(self, monkeypatch):
+        monkeypatch.setattr(rng, "_JUMPS", np.zeros((2, 4, 0), dtype=np.uint64))
+        stream = Stream(12, (6,))
+        assert_rows_equal_random_raw(stream, [0, 9], 3)
+        first = rng._JUMPS.shape[2]
+        assert first >= 4
+        assert_rows_equal_random_raw(stream, [0, 9, 10], SHORT_ROW_WORDS)
+        assert rng._JUMPS.shape[2] > first
+        assert_rows_equal_random_raw(stream, [4], 2)
+
+    def test_post_seed_state_pins_numpy_seeding(self):
+        """Step 0 of the kernel is the state PCG64 holds after seeding, and
+        step 1 minus MULT times step 0 is its increment.  A change in how
+        numpy seeds PCG64 fails here, not as drifted random values."""
+        stream = Stream(2**70 + 3, (5,))
+        indices = np.array([0, 1, 2**32 - 1])
+        seeds = rng._child_seeds(stream, indices)
+        hi, lo = rng._lcg_states(seeds, 0, 2)
+        words = rng._SeedWords()
+        for r, i in enumerate(indices):
+            want = stream.child(int(i)).rng().bit_generator.state["state"]
+            words.words = seeds[r]
+            assert np.random.PCG64(words).state["state"] == want
+            states = [int(hi[t, r]) << 64 | int(lo[t, r]) for t in (0, 1)]
+            inc = (states[1] - rng._PCG_MULT * states[0]) % 2**128
+            assert (states[0], inc) == (want["state"], want["inc"]), (
+                "numpy's PCG64 seeding no longer matches rng._lcg_states")
+
+    @pytest.mark.parametrize("rows, words", [(2000, SHORT_ROW_WORDS),
+                                             (10**4, 2), (200, 300)])
+    def test_transient_memory(self, rows, words):
+        stream, indices = Stream(3, (1,)), np.arange(rows)
+        child_raw(stream, indices[:1], words)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            out = child_raw(stream, indices, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (out.nbytes + rows * 4 * 8)
+
+
 class TestRowCollisions:
     def test_matches_bincount_per_row(self):
         gen = np.random.default_rng(3)
@@ -197,7 +280,8 @@ def point_mass(n):
 
 class TestStreamingMatchesPerPathLoop:
     @pytest.mark.parametrize("args", [(64, 1.0, 48), (1024, 0.5, 400),
-                                      (256, 0.5, 1200)])
+                                      (256, 0.5, 1200), (1024, 0.5, 4000),
+                                      (1024, 0.5, 40000)])
     def test_streaming(self, args):
         plan = plan_streaming(*args)
         n = plan.n

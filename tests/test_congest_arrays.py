@@ -129,6 +129,32 @@ def oracle_pipeline_rounds(net, tree, assignment, meter):
     return rounds
 
 
+def oracle_bundle_assignment(tree, s):
+    """The node-by-node loop that `bundle_assignment` replaced."""
+    k = len(tree.preorder)
+    rank_of = np.empty(k, dtype=np.int64)
+    for r, v in enumerate(tree.preorder):
+        rank_of[v] = r
+    node_of_rank = list(tree.preorder)
+    order = sorted(range(k), key=lambda v: -int(tree.depth[v]))
+    forward = [[] for _ in range(k)]
+    bundles, holder = [], []
+    for v in order:
+        avail = [int(rank_of[v])]
+        for c in tree.children[v]:
+            avail.extend(forward[c])
+        avail.sort()
+        keep = (len(avail) // s) * s
+        for j in range(0, keep, s):
+            bundles.append([node_of_rank[r] for r in avail[j:j + s]])
+            holder.append(v)
+        forward[v] = avail[keep:]
+    leftover = [node_of_rank[r] for r in forward[tree.root]]
+    return cg.BundleAssignment(bundles=bundles, bundle_holder=holder,
+                               forward=forward, leftover=leftover,
+                               rank_of=rank_of, node_of_rank=node_of_rank)
+
+
 def oracle_power_detection(net, n, eps, t, tree, meter):
     """(certified, tau_star, congestion_ok, edge_count, two_path, rounds)."""
     k = net.k
@@ -254,6 +280,32 @@ def test_schedules_match_per_message_oracles(topologies, name, n, eps):
     assert rounds == oracle_pipeline_rounds(net, tree, assignment, ref_meter)
     assert meter.transcript == ref_meter.transcript
     assert meter.rounds == rounds
+
+
+def assert_same_assignment(got, want):
+    for field in ("bundles", "bundle_holder", "forward", "leftover",
+                  "node_of_rank"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b, field
+        flat = a if field in ("bundle_holder", "leftover",
+                              "node_of_rank") else [x for row in a for x in row]
+        assert type(a) is list and all(type(x) is int for x in flat), field
+    assert all(type(row) is list for row in got.bundles + got.forward)
+    assert got.rank_of.dtype == want.rank_of.dtype
+    assert got.rank_of.tolist() == want.rank_of.tolist()
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["tree200", "tree500", "one"])
+def test_bundle_assignment_matches_node_loop(topologies, name):
+    extra = {"tree200": lambda: _random(200, 5, 0.0),
+             "tree500": lambda: _random(500, 6, 0.0),
+             "one": lambda: make_clique_union([1])}
+    topology = topologies[name] if name in CORPUS else extra[name]()
+    tree = cg.build_bfs_tree(cg.Network(topology, 16))
+    k = len(tree.preorder)
+    for s in (1, 2, 3, 7, k):
+        assert_same_assignment(cg.bundle_assignment(tree, s),
+                               oracle_bundle_assignment(tree, s))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

@@ -178,6 +178,23 @@ class TestLabelingConvention:
         assert np.array_equal(lab.values, p.sample(5, stream.child(0).rng()))
 
 
+    def test_interleaved_owners_match_per_owner_scans(self):
+        """Owner ids out of vertex order, with gaps, and a lone vertex."""
+        owner = [5, 0, 5, 2, 0, 5, 2, 2, 0, 9]
+        edges = [(0, 2), (2, 5), (1, 4), (4, 8), (3, 6), (6, 7)]
+        g = ComparisonGraph(10, edges, owner=owner)
+        p = make_uniform(7)
+        for trial in range(3):
+            stream = Stream(31).child(trial)
+            want = np.empty(10, dtype=np.int64)
+            for oid in np.unique(g.owner):  # the per-owner scan it replaced
+                idx = np.nonzero(g.owner == oid)[0]
+                want[idx] = p.sample(idx.size, stream.child(int(oid)).rng())
+            got = draw_labeling(g, p, stream)
+            assert got.values.dtype == want.dtype
+            assert np.array_equal(got.values, want)
+
+
 class TestMoments:
     def test_expected_uniform(self):
         g = make_star(7)

@@ -9,8 +9,10 @@ several rounds, and raises as soon as the running total of any
 one sample from the input distribution, drawn from stream
 ``(trial, node)``; `draw_node_samples` draws all nodes' samples in one
 `dist.sample_children` call, bitwise equal to one generator per node.
-Two raw words per node are short rows for `rng.child_raw`, so no
-generator is built: a 500-node draw takes about 0.2 ms.
+Two raw words per node are short rows for `rng.child_draws`, so a
+network of at least `rng.MIN_SHORT_ROWS` nodes builds no generator: a
+500-node draw takes about 0.2 ms.  Smaller networks run one ``PCG64``
+per node, from seed words computed for all nodes at once.
 
 Schedules are computed on arrays over the CSR adjacency that `Network`
 keeps, never by a Python loop over edges: a tree layer pass or a whole

@@ -4,7 +4,8 @@ Construction validates and renormalizes a float64 probability vector.
 Sampling goes through a Walker alias table: O(n) setup per distribution,
 O(1) per draw afterwards, vectorized over numpy generators.
 `sample_children` draws the samples of many sibling streams at once,
-bitwise equal to drawing each from its own generator.
+one count per stream, bitwise equal to drawing each from its own
+generator; every labeling and simulator draws through it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream, bounded_indices, child_raw
+from .rng import Stream, bounded_indices, child_draws
 
 SUM_TOLERANCE = 1e-12
 
@@ -107,48 +108,74 @@ class Distribution:
 
 
 def sample_children(p: Distribution, stream: Stream, indices,
-                    count: int) -> np.ndarray:
-    """`count` samples from each child stream, drawn together.
+                    counts) -> np.ndarray:
+    """Samples of many child streams, drawn together.
 
-    Row ``r`` of the (len(indices), count) int64 result is bitwise equal
-    to ``p.sample(count, stream.child(indices[r]).rng())``.  That call
-    draws ``count`` bounded integers (two per raw 64-bit word, low half
-    first) and then ``count`` doubles (one word each, ``(w >> 11) *
-    2**-53``); here the raw words of every child come from `child_raw`
-    and are mapped the same way.  A row whose integers numpy would
-    redraw (see `bounded_indices`), a negative index or one of 2**32 or
-    more, and every row when ``n >= 2**32``, are drawn from their own
-    generator instead.  For ``n == 1`` every sample is 1 whatever the
-    bits, as with `Distribution.sample`.
+    `counts` is one sample count for all rows or one per row.  Row ``r``
+    is bitwise equal to ``p.sample(counts[r], stream.child(indices[r]).rng())``;
+    the result is the (len(indices), counts) int64 array of the rows for
+    one count, and the rows concatenated for one count per row.
 
-    Worth it for many children with few samples each.  A call costs
-    about 50 us for the seed words, then per child either ~90 ns per
-    sample (rows of up to `rng.SHORT_ROW_WORDS` raw words, that is up to
-    26 samples, computed by numpy limb arithmetic) or ~2-3 us plus ~1.5 ns
-    per sample (longer rows, one ``PCG64`` each); one generator per
-    child costs tens of microseconds before its first sample.
+    ``p.sample(count, gen)`` draws ``count`` bounded integers and then
+    ``count`` doubles (``(w >> 11) * 2**-53`` of one raw word each).  Here
+    `child_draws` reads the raw words of all rows, and the bounded map,
+    the double map and the alias lookup each run once over all samples
+    of the call.  A row whose integers numpy would redraw (see
+    `bounded_indices`), a negative index or one of 2**32 or more, and
+    every row when ``n >= 2**32``, are drawn from their own generator
+    instead.  For ``n == 1`` every sample is 1 whatever the bits, as
+    with `Distribution.sample`.
+
+    A call costs some 15-25 us for the seed words and ~40 us of other
+    fixed numpy work, then per row either ~90 ns per sample (at least
+    `rng.MIN_SHORT_ROWS` rows of one count of up to 26 samples, computed
+    by numpy limb arithmetic) or ~2-3 us plus ~5 ns per sample (one
+    ``PCG64`` per row), and ~5 ns per sample for the maps.  One
+    generator per row costs ~30 us before its first sample, so the call
+    wins from about four rows on (0.75x the per-path time at 4 rows of
+    600-1200 samples, 0.4x at 16) and loses on one or two (1.4-2x at one
+    row of 3 to 4450 samples, 1.2x at two).  A call of a single row
+    therefore draws it from its own generator.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty((indices.size, count), dtype=np.int64)
-    if p.n == 1 or count == 0:
-        out[:] = 1
-        return out
-    batched = (indices >= 0) & (indices < 2**32) & (p.n < 2**32)
-    if batched.any():
-        halves = (count + 1) // 2
-        raw = child_raw(stream, indices[batched], halves + count)
-        draws = np.empty((raw.shape[0], 2 * halves), dtype=np.uint32)
-        draws[:, 0::2] = raw[:, :halves]  # keeps the low 32 bits
-        draws[:, 1::2] = raw[:, :halves] >> np.uint64(32)
-        idx, accepted = bounded_indices(draws[:, :count], p.n)
-        u = (raw[:, halves:] >> np.uint64(11)) * 2.0**-53
-        out[batched] = p._lookup(idx, u)
-        batched[batched] = accepted.all(axis=1)  # redraw rows with a rejection
-    for r in np.flatnonzero(~batched):
-        out[r] = p.sample(count, stream.child(int(indices[r])).rng())
-    return out
+    counts = np.asarray(counts, dtype=np.int64)
+    shape = None
+    if counts.ndim == 0:
+        shape = (indices.size, int(counts))
+        counts = counts.repeat(indices.size)
+    if counts.shape != indices.shape:
+        raise ValueError("give one count, or one count per index")
+    if counts.size and counts.min() < 0:
+        raise ValueError("count must be >= 0")
+    stop = counts.cumsum()
+    total = int(stop[-1]) if stop.size else 0
+    if p.n == 1 or total == 0:
+        out = np.ones(total, dtype=np.int64)
+        return out if shape is None else out.reshape(shape)
+    if indices.size == 1:  # a lone row: its own generator is faster
+        out = p.sample(total, stream.child(int(indices[0])).rng())
+        return out if shape is None else out.reshape(shape)
+    # rows the batched draw cannot reproduce come from their own generator
+    own = (indices < 0) | (indices >= 2**32) | (p.n >= 2**32)
+    rows = (~own).nonzero()[0]
+    draws, words = child_draws(stream, indices[rows], counts[rows])
+    # with one count for all rows the draws keep their (rows, count) shape
+    grid = (-1,) if shape is None else (-1, shape[1])
+    idx, accepted = bounded_indices(draws.reshape(grid), p.n)
+    words >>= np.uint64(11)
+    values = p._lookup(idx, (words * 2.0**-53).reshape(grid)).ravel()
+    if rows.size == indices.size:
+        out = values
+    else:
+        out = np.empty(total, dtype=np.int64)
+        out[(~own).repeat(counts)] = values
+    if not accepted.all():  # numpy would redraw there: redraw the row
+        rejected = (~accepted.ravel()).nonzero()[0]
+        own[rows[counts[rows].cumsum().searchsorted(rejected, side="right")]] = True
+    for r in own.nonzero()[0].tolist():
+        out[stop[r] - counts[r]:stop[r]] = p.sample(
+            int(counts[r]), stream.child(int(indices[r])).rng())
+    return out if shape is None else out.reshape(shape)
 
 
 def make_uniform(n: int) -> Distribution:

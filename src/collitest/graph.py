@@ -31,7 +31,7 @@ class ComparisonGraph:
     """
 
     __slots__ = ("vertex_count", "_edges", "owner", "clique_blocks",
-                 "degrees", "edge_count", "two_path_count")
+                 "degrees", "edge_count", "two_path_count", "_owner_groups")
 
     def __init__(self, vertex_count, edges=None, owner=None, clique_blocks=None):
         vertex_count = int(vertex_count)
@@ -83,6 +83,7 @@ class ComparisonGraph:
             if np.any(owner[ends[0]] != owner[ends[1]]):
                 raise ValueError("edges may not cross owners")
         self.owner = owner
+        self._owner_groups = None
 
         degrees.flags.writeable = False
         self.degrees = degrees
@@ -102,6 +103,32 @@ class ComparisonGraph:
             arr.flags.writeable = False
             self._edges = arr
         return self._edges
+
+    @property
+    def owner_groups(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """``(order, owners, sizes)``: the owner ids in ascending order, the
+        vertex count of each, and the vertices grouped by owner.
+
+        ``order`` lists the vertices of the first owner, then the second
+        and so on, each owner's in ascending order; it is None when the
+        owners never decrease along the vertices, so that the groups are
+        consecutive ranges.  An unowned graph is one group, owner 0.
+        Computed on first use.
+        """
+        if self._owner_groups is None:
+            owner = self.owner
+            if owner is None:
+                owner = np.zeros(self.vertex_count, dtype=np.int32)
+            order = None
+            if np.any(owner[1:] < owner[:-1]):
+                order = np.argsort(owner, kind="stable")
+            owners, sizes = np.unique(owner, return_counts=True)
+            groups = (order, owners.astype(np.int64), sizes)
+            for arr in groups:
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._owner_groups = groups
+        return self._owner_groups
 
     def to_json(self) -> dict:
         return {

@@ -19,21 +19,27 @@ from the generator in a fixed order.
 
 A path's generator is numpy's ``PCG64`` seeded by
 ``SeedSequence(master_seed, spawn_key=path)``.  Building the
-``SeedSequence``, the ``PCG64`` and the ``Generator`` costs tens of
+``SeedSequence``, the ``PCG64`` and the ``Generator`` costs ~30
 microseconds, which dominates when a consumer draws only a handful of
-samples.  `child_raw` therefore serves many sibling paths
-``stream.child(i)`` at once, so that row ``i`` equals
-``stream.child(i).rng().bit_generator.random_raw(words)`` bit for bit:
+samples.  The batched routes below serve many sibling paths
+``stream.child(i)`` at once, bit for bit equal to their generators:
 
-* it reproduces numpy's ``SeedSequence`` pool hash for all of them in
-  one vectorised pass (`_child_seeds`);
-* for rows of at most `SHORT_ROW_WORDS` words it computes PCG64 itself,
+* `_child_seeds` reproduces numpy's ``SeedSequence`` pool hash for all
+  of them in one vectorised pass; the master seed's share of the hash
+  is computed once per master seed (`_master_pool`).
+* `child_raw` returns the raw words of equal-length rows, so that row
+  ``i`` equals ``stream.child(i).rng().bit_generator.random_raw(words)``.
+  For rows of at most `SHORT_ROW_WORDS` words it computes PCG64 itself,
   on uint64 limbs over all rows and words at once: PCG64 is the 128-bit
   LCG ``x -> MULT x + inc`` with the XSL-RR output, so the state behind
   raw word j is an affine function of the row's seed words with two
-  per-word constants (`_lcg_states`);
-* longer rows run one ``PCG64`` each from their seed words, which is
-  faster there.
+  per-word constants (`_lcg_states`).  Longer rows run one ``PCG64``
+  each from their seed words (`_own_rows`), which is faster there.
+* `child_draws` returns, for one count per row, the words that
+  ``Generator.integers`` and then ``Generator.random`` read, all rows
+  concatenated.  At least `MIN_SHORT_ROWS` short rows of one count come
+  from `child_raw`'s numpy pass; any other call runs one ``PCG64`` per
+  row.
 
 `bounded_indices` maps raw words to ``[0, n)`` the way
 ``Generator.integers`` does (Lemire's multiply-shift with rejection) and
@@ -44,6 +50,8 @@ rejected draw, for an index that is negative or needs more than one
 32-bit word, and for domains of 2**32 or more elements.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -65,6 +73,15 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # at 48.  Below about 32 rows the pass is the slower one, by up to
 # ~60 us a call (8 rows: 0.5 at every length).
 SHORT_ROW_WORDS = 40
+# `child_draws` takes the pass only for at least this many rows, all of
+# one count: the pass costs some 60-100 us whatever its size, as much as
+# ~30 per-row generators (measured on the same VM at 5, 20 and 40
+# words).  No benchmark workload falls below it: every streaming chunk
+# and CONGEST network (280-800 nodes) draws 32 or more equal short rows
+# a call; dense_cliques rows are all long.  Unequal short rows (only
+# labelings of graphs with many small unequal owner groups) run one
+# generator each, 2-3 us a row.
+MIN_SHORT_ROWS = 32
 
 
 class Stream:
@@ -104,16 +121,67 @@ def _uint32_words(x: int) -> list[int]:
     return [(x >> s) & _M32 for s in range(0, max(x.bit_length(), 1), 32)]
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
-    """`first` and the `count` hash constants after it, as uint32."""
+    """`first` and the `count` hash constants after it, as a read-only
+    (count + 1, 1) uint32 column."""
     out = [first]
     for _ in range(count):
         out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
 
 
 # generate_state's hash constants, one pair per 32-bit output word
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)[:, None]
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of one word, and the next hash constant."""
+    value ^= const
+    const = const * _MULT_A & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _fold(pool: list[int], const: int, words) -> int:
+    """Mix entropy `words` past the first four into `pool`, in place;
+    returns the hash constant it ends at."""
+    for word in words:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return const
+
+
+@functools.lru_cache(maxsize=64)
+def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """The SeedSequence pool after folding in the words of `master_seed`,
+    padded to four, and the hash constant the fold ends at.
+
+    Every path under one master seed starts from this state, so it is
+    computed once per master seed.
+    """
+    run = _uint32_words(master_seed)
+    entropy = run + [0] * (_POOL - len(run))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    const = _fold(pool, const, entropy[_POOL:])
+    return tuple(pool), const
 
 
 def _child_seeds(stream: Stream, indices: np.ndarray) -> np.ndarray:
@@ -123,49 +191,28 @@ def _child_seeds(stream: Stream, indices: np.ndarray) -> np.ndarray:
 
     With a spawn key the entropy is the master seed padded to at least
     four words, then the key's words.  Everything but the last word is
-    the same for all children, so the pool is folded once and only the
-    last word's mixing runs vectorised.
+    the same for all children: the master seed's words come folded from
+    `_master_pool`, the path's words are folded here, and only the last
+    word's mixing runs vectorised over the children.
     """
-    run = _uint32_words(stream.master_seed)
-    entropy = run + [0] * (_POOL - len(run))
-    for p in stream.path:
-        entropy += _uint32_words(p)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool, const = _master_pool(stream.master_seed)
+    pool = list(pool)
+    const = _fold(pool, const, [w for p in stream.path for w in _uint32_words(p)])
     # the last word: one hashmix per pool word, with successive constants
-    pre = _hash_constants(const, _MULT_A, _POOL)[:, None]
+    pre = _hash_constants(const, _MULT_A, _POOL)
     h = (indices.astype(np.uint32) ^ pre[:-1]) * pre[1:]
     h ^= h >> 16
-    pool = np.array([_MIX_MULT_L * x & _M32 for x in pool], dtype=np.uint32)
-    pool = pool[:, None] - np.uint32(_MIX_MULT_R) * h
-    pool ^= pool >> 16
+    h *= np.uint32(_MIX_MULT_R)
+    pool = np.array([[_MIX_MULT_L * x & _M32] for x in pool], dtype=np.uint32)
+    np.subtract(pool, h, out=h)
+    h ^= h >> 16
     # generate_state cycles the pool through the second hash, and pairs
     # the 32-bit words into little-endian uint64 words
-    state = np.concatenate([pool, pool])
-    state ^= _STATE_HASH[:-1]
-    state *= _STATE_HASH[1:]
-    words = np.empty((indices.size, 2 * _POOL), dtype=np.uint32)
-    np.bitwise_xor(state, state >> 16, out=words.T)
-    return words.view("<u8").astype(np.uint64, copy=False)
+    state = ((h ^ _STATE_HASH[:-1].reshape(2, _POOL, 1))
+             * _STATE_HASH[1:].reshape(2, _POOL, 1))
+    words = np.empty((indices.size, 2, _POOL), dtype=np.uint32)
+    np.bitwise_xor(state, state >> 16, out=words.transpose(1, 2, 0))
+    return words.reshape(-1, 2 * _POOL).view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -270,6 +317,16 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return out
 
 
+def _own_rows(seeds: np.ndarray, words):
+    """Raw words of each seed row, ``words[r]`` of them for row ``r``,
+    from one ``PCG64`` each, built from the row's seed words without a
+    ``SeedSequence`` or ``Generator`` of its own."""
+    seed = _SeedWords()
+    for row, count in zip(seeds, words):
+        seed.words = row
+        yield np.random.PCG64(seed).random_raw(count)
+
+
 def child_raw(stream: Stream, indices, words: int) -> np.ndarray:
     """Raw PCG64 output of many children.
 
@@ -289,8 +346,7 @@ def child_raw(stream: Stream, indices, words: int) -> np.ndarray:
     limbs per word, then the XSL-RR output ``rotr64(hi ^ lo, hi >> 58)``.
     That costs about 60 ns a word, against ~2-3 us a row plus ~1 ns a
     word for one ``PCG64`` per row, so longer rows take the per-row
-    generator (built from the seed words, without a ``SeedSequence`` or
-    ``Generator`` of its own).  The two break even near 45-60 words at
+    generator (`_own_rows`).  The two break even near 45-60 words at
     128-400 rows, and near 45 at 2000 rows.
     """
     indices = np.asarray(indices, dtype=np.int64)
@@ -300,11 +356,45 @@ def child_raw(stream: Stream, indices, words: int) -> np.ndarray:
     if words <= SHORT_ROW_WORDS:
         return _xsl_rr(*_lcg_states(seeds, 1, words + 1))
     out = np.empty((indices.size, words), dtype=np.uint64)
-    seed = _SeedWords()
-    for r in range(indices.size):
-        seed.words = seeds[r]
-        out[r] = np.random.PCG64(seed).random_raw(words)
+    for r, raw in enumerate(_own_rows(seeds, [words] * indices.size)):
+        out[r] = raw
     return out
+
+
+def child_draws(stream: Stream, indices: np.ndarray,
+                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``Generator.integers(0, n, count)`` and then
+    ``Generator.random(count)`` read from the raw words of many children,
+    ``counts[r]`` of each for child ``indices[r]``.
+
+    Returns the rows concatenated: the uint32 draws of the integers (two
+    per raw word, low half first) and the raw words of the doubles (one
+    each), so that row ``r`` spans ``ceil(counts[r] / 2) + counts[r]``
+    words of ``stream.child(indices[r]).rng().bit_generator.random_raw``.
+    `indices` and `counts` are int64 arrays of equal length, every index
+    in [0, 2**32) and every count >= 0 (`dist.sample_children` checks).
+    At least `MIN_SHORT_ROWS` rows of one count of at most
+    `SHORT_ROW_WORDS` words take the numpy pass of `child_raw`; any
+    other call runs one ``PCG64`` per row (`_own_rows`).
+    """
+    halves = (counts + 1) >> 1
+    words = halves + counts
+    if (indices.size >= MIN_SHORT_ROWS and words.max() <= SHORT_ROW_WORDS
+            and counts.min() == counts.max()):
+        count, half = int(counts[0]), int(halves[0])
+        raw = child_raw(stream, indices, half + count)
+        pairs = raw.astype("<u8", copy=False).view("<u4")
+        return pairs[:, :count].ravel(), raw[:, half:].ravel()
+    stop = counts.cumsum()
+    draws = np.empty(int(stop[-1]) if stop.size else 0, dtype=np.uint32)
+    doubles = np.empty(draws.size, dtype=np.uint64)
+    rows = _own_rows(_child_seeds(stream, indices), words.tolist())
+    for raw, count, half, end in zip(rows, counts.tolist(), halves.tolist(),
+                                     stop.tolist()):
+        pairs = raw[:half].astype("<u8", copy=False).view("<u4")
+        draws[end - count:end] = pairs[:count]
+        doubles[end - count:end] = raw[half:]
+    return draws, doubles
 
 
 def bounded_indices(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,12 +402,18 @@ def bounded_indices(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     That is Lemire's method for 2 <= n < 2**32: ``(draw * n) >> 32``,
     rejecting a draw whose low product word falls below
-    ``(2**32 - n) % n``.  Returns the int64 indices and a mask of the
-    accepted draws; where a draw is rejected numpy would draw again, so
-    the index there (and every later draw of that stream) is not numpy's.
+    ``(2**32 - n) % n`` (never, when n is a power of two).  Returns the
+    int64 indices and a mask of the accepted draws; where a draw is
+    rejected numpy would draw again, so the index there (and every later
+    draw of that stream) is not numpy's.
     """
     if not 2 <= n <= _M32:
         raise ValueError("bounded_indices needs 2 <= n < 2**32")
-    product = draws.astype(np.uint64) * np.uint64(n)
-    accepted = product & np.uint64(_M32) >= np.uint64((2**32 - n) % n)
-    return (product >> np.uint64(32)).astype(np.int64), accepted
+    product = np.multiply(draws, np.uint64(n), dtype=np.uint64)
+    floor = (2**32 - n) % n
+    if floor:
+        accepted = product & np.uint64(_M32) >= np.uint64(floor)
+    else:
+        accepted = np.ones(product.shape, dtype=bool)
+    product >>= np.uint64(32)
+    return product.view(np.int64), accepted

@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collitest import congest, dist, models, rng, tester
-from collitest.conditions import plan_simultaneous_streaming, plan_streaming
+from collitest.conditions import (plan_asymmetric, plan_centralized,
+                                  plan_simultaneous,
+                                  plan_simultaneous_streaming, plan_streaming)
 from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
                             sample_children)
-from collitest.graph import make_clique, random_connected_graph
+from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
+                             make_star, random_connected_graph)
+from collitest.harness import moment_audit
 from collitest.models import (ResourceLedger, SimulationRun,
                               simulate_simultaneous_streaming,
                               simulate_streaming)
@@ -390,3 +394,216 @@ class TestNodeSamplesMatchPerPathLoop:
                 want = reference_node_samples(net, p, stream)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+
+# --- ragged batches: one call, one count per row ----------------------------
+
+# 26 samples take 39 raw words, 27 take 41: the two straddle SHORT_ROW_WORDS
+RAGGED_COUNTS = (0, 1, 2, 26, 27, 681, 4450)
+
+
+def reference_rows(p, stream, indices, counts):
+    return np.concatenate([p.sample(c, stream.child(i).rng())
+                           for i, c in zip(indices, counts)] or [[]]
+                          ).astype(np.int64)
+
+
+class TestRaggedSampleChildren:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
+    def test_mixed_counts_equal_per_path_draws(self, n):
+        assert 26 + 13 <= SHORT_ROW_WORDS < 27 + 14
+        # unequal counts run one generator per row; MIN_SHORT_ROWS short
+        # rows of one count take the vectorised pass of child_raw
+        few = list(RAGGED_COUNTS)
+        many = few + [26, 1, 0, 2] * (rng.MIN_SHORT_ROWS // 4 + 1)
+        equal = [26] * rng.MIN_SHORT_ROWS
+        for p in families(n):
+            for counts in (few, many, equal):
+                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
+                    stream = Stream(seed, parent)
+                    indices = np.arange(len(counts)) * 977 % 2**32
+                    indices[-1] = 2**32 - 1
+                    got = sample_children(p, stream, indices, counts)
+                    want = reference_rows(p, stream, indices, counts)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (n, len(counts), seed)
+
+    def test_indices_past_32_bits_fall_back_in_a_ragged_call(self):
+        p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
+        indices, counts = [2**32, 3, 2**40 + 3, 5], [27, 681, 2, 0]
+        got = sample_children(p, stream, indices, counts)
+        assert np.array_equal(got, reference_rows(p, stream, indices, counts))
+
+    def test_forced_rejection_redraws_only_its_row(self, monkeypatch):
+        real = dist.bounded_indices
+        counts = [3, 681, 27, 4450]
+        hit = []
+
+        def reject_in_row_two(draws, n):
+            idx, accepted = real(draws, n)
+            accepted[3 + 681 + 5] = False
+            idx[3 + 681:3 + 681 + 27] = 0
+            hit.append(draws.ndim)
+            return idx, accepted
+
+        monkeypatch.setattr(dist, "bounded_indices", reject_in_row_two)
+        redrawn = []
+        real_rng = Stream.rng
+
+        def count_rng(self):
+            redrawn.append(self.path[-1])
+            return real_rng(self)
+
+        p, stream = make_heavy(1000, 0.5), Stream(5, (2,))
+        indices = [0, 1, 2, 3]
+        want = reference_rows(p, stream, indices, counts)
+        monkeypatch.setattr(Stream, "rng", count_rng)
+        got = sample_children(p, stream, indices, counts)
+        assert hit == [1] and redrawn == [2]
+        assert np.array_equal(got, want)
+
+    def test_a_lone_row_equals_its_own_generator(self):
+        for p in (make_uniform(3), make_heavy(1000, 0.5)):
+            stream = Stream(2**70 + 3, (6,))
+            for count in (1, 26, 27, 4450):
+                want = p.sample(count, stream.child(9).rng())
+                got = sample_children(p, stream, [9], [count])
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                got = sample_children(p, stream, [9], count)
+                assert got.shape == (1, count) and np.array_equal(got[0], want)
+
+    def test_one_count_keeps_the_row_shape(self):
+        p, stream = make_uniform(8), Stream(3)
+        got = sample_children(p, stream, [0, 4], 27)
+        assert got.shape == (2, 27)
+        assert np.array_equal(got.ravel(),
+                              sample_children(p, stream, [0, 4], [27, 27]))
+
+    def test_rejects_bad_counts(self):
+        with pytest.raises(ValueError):
+            sample_children(make_uniform(8), Stream(1), [0, 1], [3])
+        with pytest.raises(ValueError):
+            sample_children(make_uniform(8), Stream(1), [0, 1], [3, -1])
+
+
+# --- the owner-aware labeling and clique simulators -------------------------
+
+def reference_labeling(graph, p, stream):
+    """The per-owner loop `draw_labeling` ran before the batched route."""
+    values = np.empty(graph.vertex_count, dtype=np.int64)
+    if graph.owner is None:
+        values[:] = p.sample(graph.vertex_count, stream.child(0).rng())
+    else:
+        order = np.argsort(graph.owner, kind="stable")
+        owners, sizes = np.unique(graph.owner, return_counts=True)
+        start = 0
+        for oid, size in zip(owners.tolist(), sizes.tolist()):
+            values[order[start:start + size]] = p.sample(
+                size, stream.child(oid).rng())
+            start += size
+    return values
+
+
+class TestLabelingMatchesPerOwnerLoop:
+    def test_plans_and_owner_layouts(self):
+        graphs = [plan_centralized(64, 1.0).build_graph(),
+                  plan_simultaneous(256, 0.5, 5).build_graph(),
+                  plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0)).build_graph(),
+                  make_clique_union([0, 3, 1, 40, 0, 2] * 8),
+                  make_star(6),
+                  ComparisonGraph(6, [(0, 5), (1, 3)], owner=[7, 2, 9, 2, 9, 7])]
+        for g in graphs:
+            for p in (make_uniform(64), make_heavy(64, 0.5)):
+                for trial in range(3):
+                    stream = Stream(12).child(trial)
+                    got = tester.draw_labeling(g, p, stream).values
+                    want = reference_labeling(g, p, stream)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (g, trial)
+
+    def test_owner_groups_are_cached_and_ordered(self):
+        g = ComparisonGraph(6, [(0, 5), (1, 3)], owner=[7, 2, 9, 2, 9, 7])
+        order, owners, sizes = g.owner_groups
+        assert order.tolist() == [1, 3, 0, 5, 2, 4]
+        assert owners.tolist() == [2, 7, 9] and sizes.tolist() == [2, 2, 2]
+        assert g.owner_groups is g.owner_groups
+        order, owners, sizes = make_clique_union([2, 0, 3]).owner_groups
+        assert order is None
+        assert owners.tolist() == [0, 2] and sizes.tolist() == [2, 3]
+        order, owners, sizes = make_star(3).owner_groups
+        assert order is None and owners.tolist() == [0] and sizes.tolist() == [4]
+
+    def test_no_generator_per_owner(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"per-path generator built for {self}")
+
+        monkeypatch.setattr(Stream, "rng", refuse)
+        p = make_uniform(1024)
+        g = plan_simultaneous(1024, 0.5, 16).build_graph()
+        tester.draw_labeling(g, p, Stream(1).child(0))
+        models.simulate_simultaneous(plan_simultaneous(1024, 0.5, 16), p,
+                                     Stream(1).child(0))
+        models.simulate_asymmetric(plan_asymmetric(1024, 0.5, (4, 2, 1, 1)),
+                                   p, Stream(1).child(0))
+
+
+# --- the per-block collision kernel -----------------------------------------
+
+class TestBlockCollisions:
+    @pytest.mark.parametrize("high, dense", [(4, True), (10**6, False)])
+    def test_matches_bincount_per_block(self, high, dense):
+        gen = np.random.default_rng(11)
+        sides = set()
+        for sizes in ([0], [1], [5], [0, 1, 2, 0, 7, 1], [30] * 9,
+                      gen.integers(0, 60, size=40).tolist()):
+            total = sum(sizes)
+            values = gen.integers(1, high + 1, size=total)
+            values[::3] = values[0] if total else 0  # force some pairs
+            if total:
+                span = int(values.max() - values.min()) + 1
+                sides.add(len(sizes) * span <= tester.DENSE_KEYS * total)
+            got = tester.block_collisions(values, sizes)
+            stops = np.cumsum(sizes)
+            want = [within_clique_collisions(values[b - s:b])
+                    for s, b in zip(sizes, stops)]
+            assert got.dtype == np.int64
+            assert got.tolist() == want, sizes
+        assert dense in sides
+
+    def test_sparse_side_is_taken(self, monkeypatch):
+        """Few samples over a wide range never build the bincount bins."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("bincount over a sparse key range")
+
+        values = np.array([5, 10**9, 5, 3, 3, 3, 10**9], dtype=np.int64)
+        monkeypatch.setattr(tester.np, "bincount", refuse)
+        got = tester.block_collisions(values, [3, 0, 4])
+        assert got.tolist() == [1, 0, 3]
+
+
+class TestCollisionCountsBatchOnBlocks:
+    def test_blocks_equal_the_edge_gather(self):
+        for sizes in ([0, 1, 3, 2, 5], [1, 1], [4], [0, 6, 0, 1]):
+            g = make_clique_union(sizes)
+            edges = ComparisonGraph(g.vertex_count, g.edges)
+            for p in (make_uniform(3), make_heavy(5, 0.5)):
+                stream = Stream(21).child(0)
+                got = tester.collision_counts_batch(g, p, 50, stream)
+                want = tester.collision_counts_batch(edges, p, 50, stream)
+                assert np.array_equal(got, want), sizes
+
+    def test_audit_of_the_planned_clique_stays_small(self):
+        """n=256, eps=0.5 plans a 4450-clique (9.9 M edges).  Its audit
+        used to gather the edge array (~396 MB traced); it now draws and
+        counts samples only."""
+        g = plan_centralized(256, 0.5).build_graph()
+        trials = 64
+        tracemalloc.start()
+        try:
+            report = moment_audit(g, make_uniform(256), trials, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._edges is None
+        assert peak <= 64 * trials * g.vertex_count
+        assert not report.flagged

@@ -6,14 +6,15 @@ import pytest
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
-from collitest.dist import Distribution, make_bump, make_uniform
+from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
 from collitest.encoding import counter_bit_width, message_bit_width
 from collitest.errors import ModelViolationError
 from collitest.models import (simulate_asymmetric, simulate_simultaneous,
                               simulate_simultaneous_streaming,
                               simulate_streaming)
 from collitest.rng import Stream
-from collitest import tester
+from collitest.tester import within_clique_collisions
+from collitest import models, tester
 
 
 def monolithic(plan, p, stream):
@@ -256,3 +257,53 @@ class TestEmpiricalError:
             simulate_simultaneous(plan, make_bump(64, 1.0), Stream(56).child(t)).decision == "YES"
             for t in range(trials))
         assert yes_bump / trials <= 0.30
+
+
+# --- the batched clique draws against the per-clique loop -----------------
+
+def reference_clique_collisions(plan_sizes, p, stream):
+    """The per-clique loop `models._clique_collisions` ran before it drew
+    all cliques in one `sample_children` call."""
+    return [within_clique_collisions(p.sample(size, stream.child(c).rng()))
+            for c, size in enumerate(plan_sizes)]
+
+
+def assert_same_run(got, want):
+    assert (got.decision, got.z, got.threshold) == (want.decision, want.z,
+                                                    want.threshold)
+    assert got.ledger.to_json() == want.ledger.to_json()
+    assert got.messages == want.messages
+
+
+class TestCliqueSimulatorsMatchPerCliqueLoop:
+    def runs(self, monkeypatch, simulate, plan, p, stream, **kw):
+        got = simulate(plan, p, stream, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(models, "_clique_collisions", reference_clique_collisions)
+            want = simulate(plan, p, stream, **kw)
+        return got, want
+
+    @pytest.mark.parametrize("oblivious", [False, True])
+    def test_simultaneous(self, monkeypatch, oblivious):
+        for plan in (plan_simultaneous(64, 1.0, 4),
+                     plan_simultaneous(1024, 0.5, 16),
+                     plan_simultaneous(256, 0.5, 40)):
+            n = plan.n
+            for p in (make_uniform(n), make_bump(n, 0.5), make_heavy(n, 0.5),
+                      point_mass(n)):
+                for trial in range(3):
+                    got, want = self.runs(monkeypatch, simulate_simultaneous,
+                                          plan, p, Stream(8).child(trial),
+                                          oblivious=oblivious)
+                    assert_same_run(got, want)
+
+    def test_asymmetric(self, monkeypatch):
+        for plan in (plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0)),
+                     plan_asymmetric(1024, 0.5, (4, 2, 1, 1)),
+                     plan_asymmetric(16, 1.0, (1.0, 0.0))):
+            n = plan.n
+            for p in (make_uniform(n), make_heavy(n, 0.5)):
+                for trial in range(3):
+                    got, want = self.runs(monkeypatch, simulate_asymmetric,
+                                          plan, p, Stream(9).child(trial))
+                    assert_same_run(got, want)

@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .encoding import counter_bit_width, message_bit_width, sample_bit_width
 from .errors import CapacityError
@@ -393,6 +396,20 @@ class Plan:
     @property
     def samples_total(self) -> int:
         return sum(self.clique_sizes)
+
+    @cached_property
+    def clique_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """``(sizes, cliques)``: `clique_sizes` as a read-only int64
+        array, and for each player the indices of its cliques in
+        ascending order, also read-only.  Computed on first use, so that
+        a simulator's trials share them.
+        """
+        sizes = np.array(self.clique_sizes, dtype=np.int64)
+        players = np.array(self.clique_players, dtype=np.int64)
+        order = np.argsort(players, kind="stable")
+        sizes.flags.writeable = order.flags.writeable = False
+        ends = np.cumsum(np.bincount(players, minlength=self.players))
+        return sizes, tuple(np.split(order, ends[:-1]))
 
     def build_graph(self) -> ComparisonGraph:
         return make_clique_union(self.clique_sizes)

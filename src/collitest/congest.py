@@ -9,10 +9,11 @@ several rounds, and raises as soon as the running total of any
 one sample from the input distribution, drawn from stream
 ``(trial, node)``; `draw_node_samples` draws all nodes' samples in one
 `dist.sample_children` call, bitwise equal to one generator per node.
-Two raw words per node are short rows for `rng.child_draws`, so a
-network of at least `rng.MIN_SHORT_ROWS` nodes builds no generator: a
-500-node draw takes about 0.2 ms.  Smaller networks run one ``PCG64``
-per node, from seed words computed for all nodes at once.
+Two raw words per node, or one on a flat alias table (any uniform
+input), are short rows for `rng.child_draws`, so a network of at least
+`rng.MIN_SHORT_ROWS` nodes builds no generator: a 500-node draw takes
+about 0.2 ms.  Smaller networks run one ``PCG64`` per node, from seed
+words computed for all nodes at once.
 
 Schedules are computed on arrays over the CSR adjacency that `Network`
 keeps, never by a Python loop over edges: a tree layer pass or a whole
@@ -98,7 +99,9 @@ class Network:
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
             _, heads = self.out_edges(frontier)
-            frontier = np.unique(heads[~seen[heads]])
+            fresh = np.zeros(self.k, dtype=bool)
+            fresh[heads] = True
+            frontier = np.flatnonzero(fresh & ~seen)
             seen[frontier] = True
         if not seen.all():
             raise InvalidNetworkError("the topology is disconnected")

@@ -46,7 +46,7 @@ class Distribution:
     generator so there is no hidden shared state.
     """
 
-    __slots__ = ("probs", "_accept", "_alias")
+    __slots__ = ("probs", "_accept", "_alias", "_flat")
 
     def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -66,10 +66,22 @@ class Distribution:
         self.probs = arr
         self._accept = None
         self._alias = None
+        self._flat = None
 
     @property
     def n(self) -> int:
         return int(self.probs.size)
+
+    @property
+    def flat(self) -> bool:
+        """Whether the alias table accepts every column, so that a sample
+        is its bounded index plus one whatever its double.
+
+        Read from the built table (``accept.min() >= 1``), never from
+        `probs`; true for every `make_uniform` and any constant vector.
+        """
+        self._table()
+        return self._flat
 
     def collision_probability(self) -> float:
         """mu = sum_i p_i^2, the chance two independent samples are equal."""
@@ -86,12 +98,20 @@ class Distribution:
         idx = gen.integers(0, self.n, size=count)
         return self._lookup(idx, gen.random(count))
 
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (accept, alias) arrays, built on first use."""
+        if self._accept is None:
+            # idempotent lazy build; concurrent builders compute identical
+            # tables, and `_accept` is set last so that it marks all three
+            accept, self._alias = _build_alias_table(self.probs)
+            self._flat = bool(accept.min() >= 1.0)
+            self._accept = accept
+        return self._accept, self._alias
+
     def _lookup(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Alias-table values (1-based) for uniform indices and uniforms."""
-        if self._accept is None:
-            # idempotent lazy build; concurrent builders compute identical tables
-            self._accept, self._alias = _build_alias_table(self.probs)
-        return np.where(u < self._accept[idx], idx, self._alias[idx]) + 1
+        accept, alias = self._table()
+        return np.where(u < accept[idx], idx, alias[idx]) + 1
 
     def to_json(self) -> dict:
         return {"n": self.n, "probs": [float(p) for p in self.probs]}
@@ -120,22 +140,29 @@ def sample_children(p: Distribution, stream: Stream, indices,
     ``count`` doubles (``(w >> 11) * 2**-53`` of one raw word each).  Here
     `child_draws` reads the raw words of all rows, and the bounded map,
     the double map and the alias lookup each run once over all samples
-    of the call.  A row whose integers numpy would redraw (see
-    `bounded_indices`), a negative index or one of 2**32 or more, and
-    every row when ``n >= 2**32``, are drawn from their own generator
-    instead.  For ``n == 1`` every sample is 1 whatever the bits, as
-    with `Distribution.sample`.
+    of the call.  On a flat alias table (`Distribution.flat`, as for
+    every uniform distribution) the lookup returns the index plus one
+    whatever the double, so only the integer words are read and neither
+    the double map nor the lookup runs; since a row's doubles come after
+    its integers, the samples are the same.  A row whose integers numpy
+    would redraw (see `bounded_indices`), a negative index or one of
+    2**32 or more, and every row when ``n >= 2**32``, are drawn from
+    their own generator instead.  For ``n == 1`` every sample is 1
+    whatever the bits, as with `Distribution.sample`.
 
     A call costs some 15-25 us for the seed words and ~40 us of other
-    fixed numpy work, then per row either ~90 ns per sample (at least
-    `rng.MIN_SHORT_ROWS` rows of one count of up to 26 samples, computed
-    by numpy limb arithmetic) or ~2-3 us plus ~5 ns per sample (one
-    ``PCG64`` per row), and ~5 ns per sample for the maps.  One
-    generator per row costs ~30 us before its first sample, so the call
-    wins from about four rows on (0.75x the per-path time at 4 rows of
-    600-1200 samples, 0.4x at 16) and loses on one or two (1.4-2x at one
-    row of 3 to 4450 samples, 1.2x at two).  A call of a single row
-    therefore draws it from its own generator.
+    fixed numpy work, then per row either ~60 ns per raw word (at least
+    `rng.MIN_SHORT_ROWS` rows of one count of up to
+    `rng.SHORT_ROW_WORDS` words, computed by numpy limb arithmetic) or
+    ~2-3 us plus a few ns per sample (one ``PCG64`` per row), and ~5 ns
+    per sample for the maps.  A sample takes 1.5 raw words, or 0.5 on a
+    flat table, so the limb pass serves rows of up to 26 samples, or 80
+    on a flat table.  One generator per row costs ~30 us before its
+    first sample, so the call wins from about four rows on (0.75x the
+    per-path time at 4 rows of 600-1200 samples, 0.4x at 16) and loses
+    on one or two (1.4-2x at one row of 3 to 4450 samples, 1.2x at
+    two).  A call of a single row therefore draws it from its own
+    generator.
     """
     indices = np.asarray(indices, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -158,12 +185,17 @@ def sample_children(p: Distribution, stream: Stream, indices,
     # rows the batched draw cannot reproduce come from their own generator
     own = (indices < 0) | (indices >= 2**32) | (p.n >= 2**32)
     rows = (~own).nonzero()[0]
-    draws, words = child_draws(stream, indices[rows], counts[rows])
+    flat = p.flat
+    draws, words = child_draws(stream, indices[rows], counts[rows],
+                               doubles=not flat)
     # with one count for all rows the draws keep their (rows, count) shape
     grid = (-1,) if shape is None else (-1, shape[1])
     idx, accepted = bounded_indices(draws.reshape(grid), p.n)
-    words >>= np.uint64(11)
-    values = p._lookup(idx, (words * 2.0**-53).reshape(grid)).ravel()
+    if flat:
+        values = (idx + 1).ravel()
+    else:
+        words >>= np.uint64(11)
+        values = p._lookup(idx, (words * 2.0**-53).reshape(grid)).ravel()
     if rows.size == indices.size:
         out = values
     else:

@@ -19,10 +19,15 @@ Every simulator draws through `dist.sample_children`, the function
 asymmetric simulators draw all cliques of a trial in one call and count
 them with one `tester.block_collisions` call.  The streaming simulators
 draw each player's batches a chunk at a time and count a chunk with one
-`row_collisions` call per batch size.  Short batches (up to 26 samples,
-when a call has at least `rng.MIN_SHORT_ROWS` of them) are drawn by
-numpy arithmetic over the whole chunk, others by one ``PCG64`` each
-(see `rng.child_draws`).  A chunk may run past the batch at which the
+`row_collisions` call per batch size; the plan's batch sizes and
+per-player batch indices are arrays built once per plan
+(`Plan.clique_arrays`).  A sample costs 1.5 raw words, or 0.5 when the
+input's alias table is flat, as for the uniform input every YES trial
+draws from.  Short batches (up to `rng.SHORT_ROW_WORDS` words: 26
+samples, or 80 on a flat table, when a call has at least
+`rng.MIN_SHORT_ROWS` of them) are drawn by numpy arithmetic over the
+whole chunk at ~60 ns a word, others by one ``PCG64`` each (see
+`rng.child_draws`).  A chunk may run past the batch at which the
 player's counter reaches T; those batches are drawn and discarded,
 which no other batch can notice since each has its own path.
 """
@@ -156,13 +161,14 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
         sizes = tuple(1 << e for e in exponents)
         max_exp = max(exponents)
         exponent_bits = math.ceil(math.log2(max_exp)) if max_exp > 1 else 0
-    edge_count, _ = clique_union_stats(sizes)
-    t = edge_count * (1.0 + plan.tau * plan.eps**2) / plan.n
-    if oblivious:
+        edge_count, _ = clique_union_stats(sizes)
+        t = edge_count * (1.0 + plan.tau * plan.eps**2) / plan.n
         # the referee must be able to recover |E| from the exponents alone
         recovered = sum((1 << e) * ((1 << e) - 1) // 2 for e in exponents)
         if recovered != edge_count:
             raise ModelViolationError("referee reconstruction mismatch")
+    else:
+        t = plan.threshold
     base_bits = message_bit_width(t)
 
     per_clique = _clique_collisions(sizes, p, stream)
@@ -200,7 +206,7 @@ def _streaming_fields(plan: Plan):
     if plan.m_bits is None or plan.bits_per_sample is None:
         raise ValueError("plan carries no memory budget")
     t = plan.threshold
-    batch_bits = max(plan.clique_sizes) * plan.bits_per_sample
+    batch_bits = int(plan.clique_arrays[0].max()) * plan.bits_per_sample
     peak = batch_bits + counter_bit_width(t)
     if peak > plan.m_bits:
         raise ModelViolationError(
@@ -212,10 +218,10 @@ def _batch_collisions(sizes: np.ndarray, batches: np.ndarray,
                       p: Distribution, stream: Stream) -> np.ndarray:
     """Z of each batch, batch ``c`` drawn from ``stream.child(c)``."""
     z = np.empty(batches.size, dtype=np.int64)
-    for size in np.unique(sizes[batches]):
-        same = sizes[batches] == size
-        z[same] = row_collisions(
-            sample_children(p, stream, batches[same], int(size)))
+    chunk = sizes[batches]
+    for size in sorted(set(chunk.tolist())):
+        same = chunk == size
+        z[same] = row_collisions(sample_children(p, stream, batches[same], size))
     return z
 
 
@@ -225,13 +231,11 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
     Returns per player the counter, the samples drawn and whether it
     stopped with batches left.
     """
-    sizes = np.asarray(plan.clique_sizes, dtype=np.int64)
-    players = np.asarray(plan.clique_players, dtype=np.int64)
+    sizes, cliques = plan.clique_arrays
     counter = np.zeros(plan.players, dtype=np.int64)
     drawn = np.zeros(plan.players, dtype=np.int64)
     early = np.zeros(plan.players, dtype=bool)
-    for player in range(plan.players):
-        mine = np.flatnonzero(players == player)
+    for player, mine in enumerate(cliques):
         start, rows = 0, FIRST_CHUNK
         while start < mine.size:
             batches = mine[start:start + rows]

@@ -37,9 +37,11 @@ samples.  The batched routes below serve many sibling paths
   each from their seed words (`_own_rows`), which is faster there.
 * `child_draws` returns, for one count per row, the words that
   ``Generator.integers`` and then ``Generator.random`` read, all rows
-  concatenated.  At least `MIN_SHORT_ROWS` short rows of one count come
-  from `child_raw`'s numpy pass; any other call runs one ``PCG64`` per
-  row.
+  concatenated: a row of count c spans ``ceil(c/2) + c`` raw words, or
+  ``ceil(c/2)`` when no doubles are read (`dist.sample_children` on a
+  flat alias table).  At least `MIN_SHORT_ROWS` short rows of one count
+  come from `child_raw`'s numpy pass; any other call runs one ``PCG64``
+  per row.
 
 `bounded_indices` maps raw words to ``[0, n)`` the way
 ``Generator.integers`` does (Lemire's multiply-shift with rejection) and
@@ -361,8 +363,8 @@ def child_raw(stream: Stream, indices, words: int) -> np.ndarray:
     return out
 
 
-def child_draws(stream: Stream, indices: np.ndarray,
-                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def child_draws(stream: Stream, indices: np.ndarray, counts: np.ndarray,
+                *, doubles: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """What ``Generator.integers(0, n, count)`` and then
     ``Generator.random(count)`` read from the raw words of many children,
     ``counts[r]`` of each for child ``indices[r]``.
@@ -371,6 +373,8 @@ def child_draws(stream: Stream, indices: np.ndarray,
     per raw word, low half first) and the raw words of the doubles (one
     each), so that row ``r`` spans ``ceil(counts[r] / 2) + counts[r]``
     words of ``stream.child(indices[r]).rng().bit_generator.random_raw``.
+    With ``doubles=False`` only the ``ceil(counts[r] / 2)`` words of the
+    integers are computed, and the doubles come back empty.
     `indices` and `counts` are int64 arrays of equal length, every index
     in [0, 2**32) and every count >= 0 (`dist.sample_children` checks).
     At least `MIN_SHORT_ROWS` rows of one count of at most
@@ -378,23 +382,24 @@ def child_draws(stream: Stream, indices: np.ndarray,
     other call runs one ``PCG64`` per row (`_own_rows`).
     """
     halves = (counts + 1) >> 1
-    words = halves + counts
+    words = halves + counts if doubles else halves
     if (indices.size >= MIN_SHORT_ROWS and words.max() <= SHORT_ROW_WORDS
             and counts.min() == counts.max()):
         count, half = int(counts[0]), int(halves[0])
-        raw = child_raw(stream, indices, half + count)
+        raw = child_raw(stream, indices, int(words[0]))
         pairs = raw.astype("<u8", copy=False).view("<u4")
         return pairs[:, :count].ravel(), raw[:, half:].ravel()
     stop = counts.cumsum()
     draws = np.empty(int(stop[-1]) if stop.size else 0, dtype=np.uint32)
-    doubles = np.empty(draws.size, dtype=np.uint64)
+    double_words = np.empty(draws.size if doubles else 0, dtype=np.uint64)
     rows = _own_rows(_child_seeds(stream, indices), words.tolist())
     for raw, count, half, end in zip(rows, counts.tolist(), halves.tolist(),
                                      stop.tolist()):
         pairs = raw[:half].astype("<u8", copy=False).view("<u4")
         draws[end - count:end] = pairs[:count]
-        doubles[end - count:end] = raw[half:]
-    return draws, doubles
+        if doubles:
+            double_words[end - count:end] = raw[half:]
+    return draws, double_words
 
 
 def bounded_indices(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

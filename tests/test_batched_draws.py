@@ -5,14 +5,19 @@ many child streams together; every result here is compared bitwise with
 the per-path loop it replaces, kept below as the reference.
 """
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collitest
 from collitest import congest, dist, models, rng, tester
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
@@ -607,3 +612,256 @@ class TestCollisionCountsBatchOnBlocks:
         assert g._edges is None
         assert peak <= 64 * trials * g.vertex_count
         assert not report.flagged
+
+
+# --- flat alias tables: the doubles are never read ---------------------------
+
+ULP_OVER_THIRD = np.nextafter(1 / 3, 1)
+ULP_UNDER_THIRD = np.nextafter(1 / 3, 0)
+
+
+def record_child_draws(monkeypatch):
+    """Record the `doubles` argument and doubles length of every call."""
+    calls = []
+    real = dist.child_draws
+
+    def record(stream, indices, counts, *, doubles=True):
+        draws, words = real(stream, indices, counts, doubles=doubles)
+        calls.append((doubles, words.size))
+        return draws, words
+
+    monkeypatch.setattr(dist, "child_draws", record)
+    return calls
+
+
+class TestFlatTable:
+    FLAT = [make_uniform(n) for n in (2, 3, 1000, 1024)] + [
+        Distribution([0.2] * 5)]
+
+    def test_every_route_equals_per_path_draws(self, monkeypatch):
+        calls = record_child_draws(monkeypatch)
+        # limb pass at both ends of its range (80 samples are 40 words
+        # once the doubles are dropped), long rows, ragged rows
+        layouts = ([20] * rng.MIN_SHORT_ROWS,
+                   [80] * rng.MIN_SHORT_ROWS,
+                   [81] * rng.MIN_SHORT_ROWS,
+                   [681, 4450],
+                   list(RAGGED_COUNTS) + [20, 1] * rng.MIN_SHORT_ROWS)
+        for p in self.FLAT:
+            assert p.flat
+            for counts in layouts:
+                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
+                    stream = Stream(seed, parent)
+                    indices = np.arange(len(counts)) * 977 % 2**32
+                    indices[-1] = 2**32 - 1
+                    got = sample_children(p, stream, indices, counts)
+                    want = reference_rows(p, stream, indices, counts)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (p, counts[0], seed)
+                    if len(set(counts)) == 1:
+                        got = sample_children(p, stream, indices, counts[0])
+                        assert got.shape == (len(counts), counts[0])
+                        assert np.array_equal(got.ravel(), want)
+        assert calls and all(c == (False, 0) for c in calls)
+
+    def test_indices_past_32_bits_fall_back(self):
+        p, stream = make_uniform(1000), Stream(9, (4,))
+        indices, counts = [2**32, 3, 2**40 + 3, 5], [27, 681, 2, 0]
+        got = sample_children(p, stream, indices, counts)
+        assert np.array_equal(got, reference_rows(p, stream, indices, counts))
+
+    def test_forced_rejection_redraws_its_row(self, monkeypatch):
+        real = dist.bounded_indices
+
+        def reject_row_one(draws, n):
+            idx, accepted = real(draws, n)
+            accepted[1, 4] = False
+            idx[1] = 0
+            return idx, accepted
+
+        monkeypatch.setattr(dist, "bounded_indices", reject_row_one)
+        p, stream = make_uniform(1000), Stream(5, (2,))
+        indices = np.arange(rng.MIN_SHORT_ROWS)
+        got = sample_children(p, stream, indices, 9)
+        for row, i in zip(got, indices):
+            assert np.array_equal(row, p.sample(9, stream.child(i).rng()))
+
+    def test_one_column_below_one_still_reads_doubles(self, monkeypatch):
+        """Column 0 accepts 15/16 and aliases to column 3; the rest accept
+        all, so only the doubles tell which samples of column 0 move."""
+        d = 2.0**-8
+        p = Distribution([0.25 - d, 0.25, 0.25, 0.25 + d])
+        accept, alias = p._table()
+        assert np.count_nonzero(accept < 1.0) == 1 and accept[0] == 1 - 4 * d
+        assert not p.flat
+        calls = record_child_draws(monkeypatch)
+        stream = Stream(3, (1,))
+        indices = np.arange(rng.MIN_SHORT_ROWS)
+        for counts in ([20] * indices.size, [20, 681] * (indices.size // 2)):
+            got = sample_children(p, stream, indices, counts)
+            assert np.array_equal(got, reference_rows(p, stream, indices, counts))
+            # the same bits read as a flat table give other samples
+            flat = sample_children(make_uniform(4), stream, indices, counts)
+            assert not np.array_equal(got, flat)
+        assert calls == [(True, 20 * indices.size), (False, 0),
+                         (True, (20 + 681) * indices.size // 2), (False, 0)]
+
+    def test_flatness_follows_the_built_table(self):
+        # unequal probabilities whose table still accepts every column
+        tilted = Distribution([ULP_OVER_THIRD, 1 / 3, 1 / 3])
+        assert len(set(tilted.probs.tolist())) == 2 and tilted.flat
+        # and nearly equal ones whose table does not
+        torn = Distribution([ULP_OVER_THIRD, ULP_UNDER_THIRD, 1 / 3])
+        assert not torn.flat
+        for p in (tilted, torn, make_uniform(7), make_bump(8, 0.5),
+                  make_heavy(9, 0.5), point_mass(4)):
+            assert p.flat == (p._table()[0].min() >= 1.0)
+        stream = Stream(4)
+        indices = np.arange(rng.MIN_SHORT_ROWS)
+        for p in (tilted, torn):
+            got = sample_children(p, stream, indices, 20)
+            want = reference_rows(p, stream, indices, [20] * indices.size)
+            assert np.array_equal(got.ravel(), want)
+
+
+# --- streaming plan arrays, built once per plan ------------------------------
+
+def reference_batch_collisions(sizes, batches, p, stream):
+    z = np.empty(batches.size, dtype=np.int64)
+    for size in np.unique(sizes[batches]):
+        same = sizes[batches] == size
+        z[same] = row_collisions(
+            sample_children(p, stream, batches[same], int(size)))
+    return z
+
+
+def reference_stream_counters(plan, p, stream, t):
+    """The chunked loop as it ran with its arrays rebuilt every trial."""
+    sizes = np.asarray(plan.clique_sizes, dtype=np.int64)
+    players = np.asarray(plan.clique_players, dtype=np.int64)
+    counter = np.zeros(plan.players, dtype=np.int64)
+    drawn = np.zeros(plan.players, dtype=np.int64)
+    early = np.zeros(plan.players, dtype=bool)
+    for player in range(plan.players):
+        mine = np.flatnonzero(players == player)
+        start, rows = 0, models.FIRST_CHUNK
+        while start < mine.size:
+            batches = mine[start:start + rows]
+            fits = np.searchsorted(np.cumsum(sizes[batches]),
+                                   models.MAX_CHUNK_SAMPLES, side="right")
+            batches = batches[:max(fits, 1)]
+            cum = counter[player] + np.cumsum(
+                reference_batch_collisions(sizes, batches, p, stream))
+            hit = np.flatnonzero(cum >= t)
+            used = hit[0] + 1 if hit.size else batches.size
+            counter[player] = cum[used - 1]
+            drawn[player] += sizes[batches[:used]].sum()
+            start, rows = start + used, 2 * rows
+            if hit.size:
+                early[player] = start < mine.size
+                break
+    return counter, drawn, early
+
+
+def reference_chunked_streaming(plan, p, stream):
+    t = plan.threshold
+    peak = (max(plan.clique_sizes) * plan.bits_per_sample
+            + models.counter_bit_width(t))
+    counter, drawn, early = reference_stream_counters(plan, p, stream, t)
+    ledger = ResourceLedger(samples=[int(drawn[0])], message_bits=[],
+                            memory_bits=[peak], early_terminated=bool(early[0]))
+    return SimulationRun("YES" if counter[0] < t else "NO", ledger, None,
+                         int(counter[0]), t)
+
+
+def reference_chunked_simultaneous_streaming(plan, p, stream):
+    t = plan.threshold
+    peak = (max(plan.clique_sizes) * plan.bits_per_sample
+            + models.counter_bit_width(t))
+    base_bits = models.message_bit_width(t)
+    z, samples, early = reference_stream_counters(plan, p, stream, t)
+    decision, messages, total = models._referee(z.tolist(), t, base_bits)
+    ledger = ResourceLedger(samples=samples.tolist(),
+                            message_bits=[m.encoded_bits for m in messages],
+                            memory_bits=[peak] * plan.players,
+                            early_terminated=bool(early.any()))
+    return SimulationRun(decision, ledger, messages, total, t)
+
+
+class TestPlanArrays:
+    def test_arrays_are_read_only_copies_of_the_tuples(self):
+        base = plan_simultaneous_streaming(64, 1.0, 2, 48)
+        interleaved = replace(base, clique_players=tuple(
+            c % 3 for c in range(len(base.clique_sizes))), players=4)
+        for plan in (plan_streaming(1024, 0.5, 4000),
+                     plan_simultaneous_streaming(1024, 0.5, 8, 400),
+                     plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0)), interleaved):
+            sizes, cliques = plan.clique_arrays
+            assert plan.clique_arrays is plan.clique_arrays
+            assert sizes.dtype == np.int64
+            assert sizes.tolist() == list(plan.clique_sizes)
+            assert len(cliques) == plan.players
+            for j, mine in enumerate(cliques):
+                assert mine.tolist() == plan.cliques_of_player(j)
+            for arr in (sizes,) + cliques:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
+        assert interleaved.clique_arrays[1][3].size == 0
+
+    def test_streaming_equals_the_rebuilt_loop(self):
+        base = plan_streaming(1024, 0.5, 4000)
+        ragged = replace(base, clique_sizes=base.clique_sizes[:-1] + (7,))
+        early = 0
+        for plan in (base, ragged, plan_streaming(1024, 0.5, 400)):
+            for p in (make_uniform(1024), make_heavy(1024, 0.5),
+                      point_mass(1024)):
+                for trial in range(2):
+                    stream = Stream(61).child(trial)
+                    got = simulate_streaming(plan, p, stream)
+                    assert_same_run(got, reference_chunked_streaming(
+                        plan, p, stream))
+                    early += got.ledger.early_terminated
+        assert early >= 3
+
+    def test_simultaneous_streaming_equals_the_rebuilt_loop(self):
+        base = plan_simultaneous_streaming(1024, 0.5, 8, 400)
+        interleaved = replace(base, clique_players=tuple(
+            c % 8 for c in range(len(base.clique_sizes))))
+        ragged = replace(base, clique_sizes=base.clique_sizes[:-1] + (7,))
+        for plan in (base, interleaved, ragged):
+            for p in (make_uniform(1024), make_bump(1024, 0.5),
+                      make_heavy(1024, 0.5)):
+                stream = Stream(62).child(0)
+                assert_same_run(
+                    simulate_simultaneous_streaming(plan, p, stream),
+                    reference_chunked_simultaneous_streaming(plan, p, stream))
+
+
+# --- no masked-array import on set-up or trial paths --------------------------
+
+NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from collitest import congest, harness
+from collitest.graph import random_connected_graph
+scenarios = harness.load_scenarios([
+    {"id": "s", "model": "streaming", "n": 1024, "eps": 0.5, "m_bits": 400,
+     "dist": {"kind": "heavy"}, "trials": 2},
+    {"id": "ss", "model": "simultaneous_streaming", "n": 64, "eps": 1.0,
+     "k": 2, "m_bits": 48, "dist": {"kind": "uniform"}, "trials": 2}])
+harness.run_suite(scenarios, 3)
+congest.Network(random_connected_graph(60, np.random.default_rng(5), 0.05), 16)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_masked_array_import():
+    """numpy 2.4's plain `np.unique` imports `numpy.ma` (~30 ms) on first
+    use; neither a streaming trial nor `Network` set-up may pay that."""
+    src = str(Path(collitest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False"]

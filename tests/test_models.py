@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from collitest.conditions import (plan_asymmetric, plan_centralized,
-                                  plan_simultaneous,
+from collitest.conditions import (clique_union_stats, plan_asymmetric,
+                                  plan_centralized, plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
 from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
 from collitest.encoding import counter_bit_width, message_bit_width
@@ -307,3 +307,44 @@ class TestCliqueSimulatorsMatchPerCliqueLoop:
                     got, want = self.runs(monkeypatch, simulate_asymmetric,
                                           plan, p, Stream(9).child(trial))
                     assert_same_run(got, want)
+
+
+class TestPlanStatsServeTheSimulator:
+    """Non-oblivious simultaneous runs read |E| and T from the plan instead
+    of recounting the cliques; the two agree, T bitwise."""
+
+    PLANS = [plan_centralized(n, eps) for n, eps in ((16, 1.0), (64, 1.0),
+                                                    (256, 0.5))] + [
+        plan_simultaneous(n, eps, k) for n, eps, k in
+        ((64, 1.0, 4), (1024, 0.5, 16), (256, 0.5, 40), (100, 0.5, 8))] + [
+        plan_asymmetric(n, eps, rates) for n, eps, rates in
+        ((64, 1.0, (4.0, 2.0, 1.0)), (1024, 0.5, (4, 2, 1, 1)),
+         (16, 1.0, (1.0, 0.0)))]
+
+    def test_plan_stats_equal_a_recount(self):
+        families = set()
+        for plan in self.PLANS:
+            edge_count, _ = clique_union_stats(plan.clique_sizes)
+            t = edge_count * (1.0 + plan.tau * plan.eps**2) / plan.n
+            assert plan.edge_count == edge_count
+            assert plan.threshold.hex() == t.hex()
+            families.add(plan.family)
+        assert families == {"clique", "disjoint_cliques", "rate_cliques"}
+
+    def test_only_oblivious_runs_recount(self, monkeypatch):
+        recounts = []
+        real = models.clique_union_stats
+
+        def record(sizes):
+            recounts.append(tuple(sizes))
+            return real(sizes)
+
+        monkeypatch.setattr(models, "clique_union_stats", record)
+        p = make_uniform(64)
+        for plan in self.PLANS[:5]:
+            run = simulate_simultaneous(plan, make_uniform(plan.n), Stream(3))
+            assert run.threshold == plan.threshold
+        assert recounts == []
+        plan = plan_simultaneous(64, 1.0, 4)
+        simulate_simultaneous(plan, p, Stream(3), oblivious=True)
+        assert len(recounts) == 1

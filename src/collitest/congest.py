@@ -21,6 +21,15 @@ pipelining schedule is one `send` call, and the BFS flood one call per
 round.  `Network` checks connectivity with one BFS; its `diameter` is
 computed on first read, by a bit-parallel BFS from every node.
 
+A local or pipelined run splits into a `Schedule` and a trial.  Which
+message crosses which edge in which round depends only on the network,
+the BFS tree and the bundle plan, so the schedule (rounds, message
+widths and, for bundles, the assignment) is built once per (net, tree,
+plan), by the first run, and charged to that run's meter; later runs
+given `schedule=run.schedule` charge nothing and cost a node draw plus
+a collision count.  A schedule's assignment is shared by all its runs
+and must not be mutated.
+
 Protocols:
 
 * `build_bfs_tree` floods (root-candidate, depth) pairs until quiescent;
@@ -53,6 +62,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import tester
 from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
                          certify_stats, equal_cliques_stats,
                          first_certified_tau)
@@ -63,7 +73,6 @@ from .errors import (CapacityError, InvalidNetworkError,
                      ModelViolationError, ProtocolRefusedError)
 from .graph import ComparisonGraph
 from .rng import Stream
-from .tester import row_collisions
 
 CHANNEL_COEFF = 8        # channel_bits = ceil(8 (log2 n + log2 k)) per direction
 C_BFS = 2                # tree build finishes within C_BFS * D + C0 rounds
@@ -386,6 +395,53 @@ def draw_node_samples(net: Network, p: Distribution, stream: Stream) -> np.ndarr
     return sample_children(p, stream, np.arange(net.k), 1)[:, 0]
 
 
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """The sample-independent part of a local or pipelined run.
+
+    Which message crosses which edge in which round depends only on the
+    network, the tree and the bundle plan; only the collision count
+    depends on the samples.  A protocol called without a schedule builds
+    one and charges it to its meter; called with one, it charges nothing
+    and only draws, counts and decides.  `bits` holds the message width
+    of each phase.  A pipelined schedule also holds the plan, the
+    `BundleAssignment` and `bundles`, the (ell, s) array of each
+    bundle's node ids; its assignment is shared by every run of the
+    schedule and must not be mutated.
+    """
+
+    path: str  # "local" | "pipelined"
+    net: Network
+    tree: BfsTree
+    n: int
+    eps: float
+    tau: float
+    threshold: float
+    rounds_breakdown: dict
+    bits: dict
+    plan: BundlePlan | None = None
+    assignment: BundleAssignment | None = None
+    bundles: np.ndarray | None = None
+
+    @property
+    def rounds(self) -> int:
+        return sum(self.rounds_breakdown.values())
+
+    def check(self, meter, path: str, net: Network, tree, n: int, eps: float,
+              tau: float | None = None, plan: BundlePlan | None = None) -> None:
+        """Raise ValueError unless this schedule serves a `path` run with
+        these arguments; a run given a schedule charges no meter."""
+        if meter is not None:
+            raise ValueError("a run given a schedule charges no meter")
+        if (path != self.path or net is not self.net
+                or (tree is not None and tree is not self.tree)
+                or (n, eps) != (self.n, self.eps)
+                or (tau is not None and tau != self.tau)
+                or (plan is not None and plan != self.plan)):
+            raise ValueError(
+                "the schedule was built for another network, tree or plan")
+
+
 @dataclass
 class LocalRun:
     decision: str
@@ -394,38 +450,54 @@ class LocalRun:
     threshold: float
     values: np.ndarray
     rounds_breakdown: dict
+    schedule: Schedule | None = None
 
 
-def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
-                             p: Distribution, stream: Stream,
-                             tree: BfsTree | None = None,
-                             meter: BitMeter | None = None) -> LocalRun:
-    """O(D)-round test on a certified topology.
-
-    One round of sample exchange along the id orientation (each edge is
-    counted exactly once, at its higher endpoint), then a convergecast
-    of partial collision counts; the root compares against the threshold
-    of the topology-as-comparison-graph.
-    """
+def _local_schedule(net: Network, n: int, eps: float, tau_star: float,
+                    tree: BfsTree | None, meter: BitMeter | None) -> Schedule:
     topo = net.topology
     if not _stats_pass(topo.edge_count, topo.two_path_count, tau_star, n, eps):
         raise ProtocolRefusedError(
             "the topology is not certified at this tau; detection must pass first")
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
-    values = draw_node_samples(net, p, stream)
+    bits = {"exchange": sample_bit_width(n),
+            "sum": sample_bit_width(topo.edge_count + 1)}
     e = topo.edges
     meter.begin_round()
-    meter.send(e[:, 0], e[:, 1], sample_bit_width(n))
-    colliding = values[e[:, 0]] == values[e[:, 1]]
-    z_local = np.bincount(e[:, 1][colliding], minlength=net.k)
-    sum_rounds = _tree_rounds(tree, meter, sample_bit_width(topo.edge_count + 1),
-                              toward_root=True)
-    z = int(z_local.sum())
-    t = topo.edge_count * (1.0 + tau_star * eps**2) / n
-    return LocalRun(decision="YES" if z < t else "NO", rounds=1 + sum_rounds,
+    meter.send(e[:, 0], e[:, 1], bits["exchange"])
+    sum_rounds = _tree_rounds(tree, meter, bits["sum"], toward_root=True)
+    return Schedule(path="local", net=net, tree=tree, n=n, eps=eps,
+                    tau=tau_star,
+                    threshold=topo.edge_count * (1.0 + tau_star * eps**2) / n,
+                    rounds_breakdown={"exchange": 1, "sum": sum_rounds},
+                    bits=bits)
+
+
+def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
+                             p: Distribution, stream: Stream,
+                             tree: BfsTree | None = None,
+                             meter: BitMeter | None = None,
+                             schedule: Schedule | None = None) -> LocalRun:
+    """O(D)-round test on a certified topology.
+
+    One round of sample exchange along the id orientation (each edge is
+    counted exactly once, at its higher endpoint), then a convergecast
+    of partial collision counts; the root compares against the threshold
+    of the topology-as-comparison-graph.  The count the convergecast
+    sums is Z of the topology, taken by `tester.count_collisions`.
+    """
+    if schedule is None:
+        schedule = _local_schedule(net, n, eps, tau_star, tree, meter)
+    else:
+        schedule.check(meter, "local", net, tree, n, eps, tau=tau_star)
+    values = draw_node_samples(net, p, stream)
+    z = tester.count_collisions(net.topology, values)
+    t = schedule.threshold
+    return LocalRun(decision="YES" if z < t else "NO", rounds=schedule.rounds,
                     z=z, threshold=t, values=values,
-                    rounds_breakdown={"exchange": 1, "sum": sum_rounds})
+                    rounds_breakdown=dict(schedule.rounds_breakdown),
+                    schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +657,34 @@ def _pipeline_rounds(net: Network, tree: BfsTree, assignment: BundleAssignment,
     return len(senders)
 
 
+def _pipelined_schedule(net: Network, n: int, eps: float,
+                        tree: BfsTree | None, plan: BundlePlan | None,
+                        meter: BitMeter | None) -> Schedule:
+    plan = plan or choose_bundle_plan(n, eps, net.k)
+    meter = meter or BitMeter(net)
+    tree_rounds = 0
+    if tree is None:
+        tree = build_bfs_tree(net, meter)
+        tree_rounds = tree.rounds
+    assignment = bundle_assignment(tree, plan.s)
+    if len(assignment.bundles) != plan.ell:
+        raise ModelViolationError("bundle count does not match the plan")
+    bits = {"count": sample_bit_width(net.k + 1),
+            "message": message_bit_width(plan.threshold),
+            "answer": 1 + sample_bit_width(plan.edge_count + 1)}
+    count_rounds = _tree_rounds(tree, meter, bits["count"], toward_root=True)
+    pipe_rounds = _pipeline_rounds(net, tree, assignment, meter)
+    answer_rounds = _tree_rounds(tree, meter, bits["answer"], toward_root=True)
+    bundles = np.array(assignment.bundles, dtype=np.int64).reshape(plan.ell, plan.s)
+    return Schedule(path="pipelined", net=net, tree=tree, n=n, eps=eps,
+                    tau=plan.tau, threshold=plan.threshold,
+                    rounds_breakdown={"tree": tree_rounds, "count": count_rounds,
+                                      "pipeline": pipe_rounds,
+                                      "answers": answer_rounds},
+                    bits=bits, plan=plan, assignment=assignment,
+                    bundles=bundles)
+
+
 @dataclass
 class PipelinedRun:
     decision: str
@@ -596,54 +696,43 @@ class PipelinedRun:
     values: np.ndarray
     rounds_breakdown: dict
     messages: list | None = None
+    schedule: Schedule | None = None
 
 
 def pipelined_bundle_protocol(net: Network, n: int, eps: float,
                               p: Distribution, stream: Stream,
                               tree: BfsTree | None = None,
                               plan: BundlePlan | None = None,
-                              meter: BitMeter | None = None) -> PipelinedRun:
+                              meter: BitMeter | None = None,
+                              schedule: Schedule | None = None) -> PipelinedRun:
     """Gather samples into bundles of s, run virtual players, aggregate.
 
     Phases: (build tree if needed), count subtree sizes, pipeline
     remainders upward, simulate one virtual simultaneous player per
     bundle where it gathered, and convergecast (partial collision sum,
-    sentinel flag) to the root acting as referee.
+    sentinel flag) to the root acting as referee.  A given `schedule`
+    supplies the tree (when `tree` is None) and the plan (when `plan`
+    is None).
     """
-    plan = plan or choose_bundle_plan(n, eps, net.k)
-    meter = meter or BitMeter(net)
-    tree_rounds = 0
-    if tree is None:
-        tree = build_bfs_tree(net, meter)
-        tree_rounds = tree.rounds
+    if schedule is None:
+        schedule = _pipelined_schedule(net, n, eps, tree, plan, meter)
+    else:
+        schedule.check(meter, "pipelined", net, tree, n, eps, plan=plan)
     values = draw_node_samples(net, p, stream)
-    assignment = bundle_assignment(tree, plan.s)
-    if len(assignment.bundles) != plan.ell:
-        raise ModelViolationError("bundle count does not match the plan")
-
-    count_rounds = _tree_rounds(tree, meter, sample_bit_width(net.k + 1),
-                                toward_root=True)
-    pipe_rounds = _pipeline_rounds(net, tree, assignment, meter)
-
-    t = plan.threshold
-    base_bits = message_bit_width(t)
-    z_bundles = row_collisions(values[np.array(assignment.bundles)]).tolist()
-    messages = [Message(None if z_j >= t else z_j, base_bits) for z_j in z_bundles]
-    saw_sentinel = any(m.is_sentinel for m in messages)
-    total = sum(z_bundles)
-    answer_bits = 1 + sample_bit_width(plan.edge_count + 1)
-    answer_rounds = _tree_rounds(tree, meter, answer_bits, toward_root=True)
-    if saw_sentinel:
+    t = schedule.threshold
+    z_bundles = tester.row_collisions(values[schedule.bundles]).tolist()
+    messages = [Message(None if z_j >= t else z_j, schedule.bits["message"])
+                for z_j in z_bundles]
+    if any(m.is_sentinel for m in messages):
         decision, z_out = "NO", None
     else:
+        total = sum(z_bundles)
         decision, z_out = ("YES" if total < t else "NO"), total
-    rounds = tree_rounds + count_rounds + pipe_rounds + answer_rounds
     return PipelinedRun(
-        decision=decision, rounds=rounds, plan=plan, z=z_out, threshold=t,
-        assignment=assignment, values=values,
-        rounds_breakdown={"tree": tree_rounds, "count": count_rounds,
-                          "pipeline": pipe_rounds, "answers": answer_rounds},
-        messages=messages)
+        decision=decision, rounds=schedule.rounds, plan=schedule.plan,
+        z=z_out, threshold=t, assignment=schedule.assignment, values=values,
+        rounds_breakdown=dict(schedule.rounds_breakdown), messages=messages,
+        schedule=schedule)
 
 
 @dataclass
@@ -655,28 +744,36 @@ class CombinedRun:
     rounds_breakdown: dict
     local: LocalRun | None = None
     pipelined: PipelinedRun | None = None
+    schedule: Schedule | None = None
 
 
 def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
                       stream: Stream, tau_grid=None,
-                      detection: DetectionResult | None = None) -> CombinedRun:
+                      detection: DetectionResult | None = None,
+                      schedule: Schedule | None = None) -> CombinedRun:
     """Detect first, then test locally in O(D) rounds or fall back to bundles.
 
-    Detection is a sample-independent function of the topology, so a
-    caller running many trials may pass a cached `detection`; its rounds
-    (and the tree build) are charged to every trial either way.
+    Detection and the schedule of the chosen path are sample-independent
+    functions of the topology, so a caller running many trials may pass
+    a cached `detection` and an earlier run's `schedule` (the fallback
+    then takes its bundle plan from the schedule); their rounds (and the
+    tree build) are charged to every trial either way.  Without a
+    detection, one is run on the schedule's tree when a schedule is
+    given.
     """
     if detection is None:
-        tree = build_bfs_tree(net, BitMeter(net))
+        tree = (schedule.tree if schedule is not None
+                else build_bfs_tree(net, BitMeter(net)))
         detection = detect_topology(net, n, eps, tau_grid, tree=tree)
     tree = detection.tree
     base_rounds = tree.rounds + detection.rounds
     if detection.certified:
         run = local_collision_protocol(net, n, eps, detection.tau_star, p,
-                                       stream, tree=tree)
+                                       stream, tree=tree, schedule=schedule)
         path, local, pipelined = "local", run, None
     else:
-        run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree)
+        run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree,
+                                        schedule=schedule)
         path, local, pipelined = "pipelined", None, run
     # the pipelined run was handed the tree, so its own "tree" entry is 0
     breakdown = {**run.rounds_breakdown, "tree": tree.rounds,
@@ -684,7 +781,7 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     return CombinedRun(decision=run.decision, rounds=base_rounds + run.rounds,
                        path=path, detection=detection,
                        rounds_breakdown=breakdown, local=local,
-                       pipelined=pipelined)
+                       pipelined=pipelined, schedule=run.schedule)
 
 
 @dataclass

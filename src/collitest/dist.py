@@ -127,6 +127,18 @@ class Distribution:
         return f"Distribution(n={self.n})"
 
 
+def _own_row(p: Distribution, count: int, gen: np.random.Generator) -> np.ndarray:
+    """``p.sample(count, gen)`` for a generator used only for this row.
+
+    On a flat table the doubles, drawn after the integers, change no
+    sample, so they are not drawn; the generator is thrown away after
+    the call, so nothing reads the words they would have taken.
+    """
+    if p.flat:
+        return gen.integers(0, p.n, size=count) + 1
+    return p.sample(count, gen)
+
+
 def sample_children(p: Distribution, stream: Stream, indices,
                     counts) -> np.ndarray:
     """Samples of many child streams, drawn together.
@@ -162,7 +174,8 @@ def sample_children(p: Distribution, stream: Stream, indices,
     per-path time at 4 rows of 600-1200 samples, 0.4x at 16) and loses
     on one or two (1.4-2x at one row of 3 to 4450 samples, 1.2x at
     two).  A call of a single row therefore draws it from its own
-    generator.
+    generator.  A row drawn from its own generator reads no doubles on
+    a flat table either.
     """
     indices = np.asarray(indices, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -180,7 +193,7 @@ def sample_children(p: Distribution, stream: Stream, indices,
         out = np.ones(total, dtype=np.int64)
         return out if shape is None else out.reshape(shape)
     if indices.size == 1:  # a lone row: its own generator is faster
-        out = p.sample(total, stream.child(int(indices[0])).rng())
+        out = _own_row(p, total, stream.child(int(indices[0])).rng())
         return out if shape is None else out.reshape(shape)
     # rows the batched draw cannot reproduce come from their own generator
     own = (indices < 0) | (indices >= 2**32) | (p.n >= 2**32)
@@ -205,8 +218,8 @@ def sample_children(p: Distribution, stream: Stream, indices,
         rejected = (~accepted.ravel()).nonzero()[0]
         own[rows[counts[rows].cumsum().searchsorted(rejected, side="right")]] = True
     for r in own.nonzero()[0].tolist():
-        out[stop[r] - counts[r]:stop[r]] = p.sample(
-            int(counts[r]), stream.child(int(indices[r])).rng())
+        out[stop[r] - counts[r]:stop[r]] = _own_row(
+            p, int(counts[r]), stream.child(int(indices[r])).rng())
     return out if shape is None else out.reshape(shape)
 
 

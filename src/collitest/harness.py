@@ -6,6 +6,12 @@ tester, executes every trial on its own stream ``(trial,)`` and folds
 the outcomes into one summary row.  Records are keyed by trial index
 and aggregated in index order, so execution order (or a parallel
 executor) cannot change any output byte.
+
+A CONGEST scenario builds its network, BFS tree and detection before
+the first trial.  Its schedule (the rounds and charges of the
+sample-independent protocol phases) is built inside the first trial's
+protocol call and handed to every later trial, which then only draws
+its node samples and counts collisions.
 """
 from __future__ import annotations
 
@@ -325,23 +331,26 @@ def run_scenario(scenario: Scenario, master_seed: int,
             tau, edges = detection.tau_star, detection.edge_count
             thr = edges * (1 + tau * scenario.eps**2) / scenario.n
         sampling_time = None
+        schedule = None  # built by the first trial's protocol call
         for t_idx in order:
             stream = master.child(t_idx)
             if scenario.model == "congest_local":
                 run = cg.local_collision_protocol(
                     net, scenario.n, scenario.eps, detection.tau_star, p,
-                    stream, tree=tree)
+                    stream, tree=tree, schedule=schedule)
                 decision, z, rounds = run.decision, run.z, base_rounds + run.rounds
             elif scenario.model == "congest_pipelined":
                 run = cg.pipelined_bundle_protocol(
                     net, scenario.n, scenario.eps, p, stream, tree=tree,
-                    plan=bundle_plan)
+                    plan=bundle_plan, schedule=schedule)
                 decision, z, rounds = run.decision, run.z, tree.rounds + run.rounds
             else:
                 run = cg.combined_protocol(net, scenario.n, scenario.eps, p,
-                                           stream, detection=detection)
+                                           stream, detection=detection,
+                                           schedule=schedule)
                 decision, rounds = run.decision, run.rounds
                 z = run.local.z if run.local is not None else run.pipelined.z
+            schedule = run.schedule
             slots[t_idx] = TrialRecord(
                 trial=t_idx, decision=decision, z=z, threshold=thr,
                 samples_total=net.k, max_message_bits=0, max_memory_bits=0,

@@ -686,6 +686,34 @@ class TestFlatTable:
         for row, i in zip(got, indices):
             assert np.array_equal(row, p.sample(9, stream.child(i).rng()))
 
+    def test_own_generator_rows_read_no_doubles(self, monkeypatch):
+        """A lone row, and a row redrawn after a rejected draw, come from
+        their own generator's integers alone, equal to `p.sample`."""
+        real = dist.bounded_indices
+
+        def reject_row_one(draws, n):
+            idx, accepted = real(draws, n)
+            accepted[1, 4] = False
+            idx[1] = 0
+            return idx, accepted
+
+        stream = Stream(6, (3,))
+        indices = np.arange(rng.MIN_SHORT_ROWS)
+        for n in (2, 3, 256, 1000):
+            p = make_uniform(n)
+            lone = {c: p.sample(c, stream.child(5).rng()) for c in (1, 9, 4450)}
+            rows = [p.sample(9, stream.child(i).rng()) for i in indices]
+            with monkeypatch.context() as m:
+                m.setattr(Distribution, "sample", None)  # the doubles' route
+                m.setattr(dist, "bounded_indices", reject_row_one)
+                for count, want in lone.items():
+                    got = sample_children(p, stream, [5], count)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got.ravel(), want), (n, count)
+                got = sample_children(p, stream, indices, 9)
+            for row, want in zip(got, rows):
+                assert np.array_equal(row, want), n
+
     def test_one_column_below_one_still_reads_doubles(self, monkeypatch):
         """Column 0 accepts 15/16 and aliases to column 3; the rest accept
         all, so only the doubles tell which samples of column 0 move."""

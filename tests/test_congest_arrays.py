@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from collitest import congest as cg
-from collitest.conditions import COARSE_TAU_GRID, first_certified_tau
+from collitest.conditions import (COARSE_TAU_GRID, _feasible_tau,
+                                  first_certified_tau, plan_centralized)
+from collitest.dist import make_bump, make_uniform
 from collitest.encoding import sample_bit_width
 from collitest.errors import (CapacityError, InvalidNetworkError,
                               ModelViolationError)
@@ -21,6 +23,7 @@ from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
                              make_cycle, make_path, make_star,
                              random_connected_graph)
 from collitest.rng import Stream
+from collitest.tester import count_collisions
 
 
 class ListMeter:
@@ -377,3 +380,152 @@ def test_flood_memory_on_a_dense_clique():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+# --- schedules: built once, reused by every later trial ----------------------
+
+REUSE_TREES = {"tree200": lambda: _random(200, 5, 0.0),
+               "tree500": lambda: _random(500, 6, 0.0)}
+
+
+def bundle_plan_or_threes(n, eps, k):
+    """The protocol's own plan, or bundles of three where none certifies."""
+    try:
+        return cg.choose_bundle_plan(n, eps, k)
+    except CapacityError:
+        edges, two_paths = 3 * (k // 3), 6 * (k // 3)
+        return cg.BundlePlan(s=3, ell=k // 3, tau=0.5, edge_count=edges,
+                             two_path_count=two_paths, n=n, eps=eps)
+
+
+def assert_same_run(got, want):
+    for field in ("decision", "z", "rounds", "rounds_breakdown"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("n, eps", SETTINGS)
+@pytest.mark.parametrize("name", list(CORPUS) + list(REUSE_TREES))
+def test_reused_schedules_match_fresh_runs(topologies, name, n, eps):
+    topology = (topologies[name] if name in CORPUS else REUSE_TREES[name]())
+    net = cg.Network(topology, n)
+    tree = cg.build_bfs_tree(net)
+    p = make_bump(n, eps) if n % 2 == 0 else make_uniform(n)
+    stream = Stream(91, (n,))
+
+    plan = bundle_plan_or_threes(n, eps, net.k)
+    schedule = None
+    for trial in range(5):
+        fresh = cg.pipelined_bundle_protocol(net, n, eps, p, stream.child(trial),
+                                             tree=tree, plan=plan)
+        reused = cg.pipelined_bundle_protocol(
+            net, n, eps, p, stream.child(trial), tree=tree, plan=plan,
+            schedule=schedule or fresh.schedule)
+        schedule = reused.schedule
+        assert_same_run(reused, fresh)
+        assert reused.messages == fresh.messages
+        assert reused.plan == fresh.plan == plan
+        assert_same_assignment(reused.assignment, fresh.assignment)
+        assert reused.assignment is schedule.assignment
+
+    grid = list(COARSE_TAU_GRID)
+    extra = _feasible_tau(topology.edge_count, topology.two_path_count, n, eps)
+    detection = cg.detect_topology(net, n, eps, tree=tree,
+                                   tau_grid=grid + [extra] if extra else grid)
+    if not detection.certified:
+        try:
+            cg.choose_bundle_plan(n, eps, net.k)
+        except CapacityError:
+            return  # the combined fallback has no plan to run with
+    schedule = None
+    for trial in range(5):
+        fresh = cg.combined_protocol(net, n, eps, p, stream.child(trial),
+                                     detection=detection)
+        reused = cg.combined_protocol(net, n, eps, p, stream.child(trial),
+                                      detection=detection,
+                                      schedule=schedule or fresh.schedule)
+        schedule = reused.schedule
+        assert reused.path == fresh.path == (
+            "local" if detection.certified else "pipelined")
+        for field in ("decision", "rounds", "rounds_breakdown"):
+            assert getattr(reused, field) == getattr(fresh, field), field
+        inner = (reused.local, fresh.local) if detection.certified else (
+            reused.pipelined, fresh.pipelined)
+        assert_same_run(*inner)
+        if not detection.certified:
+            assert inner[0].messages == inner[1].messages
+            assert_same_assignment(inner[0].assignment, inner[1].assignment)
+
+
+def per_node_z(net, values):
+    """Z as the local path used to count it: the samples of each edge meet
+    at its higher endpoint, which counts its own collisions."""
+    e = net.topology.edges
+    colliding = values[e[:, 0]] == values[e[:, 1]]
+    return int(np.bincount(e[:, 1][colliding], minlength=net.k).sum())
+
+
+@pytest.mark.parametrize("name", ["clique9", "clique280", "path300",
+                                  "random120", "random400"])
+def test_local_z_equals_the_per_node_count(topologies, name):
+    net = cg.Network(topologies[name], 4)
+    for trial in range(5):
+        values = cg.draw_node_samples(net, make_uniform(4), Stream(92).child(trial))
+        assert count_collisions(net.topology, values) == per_node_z(net, values)
+    # and on a certified topology, through the protocol
+    q = plan_centralized(4, 1.0).clique_sizes[0]
+    net = cg.Network(make_clique(q), 4)
+    tau = _feasible_tau(net.topology.edge_count, net.topology.two_path_count,
+                        4, 1.0)
+    for trial in range(5):
+        run = cg.local_collision_protocol(net, 4, 1.0, tau, make_uniform(4),
+                                          Stream(93).child(trial))
+        assert run.z == per_node_z(net, run.values)
+
+
+def test_schedules_refuse_a_meter_and_foreign_arguments():
+    net = cg.Network(make_path(30), 4)
+    tree = cg.build_bfs_tree(net)
+    p, stream = make_uniform(4), Stream(94).child(0)
+    plan = bundle_plan_or_threes(4, 1.0, net.k)
+    piped = cg.pipelined_bundle_protocol(net, 4, 1.0, p, stream, tree=tree,
+                                         plan=plan).schedule
+    other_plan = cg.BundlePlan(s=5, ell=6, tau=0.5, edge_count=60,
+                               two_path_count=480, n=4, eps=1.0)
+    twin = cg.Network(make_path(30), 4)
+    q = plan_centralized(4, 1.0).clique_sizes[0]
+    clique = cg.Network(make_clique(q), 4)
+    tau = _feasible_tau(clique.topology.edge_count,
+                        clique.topology.two_path_count, 4, 1.0)
+    local = cg.local_collision_protocol(clique, 4, 1.0, tau, p, stream).schedule
+
+    with pytest.raises(ValueError, match="no meter"):
+        cg.pipelined_bundle_protocol(net, 4, 1.0, p, stream, tree=tree,
+                                     meter=cg.BitMeter(net), schedule=piped)
+    with pytest.raises(ValueError, match="no meter"):
+        cg.local_collision_protocol(clique, 4, 1.0, tau, p, stream,
+                                    meter=cg.BitMeter(clique), schedule=local)
+    foreign = [
+        lambda: cg.pipelined_bundle_protocol(twin, 4, 1.0, p, stream,
+                                             schedule=piped),
+        lambda: cg.pipelined_bundle_protocol(
+            net, 4, 1.0, p, stream, tree=cg.build_bfs_tree(net),
+            schedule=piped),
+        lambda: cg.pipelined_bundle_protocol(net, 4, 1.0, p, stream, tree=tree,
+                                             plan=other_plan, schedule=piped),
+        lambda: cg.pipelined_bundle_protocol(net, 16, 1.0, make_uniform(16),
+                                             stream, schedule=piped),
+        lambda: cg.pipelined_bundle_protocol(clique, 4, 1.0, p, stream,
+                                             schedule=local),
+        lambda: cg.local_collision_protocol(clique, 4, 1.0, tau / 2, p, stream,
+                                            schedule=local),
+        lambda: cg.local_collision_protocol(net, 4, 1.0, tau, p, stream,
+                                            schedule=piped),
+    ]
+    for call in foreign:
+        with pytest.raises(ValueError, match="another network, tree or plan"):
+            call()
+    # the schedule's own tree and plan serve a run that names neither
+    run = cg.pipelined_bundle_protocol(net, 4, 1.0, p, stream, schedule=piped)
+    assert run.plan is plan and run.schedule is piped

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from collitest import conditions, harness
+from collitest import congest as cg
 from collitest.cli import main as cli_main
 from collitest.conditions import Plan, plan_centralized
 from collitest.dist import make_bump, make_uniform
@@ -138,6 +139,43 @@ class TestRunScenario:
                       topology={"kind": "path", "k": 150}, trials=5)
         result = run_scenario(sc, master_seed=13)
         assert result.summary.max_rounds is not None
+
+
+class TestCongestSchedules:
+    """A CONGEST scenario simulates its schedule once, in its first trial."""
+
+    COUNTED = ((cg, "bundle_assignment"), (cg, "_pipeline_rounds"),
+               (cg, "choose_bundle_plan"), (cg.BitMeter, "send"))
+
+    def schedule_calls(self, monkeypatch, sc):
+        calls = {}
+        for owner, attr in self.COUNTED:
+            real = getattr(owner, attr)
+
+            def counted(*args, _real=real, _attr=attr, **kwargs):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        result = run_scenario(sc, master_seed=21)
+        monkeypatch.undo()
+        return calls, result
+
+    @pytest.mark.parametrize("model, topology", [
+        ("congest_local", {"kind": "clique", "k": 139}),
+        ("congest_pipelined", {"kind": "path", "k": 150}),
+        ("congest_combined", {"kind": "star", "k": 150}),
+    ])
+    def test_schedule_is_built_once(self, monkeypatch, model, topology):
+        assert plan_centralized(4, 1.0).clique_sizes[0] == 139
+        sc = scenario(model=model, n=4, topology=topology, trials=20)
+        many, result = self.schedule_calls(monkeypatch, sc)
+        one, _ = self.schedule_calls(
+            monkeypatch, Scenario(**{**sc.__dict__, "trials": 1}))
+        assert many == one and one["send"] > 0
+        if model != "congest_local":
+            assert one["bundle_assignment"] == one["_pipeline_rounds"] == 1
+            assert result.summary.family == "bundled"
 
 
 class TestSuite:

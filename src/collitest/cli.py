@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .conditions import cycle_plus_hub_counterexample
 from .errors import CapacityError
-from .harness import (build_distribution, build_graph, load_scenarios,
-                      moment_audit, plan_for, records_to_jsonl, run_scenario,
-                      run_suite, summaries_to_csv)
+from .harness import (PLANNERS, build_distribution, build_graph,
+                      load_scenarios, moment_audit, plan_for, records_to_jsonl,
+                      run_scenario, run_suite, summaries_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,9 +35,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="print a certified plan as JSON")
-    p.add_argument("--model", required=True,
-                   choices=["centralized", "simultaneous", "asymmetric",
-                            "streaming", "simultaneous_streaming"])
+    p.add_argument("--model", required=True, choices=list(PLANNERS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--k", type=int)

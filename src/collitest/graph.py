@@ -31,7 +31,7 @@ class ComparisonGraph:
     """
 
     __slots__ = ("vertex_count", "_edges", "owner", "clique_blocks",
-                 "degrees", "edge_count", "two_path_count", "_owner_groups")
+                 "block_sizes", "degrees", "edge_count", "two_path_count", "_owner_groups")
 
     def __init__(self, vertex_count, edges=None, owner=None, clique_blocks=None):
         vertex_count = int(vertex_count)
@@ -56,6 +56,7 @@ class ComparisonGraph:
             arr.flags.writeable = False
             degrees = np.bincount(arr.ravel(), minlength=vertex_count)
             ends = (arr[:, 0], arr[:, 1])
+            sizes = None
         else:
             blocks = tuple((int(a), int(b)) for a, b in clique_blocks)
             pos = 0
@@ -67,6 +68,7 @@ class ComparisonGraph:
                 raise ValueError("clique blocks must cover every vertex")
             starts, stops = np.array(blocks, dtype=np.int64).reshape(-1, 2).T
             sizes = stops - starts
+            sizes.flags.writeable = False
             degrees = np.repeat(sizes - 1, sizes)
             # a block joins each of its vertices to its first vertex
             ends = (np.repeat(starts, sizes), np.arange(vertex_count))
@@ -74,6 +76,7 @@ class ComparisonGraph:
             clique_blocks = blocks
         self._edges = arr
         self.clique_blocks = clique_blocks
+        self.block_sizes = sizes
 
         if owner is not None:
             owner = np.asarray(owner, dtype=np.int32)

@@ -9,9 +9,11 @@ executor) cannot change any output byte.
 
 A CONGEST scenario builds its network, BFS tree and detection before
 the first trial.  Its schedule (the rounds and charges of the
-sample-independent protocol phases) is built inside the first trial's
-protocol call and handed to every later trial, which then only draws
-its node samples and counts collisions.
+sample-independent protocol phases, the threshold and, on the bundled
+path, the bundle plan) is built inside the first trial's protocol call
+and handed to every later trial, which then only draws its node samples
+and counts collisions; the summary row reads its tau, threshold and
+plan from that schedule.
 """
 from __future__ import annotations
 
@@ -34,9 +36,17 @@ from .graph import (ComparisonGraph, make_bipartite, make_clique, make_cycle,
                     make_star, random_connected_graph)
 from .rng import Stream
 
-MODELS = ("centralized", "simultaneous", "asymmetric", "streaming",
-          "simultaneous_streaming", "congest_local", "congest_pipelined",
-          "congest_combined")
+# planned model -> (its planner in this module, the parameters it takes
+# after n and eps); `plan_for` looks the planner up when it is called
+PLANNERS = {
+    "centralized": ("plan_centralized", ()),
+    "simultaneous": ("plan_simultaneous", ("k",)),
+    "asymmetric": ("plan_asymmetric", ("rates",)),
+    "streaming": ("plan_streaming", ("m_bits",)),
+    "simultaneous_streaming": ("plan_simultaneous_streaming", ("k", "m_bits")),
+}
+MODELS = tuple(PLANNERS) + ("congest_local", "congest_pipelined",
+                            "congest_combined")
 
 
 def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
@@ -236,25 +246,14 @@ def _detection_grid(net: cg.Network, scenario: Scenario):
 def plan_for(model: str, n: int, eps: float, k: int | None = None,
              rates=None, m_bits: int | None = None) -> Plan:
     """The certified plan of one planned model; ValueError names what is missing."""
-    if model == "centralized":
-        return plan_centralized(n, eps)
-    if model == "simultaneous":
-        if k is None:
-            raise ValueError("the simultaneous model needs k")
-        return plan_simultaneous(n, eps, k)
-    if model == "asymmetric":
-        if rates is None:
-            raise ValueError("the asymmetric model needs rates")
-        return plan_asymmetric(n, eps, rates)
-    if model == "streaming":
-        if m_bits is None:
-            raise ValueError("the streaming model needs m_bits")
-        return plan_streaming(n, eps, m_bits)
-    if model == "simultaneous_streaming":
-        if k is None or m_bits is None:
-            raise ValueError("the simultaneous_streaming model needs k and m_bits")
-        return plan_simultaneous_streaming(n, eps, k, m_bits)
-    raise ValueError(f"{model} does not use a plan")
+    if model not in PLANNERS:
+        raise ValueError(f"{model} does not use a plan")
+    planner, needs = PLANNERS[model]
+    given = {"k": k, "rates": rates, "m_bits": m_bits}
+    missing = [name for name in needs if given[name] is None]
+    if missing:
+        raise ValueError(f"the {model} model needs {' and '.join(missing)}")
+    return globals()[planner](n, eps, *(given[name] for name in needs))
 
 
 def run_scenario(scenario: Scenario, master_seed: int,
@@ -272,8 +271,7 @@ def run_scenario(scenario: Scenario, master_seed: int,
         raise ValueError("trial_order must permute range(trials)")
     slots: list[TrialRecord | None] = [None] * scenario.trials
 
-    if scenario.model in ("centralized", "simultaneous", "asymmetric",
-                          "streaming", "simultaneous_streaming"):
+    if scenario.model in PLANNERS:
         plan = plan_for(scenario.model, scenario.n, scenario.eps, scenario.k,
                         scenario.rates, scenario.m_bits)
         family, q, ell = plan.family, max(plan.clique_sizes), len(plan.clique_sizes)
@@ -316,46 +314,37 @@ def run_scenario(scenario: Scenario, master_seed: int,
         detection = cg.detect_topology(net, scenario.n, scenario.eps,
                                        tau_grid=_detection_grid(net, scenario),
                                        tree=tree)
-        base_rounds = tree.rounds + detection.rounds
         if scenario.model == "congest_local" and not detection.certified:
             raise cg.ProtocolRefusedError(
                 "topology not certified; the local path cannot run")
-        bundle_plan = None
-        if scenario.model == "congest_pipelined" or not detection.certified:
-            bundle_plan = cg.choose_bundle_plan(scenario.n, scenario.eps, net.k)
-            family, q, ell = "bundled", bundle_plan.s, bundle_plan.ell
-            tau, thr, edges = (bundle_plan.tau, bundle_plan.threshold,
-                               bundle_plan.edge_count)
-        else:
-            family, q, ell = "topology", net.k, 1
-            tau, edges = detection.tau_star, detection.edge_count
-            thr = edges * (1 + tau * scenario.eps**2) / scenario.n
         sampling_time = None
         schedule = None  # built by the first trial's protocol call
         for t_idx in order:
             stream = master.child(t_idx)
-            if scenario.model == "congest_local":
-                run = cg.local_collision_protocol(
-                    net, scenario.n, scenario.eps, detection.tau_star, p,
-                    stream, tree=tree, schedule=schedule)
-                decision, z, rounds = run.decision, run.z, base_rounds + run.rounds
-            elif scenario.model == "congest_pipelined":
+            if scenario.model == "congest_pipelined":
                 run = cg.pipelined_bundle_protocol(
                     net, scenario.n, scenario.eps, p, stream, tree=tree,
-                    plan=bundle_plan, schedule=schedule)
-                decision, z, rounds = run.decision, run.z, tree.rounds + run.rounds
+                    schedule=schedule)
+                z, rounds = run.z, tree.rounds + run.rounds
             else:
                 run = cg.combined_protocol(net, scenario.n, scenario.eps, p,
                                            stream, detection=detection,
                                            schedule=schedule)
-                decision, rounds = run.decision, run.rounds
+                rounds = run.rounds
                 z = run.local.z if run.local is not None else run.pipelined.z
             schedule = run.schedule
             slots[t_idx] = TrialRecord(
-                trial=t_idx, decision=decision, z=z, threshold=thr,
-                samples_total=net.k, max_message_bits=0, max_memory_bits=0,
-                rounds=rounds, early_terminated=False,
-                seed_path=stream.label())
+                trial=t_idx, decision=run.decision, z=z,
+                threshold=schedule.threshold, samples_total=net.k,
+                max_message_bits=0, max_memory_bits=0, rounds=rounds,
+                early_terminated=False, seed_path=stream.label())
+        tau, thr = schedule.tau, schedule.threshold
+        if schedule.plan is None:
+            family, q, ell = "topology", net.k, 1
+            edges = net.topology.edge_count
+        else:
+            family, q, ell = "bundled", schedule.plan.s, schedule.plan.ell
+            edges = schedule.plan.edge_count
         plan = None
 
     records = [r for r in slots if r is not None]

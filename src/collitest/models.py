@@ -18,8 +18,8 @@ Every simulator draws through `dist.sample_children`, the function
 ``stream.child(c).rng()`` per clique or batch.  The simultaneous and
 asymmetric simulators draw all cliques of a trial in one call and count
 them with one `tester.block_collisions` call.  The streaming simulators
-draw each player's batches a chunk at a time and count a chunk with one
-`row_collisions` call per batch size; the plan's batch sizes and
+draw each player's batches a chunk at a time and make the same two
+calls per chunk (`_clique_collisions`); the plan's batch sizes and
 per-player batch indices are arrays built once per plan
 (`Plan.clique_arrays`).  A sample costs 1.5 raw words, or 0.5 when the
 input's alias table is flat, as for the uniform input every YES trial
@@ -43,7 +43,7 @@ from .dist import Distribution, sample_children
 from .encoding import counter_bit_width, message_bit_width
 from .errors import ModelViolationError
 from .rng import Stream
-from .tester import block_collisions, row_collisions
+from .tester import block_collisions
 # no longer called here; perfbench's tracer wraps the name in this module
 from .tester import within_clique_collisions  # noqa: F401
 
@@ -113,10 +113,13 @@ def _rounded_pow2(x: int) -> int:
     return 1 << math.ceil(math.log2(x))
 
 
-def _clique_collisions(plan_sizes, p: Distribution, stream: Stream):
-    """Per-clique Z, clique ``c`` drawn from ``stream.child(c)``."""
-    values = sample_children(p, stream, np.arange(len(plan_sizes)), plan_sizes)
-    return block_collisions(values, plan_sizes).tolist()
+def _clique_collisions(sizes, p: Distribution, stream: Stream,
+                       cliques=None) -> np.ndarray:
+    """Z of each clique: row ``r`` is clique ``cliques[r]`` (by default
+    ``r``), ``sizes[r]`` samples drawn from ``stream.child(cliques[r])``."""
+    if cliques is None:
+        cliques = np.arange(len(sizes))
+    return block_collisions(sample_children(p, stream, cliques, sizes), sizes)
 
 
 def _referee(z_per_player, t: float, base_bits: int, exponents=None,
@@ -175,7 +178,7 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
     z_per_player = [0] * plan.players
     samples = [0] * plan.players
     for c, player in enumerate(plan.clique_players):
-        z_per_player[player] += per_clique[c]
+        z_per_player[player] += int(per_clique[c])  # numpy scalars slow `_referee`
         samples[player] += sizes[c]
     decision, messages, total = _referee(z_per_player, t, base_bits,
                                          exponents, exponent_bits)
@@ -214,17 +217,6 @@ def _streaming_fields(plan: Plan):
     return t, peak
 
 
-def _batch_collisions(sizes: np.ndarray, batches: np.ndarray,
-                      p: Distribution, stream: Stream) -> np.ndarray:
-    """Z of each batch, batch ``c`` drawn from ``stream.child(c)``."""
-    z = np.empty(batches.size, dtype=np.int64)
-    chunk = sizes[batches]
-    for size in sorted(set(chunk.tolist())):
-        same = chunk == size
-        z[same] = row_collisions(sample_children(p, stream, batches[same], size))
-    return z
-
-
 def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
     """Every player streams its batches in order until its counter reaches t.
 
@@ -243,7 +235,7 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
                                    MAX_CHUNK_SAMPLES, side="right")
             batches = batches[:max(fits, 1)]
             cum = counter[player] + np.cumsum(
-                _batch_collisions(sizes, batches, p, stream))
+                _clique_collisions(sizes[batches], p, stream, batches))
             hit = np.flatnonzero(cum >= t)
             used = hit[0] + 1 if hit.size else batches.size
             counter[player] = cum[used - 1]

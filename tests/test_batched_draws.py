@@ -327,13 +327,13 @@ class TestStreamingMatchesPerPathLoop:
         """A small first batch does not let 64-sample batches past the cap."""
         monkeypatch.setattr(models, "MAX_CHUNK_SAMPLES", 200)
         chunks = []
-        real = models._batch_collisions
+        real = models.sample_children
 
-        def record(sizes, batches, p, stream):
-            chunks.append(sizes[batches].tolist())
-            return real(sizes, batches, p, stream)
+        def record(p, stream, indices, counts):
+            chunks.append(np.asarray(counts).tolist())
+            return real(p, stream, indices, counts)
 
-        monkeypatch.setattr(models, "_batch_collisions", record)
+        monkeypatch.setattr(models, "sample_children", record)
         base = plan_streaming(64, 1.0, 48)
         sizes = tuple([1] + [64] * 40 + [1, 300, 2])
         plan = replace(base, clique_sizes=sizes, clique_players=(0,) * len(sizes),
@@ -352,13 +352,13 @@ class TestStreamingMatchesPerPathLoop:
     def test_each_player_starts_with_a_first_chunk(self, monkeypatch):
         """Players that stop at once draw at most one first chunk each."""
         drawn = []
-        real = models._batch_collisions
+        real = models.sample_children
 
-        def record(sizes, batches, p, stream):
-            drawn.append(batches.size)
-            return real(sizes, batches, p, stream)
+        def record(p, stream, indices, counts):
+            drawn.append(len(indices))
+            return real(p, stream, indices, counts)
 
-        monkeypatch.setattr(models, "_batch_collisions", record)
+        monkeypatch.setattr(models, "sample_children", record)
         plan = plan_simultaneous_streaming(1024, 0.5, 8, 400)
         p, stream = point_mass(1024), Stream(2).child(0)
         got = simulate_simultaneous_streaming(plan, p, stream)
@@ -574,6 +574,33 @@ class TestBlockCollisions:
             assert got.dtype == np.int64
             assert got.tolist() == want, sizes
         assert dense in sides
+
+    def test_each_form_takes_its_route(self, monkeypatch):
+        """A lone block is one bincount, equal small blocks one row sort,
+        other blocks the keyed bincount."""
+        seen = []
+
+        def spy(name):
+            real = getattr(tester, name)
+
+            def record(x):
+                seen.append(name)
+                return real(x)
+            return record
+
+        for name in ("within_clique_collisions", "row_collisions"):
+            monkeypatch.setattr(tester, name, spy(name))
+        values = np.random.default_rng(5).integers(1, 65, size=11224)
+        for sizes, route in (([4450], ["within_clique_collisions"]),
+                             ([20] * 409, ["row_collisions"]),
+                             ([681] * 16, []), ([5612, 2806, 1403, 1403], [])):
+            seen.clear()
+            got = tester.block_collisions(values[:sum(sizes)], sizes)
+            stops = np.cumsum(sizes)
+            assert got.tolist() == [
+                within_clique_collisions(values[b - s:b])
+                for s, b in zip(sizes, stops)]
+            assert seen == route, sizes
 
     def test_sparse_side_is_taken(self, monkeypatch):
         """Few samples over a wide range never build the bincount bins."""

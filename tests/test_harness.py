@@ -300,6 +300,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and " k" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_audit_without_trials_exit_code(self, capsys, trials):
+        code = cli_main(["audit", "--graph", '{"kind": "clique", "q": 4}',
+                         "--dist", '{"kind": "uniform", "n": 8}',
+                         "--trials", trials, "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
     def test_plan_matches_the_harness_dispatch(self, capsys):
         assert cli_main(["plan", "--model", "asymmetric", "--n", "16",
                          "--eps", "1.0", "--rates", "2,1"]) == 0

@@ -10,10 +10,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collitest import harness, models, rng
-from collitest.conditions import plan_streaming
+from collitest.conditions import plan_centralized, plan_streaming
 from collitest.dist import make_uniform
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,3 +46,37 @@ def test_instrument_installs_and_restores(perfbench_modules):
         tr.restore()
     for (owner, attr), original in originals.items():
         assert vars(owner)[attr] is original
+
+
+def test_trials_are_direct_children_of_their_run(perfbench_modules):
+    """`setup_before_trials` and the trial percentiles read the trial
+    spans directly under `harness.run_scenario`: one per trial for every
+    model, with any other trial span nested inside one of them."""
+    child, tracer = perfbench_modules
+    q = plan_centralized(4, 1.0).clique_sizes[0]
+    base = {"n": 16, "eps": 1.0, "dist": {"kind": "uniform"}, "trials": 2}
+    scenarios = [
+        {"model": "centralized"}, {"model": "simultaneous", "k": 3},
+        {"model": "asymmetric", "rates": [2, 1]},
+        {"model": "streaming", "n": 64, "m_bits": 48},
+        {"model": "simultaneous_streaming", "n": 64, "k": 2, "m_bits": 48},
+        {"model": "congest_local", "n": 4,
+         "topology": {"kind": "clique", "k": q}},
+        {"model": "congest_pipelined", "n": 4,
+         "topology": {"kind": "path", "k": 150}},
+        {"model": "congest_combined", "n": 4,
+         "topology": {"kind": "star", "k": 150}},
+    ]
+    with tracer.Tracer() as tr:
+        child.mark_trials(tr)
+        for s in harness.load_scenarios([{**base, **s} for s in scenarios]):
+            harness.run_scenario(s, 3)
+    ids, parent, _, _ = tr.spans()
+    nid = {name: i for i, name in enumerate(tr.names)}
+    runs = np.flatnonzero(ids == nid["harness.run_scenario"])
+    is_trial = np.isin(ids, [nid[name] for name in child.TRIAL_SPANS])
+    direct = is_trial & np.isin(parent, runs)
+    assert runs.size == len(scenarios)
+    assert [np.count_nonzero(direct & (parent == run)) for run in runs] == [
+        2] * len(scenarios)
+    assert np.all(direct[parent[is_trial & ~direct]])

@@ -260,6 +260,15 @@ class TestExactError:
             assert exact_error_probability(spec, p) == pytest.approx(
                 enum_error_oracle(spec, p), abs=1e-12)
 
+    def test_clique_union_builds_no_edges(self):
+        graph = make_clique_union([3, 0, 2])
+        copy = ComparisonGraph(graph.vertex_count, make_clique_union([3, 0, 2]).edges)
+        for p in (make_uniform(3), make_heavy(3, 1.0)):
+            got = exact_error_probability(TesterSpec(graph, 0.5, 3, 1.0), p)
+            want = exact_error_probability(TesterSpec(copy, 0.5, 3, 1.0), p)
+            assert graph._edges is None
+            assert got == want
+
     def test_k3_uniform_frozen_value(self):
         spec = TesterSpec(make_clique(3), 0.5, 3, 1.0)
         # 27 labelings: Z = 3 on the three constant ones, T = 1.5

@@ -6,14 +6,9 @@ each incident edge *per direction*.  `BitMeter.send` is the one checked
 charge: it takes one message or arrays of them, optionally spread over
 several rounds, and raises as soon as the running total of any
 (round, directed edge) exceeds the channel.  Every node holds exactly
-one sample from the input distribution, drawn from stream
-``(trial, node)``; `draw_node_samples` draws all nodes' samples in one
-`dist.sample_children` call, bitwise equal to one generator per node.
-Two raw words per node, or one on a flat alias table (any uniform
-input), are short rows for `rng.child_draws`, so a network of at least
-`rng.MIN_SHORT_ROWS` nodes builds no generator: a 500-node draw takes
-about 0.2 ms.  Smaller networks run one ``PCG64`` per node, from seed
-words computed for all nodes at once.
+one sample from the input distribution: node ``v`` reads raw word ``v``
+of the trial's stream, so `draw_node_samples` is one generator and one
+`Distribution.sample` call of k words.
 
 Schedules are computed on arrays over the CSR adjacency that `Network`
 keeps, never by a Python loop over edges: a tree layer pass or a whole
@@ -66,7 +61,7 @@ from . import tester
 from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
                          certify_stats, equal_cliques_stats,
                          first_certified_tau)
-from .dist import Distribution, sample_children
+from .dist import Distribution
 from .encoding import message_bit_width, sample_bit_width
 from .models import Message
 from .errors import (CapacityError, InvalidNetworkError,
@@ -391,8 +386,8 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
 
 
 def draw_node_samples(net: Network, p: Distribution, stream: Stream) -> np.ndarray:
-    """One sample per node, node v from stream.child(v)."""
-    return sample_children(p, stream, np.arange(net.k), 1)[:, 0]
+    """One sample per node, node v from raw word v of the trial stream."""
+    return p.sample(net.k, stream.rng())
 
 
 @dataclass(frozen=True, eq=False)

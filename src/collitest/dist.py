@@ -2,10 +2,12 @@
 
 Construction validates and renormalizes a float64 probability vector.
 Sampling goes through a Walker alias table: O(n) setup per distribution,
-O(1) per draw afterwards, vectorized over numpy generators.
-`sample_children` draws the samples of many sibling streams at once,
-one count per stream, bitwise equal to drawing each from its own
-generator; every labeling and simulator draws through it.
+then one raw generator word per sample, mapped to its value without
+rejection (`Distribution.sample`; the map and its bias are in `rng`).
+A sample therefore owns a fixed word of its trial's stream, and
+`sample_children` reads the samples of many children of a trial (any
+ascending word ranges, such as a streaming player's batches), skipping
+the gaps between them.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream, bounded_indices, child_draws
+from .rng import Stream
 
 SUM_TOLERANCE = 1e-12
 
@@ -75,7 +77,8 @@ class Distribution:
     @property
     def flat(self) -> bool:
         """Whether the alias table accepts every column, so that a sample
-        is its bounded index plus one whatever its double.
+        is its index plus one whatever its fraction, and `sample` skips
+        the accept test.
 
         Read from the built table (``accept.min() >= 1``), never from
         `probs`; true for every `make_uniform` and any constant vector.
@@ -92,11 +95,20 @@ class Distribution:
         return float(np.sum(self.probs**3))
 
     def sample(self, count: int, gen: np.random.Generator) -> np.ndarray:
-        """Draw `count` i.i.d. 1-based values using the supplied generator."""
+        """Draw `count` i.i.d. 1-based values from the next `count` raw
+        words of `gen`, one word each, by the map `rng` describes."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        idx = gen.integers(0, self.n, size=count)
-        return self._lookup(idx, gen.random(count))
+        words = gen.bit_generator.random_raw(count)
+        words >>= np.uint64(11)
+        x = words.view(np.int64) * (self.n * 2.0**-53)
+        idx = x.astype(np.int64)  # below n for every word, see `rng`
+        accept, alias = self._table()
+        if not self._flat:
+            x -= idx
+            idx = np.where(x < accept[idx], idx, alias[idx])
+        idx += 1
+        return idx
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """The (accept, alias) arrays, built on first use."""
@@ -107,11 +119,6 @@ class Distribution:
             self._flat = bool(accept.min() >= 1.0)
             self._accept = accept
         return self._accept, self._alias
-
-    def _lookup(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Alias-table values (1-based) for uniform indices and uniforms."""
-        accept, alias = self._table()
-        return np.where(u < accept[idx], idx, alias[idx]) + 1
 
     def to_json(self) -> dict:
         return {"n": self.n, "probs": [float(p) for p in self.probs]}
@@ -127,100 +134,48 @@ class Distribution:
         return f"Distribution(n={self.n})"
 
 
-def _own_row(p: Distribution, count: int, gen: np.random.Generator) -> np.ndarray:
-    """``p.sample(count, gen)`` for a generator used only for this row.
+def sample_children(p: Distribution, gen: np.random.Generator, starts, counts,
+                    at: int = 0) -> np.ndarray:
+    """Samples of many children of one trial stream, concatenated.
 
-    On a flat table the doubles, drawn after the integers, change no
-    sample, so they are not drawn; the generator is thrown away after
-    the call, so nothing reads the words they would have taken.
+    A child is a clique, batch or node that owns a range of the trial's
+    raw words (see `rng`): child ``r`` reads the ``counts[r]`` words
+    from word ``starts[r]`` on of `gen`, whose next word is word `at`.
+    The ranges must start at word 0 or later and be ascending and
+    disjoint, as the batches of one streaming player are; other ranges
+    raise ValueError before any word is read.  Ranges that follow one
+    another without a gap are read in one `Distribution.sample` call,
+    and ``bit_generator.advance`` skips to each run (backwards too, from
+    `at` to an earlier range, modulo PCG64's period of 2**128).  `gen`
+    is left after the last range.
     """
-    if p.flat:
-        return gen.integers(0, p.n, size=count) + 1
-    return p.sample(count, gen)
-
-
-def sample_children(p: Distribution, stream: Stream, indices,
-                    counts) -> np.ndarray:
-    """Samples of many child streams, drawn together.
-
-    `counts` is one sample count for all rows or one per row.  Row ``r``
-    is bitwise equal to ``p.sample(counts[r], stream.child(indices[r]).rng())``;
-    the result is the (len(indices), counts) int64 array of the rows for
-    one count, and the rows concatenated for one count per row.
-
-    ``p.sample(count, gen)`` draws ``count`` bounded integers and then
-    ``count`` doubles (``(w >> 11) * 2**-53`` of one raw word each).  Here
-    `child_draws` reads the raw words of all rows, and the bounded map,
-    the double map and the alias lookup each run once over all samples
-    of the call.  On a flat alias table (`Distribution.flat`, as for
-    every uniform distribution) the lookup returns the index plus one
-    whatever the double, so only the integer words are read and neither
-    the double map nor the lookup runs; since a row's doubles come after
-    its integers, the samples are the same.  A row whose integers numpy
-    would redraw (see `bounded_indices`), a negative index or one of
-    2**32 or more, and every row when ``n >= 2**32``, are drawn from
-    their own generator instead.  For ``n == 1`` every sample is 1
-    whatever the bits, as with `Distribution.sample`.
-
-    A call costs some 15-25 us for the seed words and ~40 us of other
-    fixed numpy work, then per row either ~60 ns per raw word (at least
-    `rng.MIN_SHORT_ROWS` rows of one count of up to
-    `rng.SHORT_ROW_WORDS` words, computed by numpy limb arithmetic) or
-    ~2-3 us plus a few ns per sample (one ``PCG64`` per row), and ~5 ns
-    per sample for the maps.  A sample takes 1.5 raw words, or 0.5 on a
-    flat table, so the limb pass serves rows of up to 26 samples, or 80
-    on a flat table.  One generator per row costs ~30 us before its
-    first sample, so the call wins from about four rows on (0.75x the
-    per-path time at 4 rows of 600-1200 samples, 0.4x at 16) and loses
-    on one or two (1.4-2x at one row of 3 to 4450 samples, 1.2x at
-    two).  A call of a single row therefore draws it from its own
-    generator.  A row drawn from its own generator reads no doubles on
-    a flat table either.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    shape = None
-    if counts.ndim == 0:
-        shape = (indices.size, int(counts))
-        counts = counts.repeat(indices.size)
-    if counts.shape != indices.shape:
-        raise ValueError("give one count, or one count per index")
-    if counts.size and counts.min() < 0:
+    if counts.shape != starts.shape:
+        raise ValueError("give one count per start")
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if counts.min() < 0:
         raise ValueError("count must be >= 0")
-    stop = counts.cumsum()
-    total = int(stop[-1]) if stop.size else 0
-    if p.n == 1 or total == 0:
-        out = np.ones(total, dtype=np.int64)
-        return out if shape is None else out.reshape(shape)
-    if indices.size == 1:  # a lone row: its own generator is faster
-        out = _own_row(p, total, stream.child(int(indices[0])).rng())
-        return out if shape is None else out.reshape(shape)
-    # rows the batched draw cannot reproduce come from their own generator
-    own = (indices < 0) | (indices >= 2**32) | (p.n >= 2**32)
-    rows = (~own).nonzero()[0]
-    flat = p.flat
-    draws, words = child_draws(stream, indices[rows], counts[rows],
-                               doubles=not flat)
-    # with one count for all rows the draws keep their (rows, count) shape
-    grid = (-1,) if shape is None else (-1, shape[1])
-    idx, accepted = bounded_indices(draws.reshape(grid), p.n)
-    if flat:
-        values = (idx + 1).ravel()
+    if int(starts[0]) < 0:
+        raise ValueError("word offsets must be >= 0")
+    ends, at = starts + counts, int(at)
+    gaps = starts[1:] != ends[:-1]
+    if not gaps.any():
+        runs = [(0, starts.size)]  # one run: every planned player's chunk
     else:
-        words >>= np.uint64(11)
-        values = p._lookup(idx, (words * 2.0**-53).reshape(grid)).ravel()
-    if rows.size == indices.size:
-        out = values
-    else:
-        out = np.empty(total, dtype=np.int64)
-        out[(~own).repeat(counts)] = values
-    if not accepted.all():  # numpy would redraw there: redraw the row
-        rejected = (~accepted.ravel()).nonzero()[0]
-        own[rows[counts[rows].cumsum().searchsorted(rejected, side="right")]] = True
-    for r in own.nonzero()[0].tolist():
-        out[stop[r] - counts[r]:stop[r]] = _own_row(
-            p, int(counts[r]), stream.child(int(indices[r])).rng())
-    return out if shape is None else out.reshape(shape)
+        if (starts[1:] < ends[:-1]).any():
+            raise ValueError("word ranges must be ascending and disjoint")
+        cut = (np.flatnonzero(gaps) + 1).tolist()
+        runs = list(zip([0] + cut, cut + [starts.size]))
+    parts = []
+    for first, stop in runs:
+        begin, end = int(starts[first]), int(ends[stop - 1])
+        if begin != at:
+            gen.bit_generator.advance((begin - at) % 2**128)
+        parts.append(p.sample(end - begin, gen))
+        at = end
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def make_uniform(n: int) -> Distribution:

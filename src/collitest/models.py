@@ -6,30 +6,25 @@ sent, peak memory bits, sampling time.  Constraint violations raise
 `ModelViolationError`; a completed run always has an empty violation
 list.
 
-Decision equivalence: player/batch `c` draws its samples from
-``stream.child(c)``, the same sub-stream the monolithic tester uses for
-owner `c` of the plan's graph, so a simulator run and `tester.run` on
-the identical trial stream see bitwise-identical labelings.  The only
-allowed divergence is early termination in the streaming models, which
-can only ever turn into a NO that the monolithic tester also reaches.
+Decision equivalence: a trial builds one generator from its stream,
+and clique or batch ``c`` reads the raw words from ``S_c`` on, the
+sizes of the cliques before it summed (see `rng`).  `tester.draw_labeling`
+reads the same words for the same vertices, so a simulator run and
+`tester.run` on the identical trial stream see bitwise-identical
+labelings.  The only allowed divergence is early termination in the
+streaming models, which can only ever turn into a NO that the
+monolithic tester also reaches.
 
-Every simulator draws through `dist.sample_children`, the function
-`tester.draw_labeling` uses, which is bitwise equal to one
-``stream.child(c).rng()`` per clique or batch.  The simultaneous and
-asymmetric simulators draw all cliques of a trial in one call and count
-them with one `tester.block_collisions` call.  The streaming simulators
-draw each player's batches a chunk at a time and make the same two
-calls per chunk (`_clique_collisions`); the plan's batch sizes and
-per-player batch indices are arrays built once per plan
-(`Plan.clique_arrays`).  A sample costs 1.5 raw words, or 0.5 when the
-input's alias table is flat, as for the uniform input every YES trial
-draws from.  Short batches (up to `rng.SHORT_ROW_WORDS` words: 26
-samples, or 80 on a flat table, when a call has at least
-`rng.MIN_SHORT_ROWS` of them) are drawn by numpy arithmetic over the
-whole chunk at ~60 ns a word, others by one ``PCG64`` each (see
-`rng.child_draws`).  A chunk may run past the batch at which the
-player's counter reaches T; those batches are drawn and discarded,
-which no other batch can notice since each has its own path.
+The simultaneous and asymmetric simulators read all cliques of a trial
+in one `Distribution.sample` call and count them with one
+`tester.block_collisions` call.  The streaming simulators read each
+player's batches a chunk at a time (`dist.sample_children`: an advance to
+the player's first batch, then one read a chunk) and count each chunk
+with one `block_collisions` call; the plan's batch sizes and per-player
+batch indices are arrays built once per plan (`Plan.clique_arrays`).
+A chunk may run past the batch at which the player's counter reaches
+T; those samples are drawn and discarded, which no other batch can
+notice since each owns its own words.
 """
 from __future__ import annotations
 
@@ -113,15 +108,6 @@ def _rounded_pow2(x: int) -> int:
     return 1 << math.ceil(math.log2(x))
 
 
-def _clique_collisions(sizes, p: Distribution, stream: Stream,
-                       cliques=None) -> np.ndarray:
-    """Z of each clique: row ``r`` is clique ``cliques[r]`` (by default
-    ``r``), ``sizes[r]`` samples drawn from ``stream.child(cliques[r])``."""
-    if cliques is None:
-        cliques = np.arange(len(sizes))
-    return block_collisions(sample_children(p, stream, cliques, sizes), sizes)
-
-
 def _referee(z_per_player, t: float, base_bits: int, exponents=None,
              exponent_bits: int = 0):
     """Encode per-player messages and decide like the referee would."""
@@ -174,7 +160,7 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
         t = plan.threshold
     base_bits = message_bit_width(t)
 
-    per_clique = _clique_collisions(sizes, p, stream)
+    per_clique = block_collisions(p.sample(sum(sizes), stream.rng()), sizes)
     z_per_player = [0] * plan.players
     samples = [0] * plan.players
     for c, player in enumerate(plan.clique_players):
@@ -224,6 +210,9 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
     stopped with batches left.
     """
     sizes, cliques = plan.clique_arrays
+    starts = np.cumsum(sizes) - sizes  # the first word of each batch
+    gen = stream.rng()
+    at = 0  # the word `gen` reads next
     counter = np.zeros(plan.players, dtype=np.int64)
     drawn = np.zeros(plan.players, dtype=np.int64)
     early = np.zeros(plan.players, dtype=bool)
@@ -231,15 +220,17 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
         start, rows = 0, FIRST_CHUNK
         while start < mine.size:
             batches = mine[start:start + rows]
-            fits = np.searchsorted(np.cumsum(sizes[batches]),
-                                   MAX_CHUNK_SAMPLES, side="right")
-            batches = batches[:max(fits, 1)]
-            cum = counter[player] + np.cumsum(
-                _clique_collisions(sizes[batches], p, stream, batches))
+            counts = sizes[batches]
+            fits = max(np.searchsorted(np.cumsum(counts), MAX_CHUNK_SAMPLES,
+                                       side="right"), 1)
+            batches, counts = batches[:fits], counts[:fits]
+            values = sample_children(p, gen, starts[batches], counts, at)
+            at = int(starts[batches[-1]] + counts[-1])
+            cum = counter[player] + np.cumsum(block_collisions(values, counts))
             hit = np.flatnonzero(cum >= t)
             used = hit[0] + 1 if hit.size else batches.size
             counter[player] = cum[used - 1]
-            drawn[player] += sizes[batches[:used]].sum()
+            drawn[player] += counts[:used].sum()
             start, rows = start + used, 2 * rows
             if hit.size:
                 early[player] = start < mine.size

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (Distribution, SampleLabeling, l1_distance, make_uniform,
-                   sample_children)
+from .dist import Distribution, SampleLabeling, l1_distance, make_uniform
 from .errors import CapacityError
 from .graph import ComparisonGraph
 from .rng import Stream
@@ -184,16 +183,18 @@ def count_collisions(graph: ComparisonGraph, labeling) -> int:
 
 
 def draw_labeling(graph: ComparisonGraph, p: Distribution, stream: Stream) -> SampleLabeling:
-    """Owner-aware labeling: owner i's vertices come from stream.child(i).
+    """Owner-aware labeling: the trial stream's samples in owner order.
 
-    An unowned graph is treated as a single owner 0.  Within an owner,
-    samples fill its vertices in ascending vertex order.  A partitioned
-    simulator that draws owner i's samples from the same child stream
-    therefore reproduces this labeling bitwise; the simulators call the
-    same `dist.sample_children`, one row per owner.
+    One generator reads all |V| words in one call; sample ``j`` (raw
+    word ``j``, see `rng`) goes to the ``j``-th vertex of
+    `ComparisonGraph.owner_order`: owner by owner, smallest id first,
+    each owner's vertices in ascending order.  A planned graph's owners
+    are its cliques in vertex order, so clique ``c`` reads the words
+    from ``S_c`` on, the clique sizes before it summed, and a simulator
+    that reads those words sees this labeling bitwise.
     """
-    order, owners, sizes = graph.owner_groups
-    values = sample_children(p, stream, owners, sizes)
+    values = p.sample(graph.vertex_count, stream.rng())
+    order = graph.owner_order
     if order is not None:
         values, grouped = np.empty_like(values), values
         values[order] = grouped

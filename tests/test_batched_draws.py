@@ -1,8 +1,12 @@
-"""Batched per-path draws against one generator per path.
+"""Word-range draws against one generator per range.
 
-`sample_children`, the streaming simulators and `draw_node_samples` draw
-many child streams together; every result here is compared bitwise with
-the per-path loop it replaces, kept below as the reference.
+Every sample of a trial owns one raw word of the trial's generator
+(seed-path contract v2, see `collitest.rng`).  The streaming simulators,
+`draw_labeling`, the clique simulators and `draw_node_samples` read many
+ranges of those words together; every result here is compared bitwise
+with a per-path loop that reads each clique, batch, owner or node from
+a fresh generator of the trial path, advanced to the range's first
+word.  That loop is kept below as the reference.
 """
 import json
 import os
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collitest
-from collitest import congest, dist, models, rng, tester
+from collitest import congest, models, tester
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
@@ -30,26 +34,24 @@ from collitest.harness import moment_audit
 from collitest.models import (ResourceLedger, SimulationRun,
                               simulate_simultaneous_streaming,
                               simulate_streaming)
-from collitest.rng import SHORT_ROW_WORDS, Stream, bounded_indices, child_raw
+from collitest.rng import Stream
 from collitest.tester import (count_collisions, row_collisions,
                               within_clique_collisions)
 
-MASTER_SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**70 + 3)
-PARENTS = ((), (4,), (2**32 + 1, 7))
-# the last two are drawn from their own generators
-INDICES = (0, 1, 5, 2**32 - 1, 2**32, 2**40 + 3)
-
-
-def families(n):
-    out = [make_uniform(n)]
-    if n % 2 == 0:
-        out.append(make_bump(n, 0.5))
-    if n >= 2:
-        out.append(make_heavy(n, 0.5))
-    return out
-
 
 # --- the per-path reference loops -------------------------------------------
+
+def word_range(p, stream, start, count):
+    """The `count` samples from raw word `start` on of the trial stream,
+    read by a generator of their own."""
+    gen = stream.rng()
+    gen.bit_generator.advance(int(start))
+    return p.sample(int(count), gen)
+
+
+def batch_starts(plan):
+    return np.cumsum(plan.clique_sizes) - plan.clique_sizes
+
 
 def reference_streaming(plan, p, stream):
     t = plan.threshold
@@ -57,8 +59,9 @@ def reference_streaming(plan, p, stream):
             + models.counter_bit_width(t))
     counter = drawn = 0
     early = False
-    for c, size in enumerate(plan.clique_sizes):
-        counter += within_clique_collisions(p.sample(size, stream.child(c).rng()))
+    for c, (size, start) in enumerate(zip(plan.clique_sizes,
+                                          batch_starts(plan))):
+        counter += within_clique_collisions(word_range(p, stream, start, size))
         drawn += size
         if counter >= t:
             early = c + 1 < len(plan.clique_sizes)
@@ -78,13 +81,14 @@ def reference_simultaneous_streaming(plan, p, stream):
     samples = [0] * plan.players
     stopped = [False] * plan.players
     early = False
-    for c, size in enumerate(plan.clique_sizes):
+    for c, (size, start) in enumerate(zip(plan.clique_sizes,
+                                          batch_starts(plan))):
         player = plan.clique_players[c]
         if stopped[player]:
             early = True
             continue
         samples[player] += size
-        z[player] += within_clique_collisions(p.sample(size, stream.child(c).rng()))
+        z[player] += within_clique_collisions(word_range(p, stream, start, size))
         stopped[player] = z[player] >= t
     decision, messages, total = models._referee(z, t, base_bits)
     ledger = ResourceLedger(samples=samples,
@@ -95,8 +99,8 @@ def reference_simultaneous_streaming(plan, p, stream):
 
 
 def reference_node_samples(net, p, stream):
-    return np.array([p.sample(1, stream.child(v).rng())[0]
-                     for v in range(net.k)], dtype=np.int64)
+    return np.array([word_range(p, stream, v, 1)[0] for v in range(net.k)],
+                    dtype=np.int64)
 
 
 def assert_same_run(got, want):
@@ -108,6 +112,64 @@ def assert_same_run(got, want):
 
 # --- the batched draw -------------------------------------------------------
 
+MASTER_SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**70 + 3)
+PARENTS = ((), (4,), (2**32 + 1, 7))
+# word offsets at least 21 apart, past 32 bits at the end
+OFFSETS = (0, 21, 105, 2**32 - 1, 2**32 + 20, 2**40 + 3)
+RAGGED_COUNTS = (0, 1, 2, 26, 27, 681, 4450)
+
+
+def families(n):
+    out = [make_uniform(n)]
+    if n % 2 == 0:
+        out.append(make_bump(n, 0.5))
+    if n >= 2:
+        out.append(make_heavy(n, 0.5))
+    return out
+
+
+def reference_rows(p, stream, starts, counts):
+    return np.concatenate([word_range(p, stream, s, c)
+                           for s, c in zip(starts, counts)] or [[]]
+                          ).astype(np.int64)
+
+
+class RecordingGen:
+    """A trial generator that keeps a copy of every raw word it hands out,
+    one array a `random_raw` call."""
+
+    def __init__(self, gen):
+        self.bit_generator = self
+        self._bits = gen.bit_generator
+        self.words = []
+
+    def advance(self, delta):
+        self._bits.advance(delta)
+
+    def random_raw(self, count):
+        out = self._bits.random_raw(count)
+        self.words.append(out.copy())
+        return out
+
+
+def assert_rows_equal_random_raw(stream, starts, words):
+    """`sample_children` reads rows of `words` words from `starts` on: the
+    raw words of each row are `random_raw` of a generator of the trial
+    path advanced to the row's start, and its samples are their map."""
+    p = make_heavy(1000, 0.5)
+    gen = RecordingGen(stream.rng())
+    got = sample_children(p, gen, starts, [words] * len(starts))
+    raw = np.concatenate(gen.words or [np.empty(0, dtype=np.uint64)])
+    assert raw.dtype == np.uint64 and raw.shape == (len(starts) * words,)
+    for row, start in zip(raw.reshape(len(starts), words), starts):
+        bits = stream.rng().bit_generator
+        bits.advance(int(start))
+        assert np.array_equal(row, bits.random_raw(words)), (stream, start,
+                                                             words)
+    want = reference_rows(p, stream, starts, [words] * len(starts))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestSampleChildren:
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024, 4097])
     def test_rows_equal_per_path_draws(self, n):
@@ -116,150 +178,168 @@ class TestSampleChildren:
                 for seed in MASTER_SEEDS:
                     for parent in PARENTS:
                         stream = Stream(seed, parent)
-                        got = sample_children(p, stream, INDICES, count)
-                        assert got.shape == (len(INDICES), count)
-                        for row, i in zip(got, INDICES):
-                            want = p.sample(count, stream.child(i).rng())
+                        got = sample_children(p, stream.rng(), OFFSETS,
+                                              [count] * len(OFFSETS))
+                        assert got.shape == (len(OFFSETS) * count,)
+                        rows = got.reshape(len(OFFSETS), count)
+                        for row, start in zip(rows, OFFSETS):
+                            want = word_range(p, stream, start, count)
                             assert row.dtype == want.dtype
                             assert np.array_equal(row, want), (n, count, seed,
-                                                               parent, i)
+                                                               parent, start)
 
     def test_raw_words_equal_random_raw(self):
         for seed in MASTER_SEEDS + (2**130 + 7,):
             for parent in PARENTS:
-                stream = Stream(seed, parent)
-                raw = child_raw(stream, [0, 3, 2**32 - 1], 7)
-                for row, i in zip(raw, (0, 3, 2**32 - 1)):
-                    want = stream.child(i).rng().bit_generator.random_raw(7)
-                    assert np.array_equal(row, want)
+                assert_rows_equal_random_raw(Stream(seed, parent), OFFSETS, 7)
 
     def test_raw_words_reject_indices_out_of_range(self):
-        with pytest.raises(ValueError):
-            child_raw(Stream(1), [2**32], 1)
-        with pytest.raises(ValueError):
-            child_raw(Stream(1), [-1], 1)
+        """A range that overlaps or precedes the range before it raises
+        before any word is read, also where the gaps around it cancel."""
+        p, gen = make_uniform(8), Stream(1).rng()
+        before = gen.bit_generator.state
+        for starts, counts in (([0, 2], [3, 1]), ([5, 0], [1, 1]),
+                               ([0, 10, 5], [3, 2, 4])):
+            with pytest.raises(ValueError):
+                sample_children(p, gen, starts, counts)
+        assert gen.bit_generator.state == before
 
     def test_negative_index_raises_like_the_per_path_generator(self):
+        """A word offset below 0 is refused as a negative trial index is."""
         with pytest.raises(ValueError):
-            sample_children(make_uniform(8), Stream(1), [-1], 3)
-
-    def test_rejected_rows_fall_back_to_their_generator(self, monkeypatch):
-        real = dist.bounded_indices
-
-        def reject_row_one(draws, n):
-            idx, accepted = real(draws, n)
-            accepted[1, 4] = False
-            idx[1] = 0
-            return idx, accepted
-
-        monkeypatch.setattr(dist, "bounded_indices", reject_row_one)
-        p, stream = make_heavy(1000, 0.5), Stream(5, (2,))
-        got = sample_children(p, stream, [0, 1, 2], 9)
-        for row, i in zip(got, (0, 1, 2)):
-            assert np.array_equal(row, p.sample(9, stream.child(i).rng()))
-
-    def test_bounded_indices_follow_generator_integers(self):
-        """n = 2**31 + 1 rejects about half of all draws.
-
-        numpy redraws a rejected draw from the same 32-bit stream, so the
-        accepted draws, in order, are exactly what `integers` returns.
-        """
-        n = 2**31 + 1
-        words = np.random.PCG64(7).random_raw(500)
-        draws = np.empty(1000, dtype=np.uint32)
-        draws[0::2] = words
-        draws[1::2] = words >> np.uint64(32)
-        idx, accepted = bounded_indices(draws, n)
-        assert 0.4 < 1 - accepted.mean() < 0.6
-        want = np.random.Generator(np.random.PCG64(7)).integers(
-            0, n, size=int(accepted.sum()))
-        assert np.array_equal(idx[accepted], want)
-
-    def test_bounded_indices_refuse_ranges_numpy_maps_otherwise(self):
-        for n in (1, 2**32):
+            Stream(1).child(-1).rng()
+        gen = Stream(1).rng()
+        before = gen.bit_generator.state
+        for starts, counts in (([-1], [3]), ([-4, 0], [4, 2])):
             with pytest.raises(ValueError):
-                bounded_indices(np.zeros(3, dtype=np.uint32), n)
-
-
-def assert_rows_equal_random_raw(stream, indices, words):
-    got = child_raw(stream, indices, words)
-    assert got.dtype == np.uint64 and got.shape == (len(indices), words)
-    for row, i in zip(got, indices):
-        want = stream.child(i).rng().bit_generator.random_raw(words)
-        assert np.array_equal(row, want), (stream, i, words)
+                sample_children(make_uniform(8), gen, starts, counts)
+        assert gen.bit_generator.state == before
 
 
 class TestChildRawKernel:
-    """Rows of at most SHORT_ROW_WORDS words come from the vectorised
-    PCG64 pass, longer rows from one PCG64 each; both against numpy."""
+    """The raw words of a trial: numpy's own `random_raw` of the trial
+    generator, with `bit_generator.advance` across the gaps between
+    ranges, pinned against numpy."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**200),
            path=st.lists(st.one_of(st.integers(0, 2**32 - 1),
                                    st.integers(2**32, 2**64)), max_size=3),
-           indices=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]),
-                                      st.integers(0, 2**32 - 1)),
-                            min_size=1, max_size=8),
-           words=st.one_of(st.integers(0, SHORT_ROW_WORDS + 8),
-                           st.sampled_from([SHORT_ROW_WORDS,
-                                            SHORT_ROW_WORDS + 1])))
-    def test_fuzz_against_random_raw(self, seed, path, indices, words):
-        assert_rows_equal_random_raw(Stream(seed, tuple(path)), indices, words)
-
-    @pytest.mark.parametrize("words", [1, SHORT_ROW_WORDS - 1, SHORT_ROW_WORDS,
-                                       SHORT_ROW_WORDS + 1])
-    def test_both_sides_of_the_size_rule(self, words):
-        stream = Stream(2**64 + 9, (3, 2**33))
-        assert_rows_equal_random_raw(stream, [0, 1, 77, 2**32 - 1], words)
+           gaps=st.lists(st.one_of(st.integers(0, 50),
+                                   st.integers(2**32 - 50, 2**40)),
+                         min_size=1, max_size=8),
+           words=st.integers(0, 48))
+    def test_fuzz_against_random_raw(self, seed, path, gaps, words):
+        starts = np.cumsum(np.array(gaps) + words) - words
+        assert_rows_equal_random_raw(Stream(seed, tuple(path)), starts, words)
 
     def test_empty_indices_and_zero_words(self):
-        for words in (0, 2, SHORT_ROW_WORDS + 5):
-            out = child_raw(Stream(4), [], words)
-            assert out.shape == (0, words) and out.dtype == np.uint64
-        out = child_raw(Stream(4, (1,)), [0, 5], 0)
-        assert out.shape == (2, 0) and out.dtype == np.uint64
-
-    def test_table_grows_after_a_shorter_call(self, monkeypatch):
-        monkeypatch.setattr(rng, "_JUMPS", np.zeros((2, 4, 0), dtype=np.uint64))
-        stream = Stream(12, (6,))
-        assert_rows_equal_random_raw(stream, [0, 9], 3)
-        first = rng._JUMPS.shape[2]
-        assert first >= 4
-        assert_rows_equal_random_raw(stream, [0, 9, 10], SHORT_ROW_WORDS)
-        assert rng._JUMPS.shape[2] > first
-        assert_rows_equal_random_raw(stream, [4], 2)
+        p, stream = make_heavy(1000, 0.5), Stream(4, (1,))
+        gen = stream.rng()
+        before = gen.bit_generator.state
+        for starts in ([], np.empty(0, dtype=np.int64)):
+            out = sample_children(p, gen, starts, [])
+            assert out.shape == (0,) and out.dtype == np.int64
+        out = p.sample(0, gen)
+        assert out.shape == (0,) and out.dtype == np.int64
+        assert gen.bit_generator.state == before
+        # ranges of zero words read nothing; `gen` is left at the last one
+        out = sample_children(p, gen, [0, 5], [0, 0])
+        assert out.shape == (0,) and out.dtype == np.int64
+        want = stream.rng().bit_generator
+        want.advance(5)
+        assert gen.bit_generator.state == want.state
 
     def test_post_seed_state_pins_numpy_seeding(self):
-        """Step 0 of the kernel is the state PCG64 holds after seeding, and
-        step 1 minus MULT times step 0 is its increment.  A change in how
+        """Trial t's generator is numpy's PCG64 seeded by
+        ``SeedSequence(master_seed, spawn_key=(t,))``.  A change in how
         numpy seeds PCG64 fails here, not as drifted random values."""
-        stream = Stream(2**70 + 3, (5,))
-        indices = np.array([0, 1, 2**32 - 1])
-        seeds = rng._child_seeds(stream, indices)
-        hi, lo = rng._lcg_states(seeds, 0, 2)
-        words = rng._SeedWords()
-        for r, i in enumerate(indices):
-            want = stream.child(int(i)).rng().bit_generator.state["state"]
-            words.words = seeds[r]
-            assert np.random.PCG64(words).state["state"] == want
-            states = [int(hi[t, r]) << 64 | int(lo[t, r]) for t in (0, 1)]
-            inc = (states[1] - rng._PCG_MULT * states[0]) % 2**128
-            assert (states[0], inc) == (want["state"], want["inc"]), (
-                "numpy's PCG64 seeding no longer matches rng._lcg_states")
+        master = Stream(2**70 + 3)
+        pinned = {
+            0: (0xff4067af8897b60eadf9419f72fcc654,
+                0xf073a0224444378d25feae2bcb474bdb, 0xd4d6f7b3901152f0),
+            1: (0xdf0998dd06e81927865dd8488fd452c6,
+                0x23d0fd4c7bcc59f94a8a26f132253e57, 0x71c56ddfd42c2683),
+            2**32 - 1: (0xe6d4ff6afa4cfe9471e8a4e9d6b3d852,
+                        0xb6017aa0af2b5dd14b31409b9b99a49f,
+                        0xbcbaf0b093d02d1f),
+        }
+        for t, (state, inc, word) in pinned.items():
+            bits = master.child(t).rng().bit_generator
+            assert bits.state["state"] == {"state": state, "inc": inc}, (
+                "numpy's PCG64 seeding no longer gives the pinned trial state")
+            assert int(bits.random_raw()) == word
 
-    @pytest.mark.parametrize("rows, words", [(2000, SHORT_ROW_WORDS),
-                                             (10**4, 2), (200, 300)])
+    @pytest.mark.parametrize("rows, words", [(2000, 40), (10**4, 2),
+                                             (200, 300)])
     def test_transient_memory(self, rows, words):
-        stream, indices = Stream(3, (1,)), np.arange(rows)
-        child_raw(stream, indices[:1], words)  # warm up outside the trace
-        tracemalloc.start()
-        try:
-            out = child_raw(stream, indices, words)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (out.nbytes + rows * 4 * 8)
+        """A read holds its output, a few word-sized temporaries of the
+        map and, for ranges read one run each, one small array a run."""
+        counts = np.full(rows, words)
+        for p in (make_uniform(1024), make_heavy(1000, 0.5)):
+            for gap in (0, 1):
+                starts = np.cumsum(counts + gap) - counts
+                # warm up outside the trace
+                sample_children(p, Stream(3, (1,)).rng(), starts[:1],
+                                counts[:1])
+                gen = Stream(3, (1,)).rng()
+                tracemalloc.start()
+                try:
+                    out = sample_children(p, gen, starts, counts)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert out.size == rows * words
+                assert peak <= 8 * (out.nbytes + rows * 4 * 8), (p, gap)
 
+
+class TestRaggedSampleChildren:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
+    def test_mixed_counts_equal_per_path_draws(self, n):
+        """Runs of touching ranges and gaps between them, ragged counts."""
+        few = list(RAGGED_COUNTS)
+        many = few + [26, 1, 0, 2] * 9
+        equal = [26] * 32
+        for p in families(n):
+            for counts in (few, many, equal):
+                counts = np.array(counts)
+                gaps = np.arange(counts.size) * 977 % 5
+                starts = np.cumsum(counts + gaps) - counts
+                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
+                    stream = Stream(seed, parent)
+                    got = sample_children(p, stream.rng(), starts, counts)
+                    want = reference_rows(p, stream, starts, counts)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (n, len(counts), seed)
+
+    def test_indices_past_32_bits_fall_back_in_a_ragged_call(self):
+        """Offsets past 32 bits, among touching ranges and gaps, are
+        reached by the same advance as any other gap: one read a run."""
+        p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
+        starts = [3, 684, 2**32, 2**32 + 27, 2**40 + 3]
+        counts = [681, 0, 27, 2, 4450]
+        gen = RecordingGen(stream.rng())
+        got = sample_children(p, gen, starts, counts)
+        assert len(gen.words) == 3
+        assert np.array_equal(got, reference_rows(p, stream, starts, counts))
+
+    def test_a_lone_row_equals_its_own_generator(self):
+        for p in (make_uniform(3), make_heavy(1000, 0.5)):
+            stream = Stream(2**70 + 3, (6,))
+            for count in (1, 26, 27, 4450):
+                want = word_range(p, stream, 9, count)
+                got = sample_children(p, stream.rng(), [9], [count])
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_rejects_bad_counts(self):
+        gen = Stream(1).rng()
+        with pytest.raises(ValueError):
+            sample_children(make_uniform(8), gen, [0, 1], [3])
+        with pytest.raises(ValueError):
+            sample_children(make_uniform(8), gen, [0, 3], [3, -1])
+
+
+# --- collision kernels ------------------------------------------------------
 
 class TestRowCollisions:
     def test_matches_bincount_per_row(self):
@@ -329,9 +409,9 @@ class TestStreamingMatchesPerPathLoop:
         chunks = []
         real = models.sample_children
 
-        def record(p, stream, indices, counts):
+        def record(p, gen, starts, counts, at=0):
             chunks.append(np.asarray(counts).tolist())
-            return real(p, stream, indices, counts)
+            return real(p, gen, starts, counts, at)
 
         monkeypatch.setattr(models, "sample_children", record)
         base = plan_streaming(64, 1.0, 48)
@@ -354,9 +434,9 @@ class TestStreamingMatchesPerPathLoop:
         drawn = []
         real = models.sample_children
 
-        def record(p, stream, indices, counts):
-            drawn.append(len(indices))
-            return real(p, stream, indices, counts)
+        def record(p, gen, starts, counts, at=0):
+            drawn.append(len(starts))
+            return real(p, gen, starts, counts, at)
 
         monkeypatch.setattr(models, "sample_children", record)
         plan = plan_simultaneous_streaming(1024, 0.5, 8, 400)
@@ -401,111 +481,20 @@ class TestNodeSamplesMatchPerPathLoop:
                 assert np.array_equal(got, want)
 
 
-# --- ragged batches: one call, one count per row ----------------------------
-
-# 26 samples take 39 raw words, 27 take 41: the two straddle SHORT_ROW_WORDS
-RAGGED_COUNTS = (0, 1, 2, 26, 27, 681, 4450)
-
-
-def reference_rows(p, stream, indices, counts):
-    return np.concatenate([p.sample(c, stream.child(i).rng())
-                           for i, c in zip(indices, counts)] or [[]]
-                          ).astype(np.int64)
-
-
-class TestRaggedSampleChildren:
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
-    def test_mixed_counts_equal_per_path_draws(self, n):
-        assert 26 + 13 <= SHORT_ROW_WORDS < 27 + 14
-        # unequal counts run one generator per row; MIN_SHORT_ROWS short
-        # rows of one count take the vectorised pass of child_raw
-        few = list(RAGGED_COUNTS)
-        many = few + [26, 1, 0, 2] * (rng.MIN_SHORT_ROWS // 4 + 1)
-        equal = [26] * rng.MIN_SHORT_ROWS
-        for p in families(n):
-            for counts in (few, many, equal):
-                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
-                    stream = Stream(seed, parent)
-                    indices = np.arange(len(counts)) * 977 % 2**32
-                    indices[-1] = 2**32 - 1
-                    got = sample_children(p, stream, indices, counts)
-                    want = reference_rows(p, stream, indices, counts)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want), (n, len(counts), seed)
-
-    def test_indices_past_32_bits_fall_back_in_a_ragged_call(self):
-        p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
-        indices, counts = [2**32, 3, 2**40 + 3, 5], [27, 681, 2, 0]
-        got = sample_children(p, stream, indices, counts)
-        assert np.array_equal(got, reference_rows(p, stream, indices, counts))
-
-    def test_forced_rejection_redraws_only_its_row(self, monkeypatch):
-        real = dist.bounded_indices
-        counts = [3, 681, 27, 4450]
-        hit = []
-
-        def reject_in_row_two(draws, n):
-            idx, accepted = real(draws, n)
-            accepted[3 + 681 + 5] = False
-            idx[3 + 681:3 + 681 + 27] = 0
-            hit.append(draws.ndim)
-            return idx, accepted
-
-        monkeypatch.setattr(dist, "bounded_indices", reject_in_row_two)
-        redrawn = []
-        real_rng = Stream.rng
-
-        def count_rng(self):
-            redrawn.append(self.path[-1])
-            return real_rng(self)
-
-        p, stream = make_heavy(1000, 0.5), Stream(5, (2,))
-        indices = [0, 1, 2, 3]
-        want = reference_rows(p, stream, indices, counts)
-        monkeypatch.setattr(Stream, "rng", count_rng)
-        got = sample_children(p, stream, indices, counts)
-        assert hit == [1] and redrawn == [2]
-        assert np.array_equal(got, want)
-
-    def test_a_lone_row_equals_its_own_generator(self):
-        for p in (make_uniform(3), make_heavy(1000, 0.5)):
-            stream = Stream(2**70 + 3, (6,))
-            for count in (1, 26, 27, 4450):
-                want = p.sample(count, stream.child(9).rng())
-                got = sample_children(p, stream, [9], [count])
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                got = sample_children(p, stream, [9], count)
-                assert got.shape == (1, count) and np.array_equal(got[0], want)
-
-    def test_one_count_keeps_the_row_shape(self):
-        p, stream = make_uniform(8), Stream(3)
-        got = sample_children(p, stream, [0, 4], 27)
-        assert got.shape == (2, 27)
-        assert np.array_equal(got.ravel(),
-                              sample_children(p, stream, [0, 4], [27, 27]))
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            sample_children(make_uniform(8), Stream(1), [0, 1], [3])
-        with pytest.raises(ValueError):
-            sample_children(make_uniform(8), Stream(1), [0, 1], [3, -1])
-
-
 # --- the owner-aware labeling and clique simulators -------------------------
 
 def reference_labeling(graph, p, stream):
-    """The per-owner loop `draw_labeling` ran before the batched route."""
+    """Each owner's vertices, ascending, read from the words after those
+    of the owners with smaller ids, one generator per owner."""
     values = np.empty(graph.vertex_count, dtype=np.int64)
     if graph.owner is None:
-        values[:] = p.sample(graph.vertex_count, stream.child(0).rng())
-    else:
-        order = np.argsort(graph.owner, kind="stable")
-        owners, sizes = np.unique(graph.owner, return_counts=True)
-        start = 0
-        for oid, size in zip(owners.tolist(), sizes.tolist()):
-            values[order[start:start + size]] = p.sample(
-                size, stream.child(oid).rng())
-            start += size
+        values[:] = word_range(p, stream, 0, graph.vertex_count)
+        return values
+    start = 0
+    for oid in np.unique(graph.owner).tolist():
+        mine = np.flatnonzero(graph.owner == oid)
+        values[mine] = word_range(p, stream, start, mine.size)
+        start += mine.size
     return values
 
 
@@ -528,28 +517,33 @@ class TestLabelingMatchesPerOwnerLoop:
 
     def test_owner_groups_are_cached_and_ordered(self):
         g = ComparisonGraph(6, [(0, 5), (1, 3)], owner=[7, 2, 9, 2, 9, 7])
-        order, owners, sizes = g.owner_groups
-        assert order.tolist() == [1, 3, 0, 5, 2, 4]
-        assert owners.tolist() == [2, 7, 9] and sizes.tolist() == [2, 2, 2]
-        assert g.owner_groups is g.owner_groups
-        order, owners, sizes = make_clique_union([2, 0, 3]).owner_groups
-        assert order is None
-        assert owners.tolist() == [0, 2] and sizes.tolist() == [2, 3]
-        order, owners, sizes = make_star(3).owner_groups
-        assert order is None and owners.tolist() == [0] and sizes.tolist() == [4]
+        assert g.owner_order.tolist() == [1, 3, 0, 5, 2, 4]
+        assert g.owner_order is g.owner_order
+        assert not g.owner_order.flags.writeable
+        assert make_clique_union([2, 0, 3]).owner_order is None
+        assert make_star(3).owner_order is None
 
     def test_no_generator_per_owner(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError(f"per-path generator built for {self}")
+        """A labeling or a clique simulator builds one generator a trial."""
+        built = []
+        real = Stream.rng
 
-        monkeypatch.setattr(Stream, "rng", refuse)
+        def count(self):
+            built.append(self.path)
+            return real(self)
+
+        monkeypatch.setattr(Stream, "rng", count)
         p = make_uniform(1024)
         g = plan_simultaneous(1024, 0.5, 16).build_graph()
         tester.draw_labeling(g, p, Stream(1).child(0))
         models.simulate_simultaneous(plan_simultaneous(1024, 0.5, 16), p,
-                                     Stream(1).child(0))
+                                     Stream(1).child(1))
         models.simulate_asymmetric(plan_asymmetric(1024, 0.5, (4, 2, 1, 1)),
-                                   p, Stream(1).child(0))
+                                   p, Stream(1).child(2))
+        simulate_simultaneous_streaming(
+            plan_simultaneous_streaming(1024, 0.5, 8, 400), p,
+            Stream(1).child(3))
+        assert built == [(0,), (1,), (2,), (3,)]
 
 
 # --- the per-block collision kernel -----------------------------------------
@@ -641,125 +635,62 @@ class TestCollisionCountsBatchOnBlocks:
         assert not report.flagged
 
 
-# --- flat alias tables: the doubles are never read ---------------------------
+# --- flat alias tables: the fraction is never read ---------------------------
 
 ULP_OVER_THIRD = np.nextafter(1 / 3, 1)
 ULP_UNDER_THIRD = np.nextafter(1 / 3, 0)
-
-
-def record_child_draws(monkeypatch):
-    """Record the `doubles` argument and doubles length of every call."""
-    calls = []
-    real = dist.child_draws
-
-    def record(stream, indices, counts, *, doubles=True):
-        draws, words = real(stream, indices, counts, doubles=doubles)
-        calls.append((doubles, words.size))
-        return draws, words
-
-    monkeypatch.setattr(dist, "child_draws", record)
-    return calls
-
-
 class TestFlatTable:
     FLAT = [make_uniform(n) for n in (2, 3, 1000, 1024)] + [
         Distribution([0.2] * 5)]
 
-    def test_every_route_equals_per_path_draws(self, monkeypatch):
-        calls = record_child_draws(monkeypatch)
-        # limb pass at both ends of its range (80 samples are 40 words
-        # once the doubles are dropped), long rows, ragged rows
-        layouts = ([20] * rng.MIN_SHORT_ROWS,
-                   [80] * rng.MIN_SHORT_ROWS,
-                   [81] * rng.MIN_SHORT_ROWS,
-                   [681, 4450],
-                   list(RAGGED_COUNTS) + [20, 1] * rng.MIN_SHORT_ROWS)
+    def test_every_route_equals_per_path_draws(self):
+        """One call, one call a range, and ranges with gaps between them."""
         for p in self.FLAT:
             assert p.flat
-            for counts in layouts:
-                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
-                    stream = Stream(seed, parent)
-                    indices = np.arange(len(counts)) * 977 % 2**32
-                    indices[-1] = 2**32 - 1
-                    got = sample_children(p, stream, indices, counts)
-                    want = reference_rows(p, stream, indices, counts)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want), (p, counts[0], seed)
-                    if len(set(counts)) == 1:
-                        got = sample_children(p, stream, indices, counts[0])
-                        assert got.shape == (len(counts), counts[0])
-                        assert np.array_equal(got.ravel(), want)
-        assert calls and all(c == (False, 0) for c in calls)
+            for counts in ([20] * 32, [681, 4450], list(RAGGED_COUNTS)):
+                stream = Stream(2**70 + 3, (2**32 + 1, 7))
+                counts = np.array(counts)
+                for gap in (0, 5):
+                    starts = np.cumsum(counts + gap) - counts
+                    want = reference_rows(p, stream, starts, counts)
+                    got = sample_children(p, stream.rng(), starts, counts)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    gen, at, rows = stream.rng(), 0, []
+                    for s, c in zip(starts, counts):
+                        rows.append(sample_children(p, gen, [s], [c], at))
+                        at = s + c
+                    assert np.array_equal(np.concatenate(rows), want)
 
     def test_indices_past_32_bits_fall_back(self):
-        p, stream = make_uniform(1000), Stream(9, (4,))
-        indices, counts = [2**32, 3, 2**40 + 3, 5], [27, 681, 2, 0]
-        got = sample_children(p, stream, indices, counts)
-        assert np.array_equal(got, reference_rows(p, stream, indices, counts))
+        """On a flat table too, offsets past 32 bits are reached by an
+        advance."""
+        starts, counts = [3, 2**32, 2**40 + 3, 2**40 + 5], [681, 27, 2, 0]
+        for p in self.FLAT:
+            stream = Stream(9, (4,))
+            got = sample_children(p, stream.rng(), starts, counts)
+            assert np.array_equal(got, reference_rows(p, stream, starts,
+                                                      counts))
 
-    def test_forced_rejection_redraws_its_row(self, monkeypatch):
-        real = dist.bounded_indices
-
-        def reject_row_one(draws, n):
-            idx, accepted = real(draws, n)
-            accepted[1, 4] = False
-            idx[1] = 0
-            return idx, accepted
-
-        monkeypatch.setattr(dist, "bounded_indices", reject_row_one)
-        p, stream = make_uniform(1000), Stream(5, (2,))
-        indices = np.arange(rng.MIN_SHORT_ROWS)
-        got = sample_children(p, stream, indices, 9)
-        for row, i in zip(got, indices):
-            assert np.array_equal(row, p.sample(9, stream.child(i).rng()))
-
-    def test_own_generator_rows_read_no_doubles(self, monkeypatch):
-        """A lone row, and a row redrawn after a rejected draw, come from
-        their own generator's integers alone, equal to `p.sample`."""
-        real = dist.bounded_indices
-
-        def reject_row_one(draws, n):
-            idx, accepted = real(draws, n)
-            accepted[1, 4] = False
-            idx[1] = 0
-            return idx, accepted
-
-        stream = Stream(6, (3,))
-        indices = np.arange(rng.MIN_SHORT_ROWS)
-        for n in (2, 3, 256, 1000):
-            p = make_uniform(n)
-            lone = {c: p.sample(c, stream.child(5).rng()) for c in (1, 9, 4450)}
-            rows = [p.sample(9, stream.child(i).rng()) for i in indices]
-            with monkeypatch.context() as m:
-                m.setattr(Distribution, "sample", None)  # the doubles' route
-                m.setattr(dist, "bounded_indices", reject_row_one)
-                for count, want in lone.items():
-                    got = sample_children(p, stream, [5], count)
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got.ravel(), want), (n, count)
-                got = sample_children(p, stream, indices, 9)
-            for row, want in zip(got, rows):
-                assert np.array_equal(row, want), n
-
-    def test_one_column_below_one_still_reads_doubles(self, monkeypatch):
-        """Column 0 accepts 15/16 and aliases to column 3; the rest accept
-        all, so only the doubles tell which samples of column 0 move."""
+    def test_one_column_below_one_still_reads_doubles(self):
+        """Column 0 accepts 63/64 and aliases to column 3; the rest accept
+        all, so only the fraction of each double tells which samples of
+        column 0 move."""
         d = 2.0**-8
         p = Distribution([0.25 - d, 0.25, 0.25, 0.25 + d])
         accept, alias = p._table()
         assert np.count_nonzero(accept < 1.0) == 1 and accept[0] == 1 - 4 * d
         assert not p.flat
-        calls = record_child_draws(monkeypatch)
         stream = Stream(3, (1,))
-        indices = np.arange(rng.MIN_SHORT_ROWS)
-        for counts in ([20] * indices.size, [20, 681] * (indices.size // 2)):
-            got = sample_children(p, stream, indices, counts)
-            assert np.array_equal(got, reference_rows(p, stream, indices, counts))
-            # the same bits read as a flat table give other samples
-            flat = sample_children(make_uniform(4), stream, indices, counts)
-            assert not np.array_equal(got, flat)
-        assert calls == [(True, 20 * indices.size), (False, 0),
-                         (True, (20 + 681) * indices.size // 2), (False, 0)]
+        counts = [20, 681] * 16
+        starts = np.cumsum(counts) - counts
+        got = sample_children(p, stream.rng(), starts, counts)
+        assert np.array_equal(got, reference_rows(p, stream, starts, counts))
+        # the same words read as a flat table give other samples, all of
+        # them where column 0 moved to its alias
+        flat = sample_children(make_uniform(4), stream.rng(), starts, counts)
+        moved = got != flat
+        assert moved.any()
+        assert set(flat[moved].tolist()) == {1} and set(got[moved].tolist()) == {4}
 
     def test_flatness_follows_the_built_table(self):
         # unequal probabilities whose table still accepts every column
@@ -772,22 +703,19 @@ class TestFlatTable:
                   make_heavy(9, 0.5), point_mass(4)):
             assert p.flat == (p._table()[0].min() >= 1.0)
         stream = Stream(4)
-        indices = np.arange(rng.MIN_SHORT_ROWS)
         for p in (tilted, torn):
-            got = sample_children(p, stream, indices, 20)
-            want = reference_rows(p, stream, indices, [20] * indices.size)
-            assert np.array_equal(got.ravel(), want)
+            starts, counts = np.arange(0, 640, 20), [20] * 32
+            got = sample_children(p, stream.rng(), starts, counts)
+            assert np.array_equal(got, reference_rows(p, stream, starts, counts))
 
 
 # --- streaming plan arrays, built once per plan ------------------------------
 
 def reference_batch_collisions(sizes, batches, p, stream):
-    z = np.empty(batches.size, dtype=np.int64)
-    for size in np.unique(sizes[batches]):
-        same = sizes[batches] == size
-        z[same] = row_collisions(
-            sample_children(p, stream, batches[same], int(size)))
-    return z
+    starts = np.cumsum(sizes) - sizes
+    return np.array([within_clique_collisions(word_range(p, stream, starts[b],
+                                                         sizes[b]))
+                     for b in batches], dtype=np.int64)
 
 
 def reference_stream_counters(plan, p, stream, t):

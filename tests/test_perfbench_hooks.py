@@ -80,3 +80,21 @@ def test_trials_are_direct_children_of_their_run(perfbench_modules):
     assert [np.count_nonzero(direct & (parent == run)) for run in runs] == [
         2] * len(scenarios)
     assert np.all(direct[parent[is_trial & ~direct]])
+
+
+def test_a_streaming_trial_counts_one_generator_and_its_samples(
+        perfbench_modules):
+    """Every draw goes through `Stream.rng` and `Distribution.sample`, so
+    the traced counters see a streaming trial's one generator and every
+    sample it read."""
+    child, tracer = perfbench_modules
+    plan = plan_streaming(1024, 0.5, 400)
+    with tracer.Tracer() as tr:
+        child.instrument(tr)
+        run = models.simulate_streaming(plan, make_uniform(1024),
+                                        rng.Stream(1).child(0))
+    totals = tr.totals()
+    assert not run.ledger.early_terminated
+    assert totals["rng.generator"][0] == 1
+    assert totals["dist.sample"][0] >= 1
+    assert tr.counters["dist.samples_drawn"] == sum(plan.clique_sizes)

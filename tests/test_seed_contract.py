@@ -1,0 +1,273 @@
+"""Seed-path contract v2: one generator per trial, sample j reads word j.
+
+The properties every draw route keeps (see `collitest.rng`):
+
+* raw words, and so samples, do not depend on how a word range is split
+  into calls, with ``bit_generator.advance`` across gaps;
+* every simulator's samples of clique or batch ``c`` are the slice of
+  `tester.draw_labeling` from word ``S_c`` on, on the same trial stream;
+* CONGEST node ``v`` reads word ``v``;
+* the order in which trials run changes no byte of the suite output;
+* the word-to-sample map stays in [1, n] and is the documented formula.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from collitest import congest, models, tester
+from collitest.conditions import (plan_asymmetric, plan_centralized,
+                                  plan_simultaneous,
+                                  plan_simultaneous_streaming, plan_streaming)
+from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
+                            sample_labeling, sample_children)
+from collitest.graph import make_clique_union, make_star, random_connected_graph
+from collitest.harness import (load_scenarios, records_to_jsonl, run_scenario,
+                               summaries_to_csv)
+from collitest.rng import Stream
+
+
+class Words:
+    """A stand-in generator that hands out the given raw words in order."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        out, self.words = self.words[:count].copy(), self.words[count:]
+        return out
+
+
+def input_for(kind, n):
+    if kind == "heavy" and n >= 2:
+        return make_heavy(n, 0.5)
+    if kind == "bump" and n % 2 == 0:
+        return make_bump(n, 0.5)
+    return make_uniform(n)
+
+
+def one_call(p, stream, total):
+    return p.sample(total, stream.rng())
+
+
+# --- splits and gaps -----------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**70), n=st.sampled_from([1, 2, 3, 64, 1000, 1024]),
+       kind=st.sampled_from(["uniform", "heavy", "bump"]),
+       total=st.integers(0, 400), cuts=st.lists(st.integers(0, 400), max_size=8))
+def test_any_split_of_a_word_range_gives_the_one_call_samples(seed, n, kind,
+                                                              total, cuts):
+    p, stream = input_for(kind, n), Stream(seed, (5,))
+    whole = one_call(p, stream, total)
+    bounds = sorted({0, total, *(c % (total + 1) for c in cuts)})
+    gen = stream.rng()
+    parts = [p.sample(b - a, gen) for a, b in zip(bounds, bounds[1:])]
+    got = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    assert got.dtype == whole.dtype and np.array_equal(got, whole)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**70), n=st.sampled_from([2, 3, 1000]),
+       kind=st.sampled_from(["uniform", "heavy"]),
+       ranges=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                       max_size=10))
+def test_ranges_read_across_gaps_equal_slices_of_one_call(seed, n, kind,
+                                                          ranges):
+    """Each range is (gap before it, length); read in one `sample_children`
+    call, and one range a call from the last back to the first, which
+    advances backwards."""
+    p, stream = input_for(kind, n), Stream(seed)
+    starts, counts, at = [], [], 0
+    for gap, count in ranges:
+        starts.append(at + gap)
+        counts.append(count)
+        at += gap + count
+    whole = one_call(p, stream, at)
+    want = [whole[s:s + c] for s, c in zip(starts, counts)]
+    got = sample_children(p, stream.rng(), starts, counts)
+    assert np.array_equal(got, np.concatenate(want or [np.empty(0, np.int64)]))
+    gen, at = stream.rng(), 0
+    for s, c, w in reversed(list(zip(starts, counts, want))):
+        assert np.array_equal(sample_children(p, gen, [s], [c], at), w)
+        at = s + c
+
+
+def test_ranges_past_32_bits_advance_like_one_generator():
+    p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
+    starts, counts = [3, 2**32 + 5, 2**40 + 3], [27, 2, 681]
+    got = sample_children(p, stream.rng(), starts, counts)
+    want = []
+    for s, c in zip(starts, counts):
+        gen = stream.rng()
+        gen.bit_generator.advance(s)
+        want.append(p.sample(c, gen))
+    assert np.array_equal(got, np.concatenate(want))
+
+
+# --- simulators against the monolithic labeling ----------------------------------
+
+PLANS = {
+    "clique": [plan_centralized(16, 1.0)],
+    "disjoint_cliques": [plan_simultaneous(64, 1.0, 4),
+                         plan_simultaneous(256, 0.5, 5)],
+    "rate_cliques": [plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0))],
+    "streaming": [plan_streaming(64, 1.0, 48), plan_streaming(1024, 0.5, 4000)],
+    "simultaneous_streaming": [plan_simultaneous_streaming(64, 1.0, 2, 48),
+                               plan_simultaneous_streaming(1024, 0.5, 8, 400)],
+}
+SIMULATORS = {
+    "clique": [models.simulate_simultaneous],
+    "disjoint_cliques": [models.simulate_simultaneous,
+                         lambda plan, p, s: models.simulate_simultaneous(
+                             plan, p, s, oblivious=True)],
+    "rate_cliques": [models.simulate_simultaneous, models.simulate_asymmetric],
+    "streaming": [models.simulate_streaming],
+    "simultaneous_streaming": [models.simulate_simultaneous_streaming],
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLANS))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**64), trial=st.integers(0, 2**20),
+       kind=st.sampled_from(["uniform", "heavy", "bump"]), data=st.data())
+def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
+                                                      data):
+    plan = data.draw(st.sampled_from(PLANS[family]))
+    simulate = data.draw(st.sampled_from(SIMULATORS[family]))
+    p, stream = input_for(kind, plan.n), Stream(seed).child(trial)
+    drawn, counted = [], []
+    real_ranges, real_count = models.sample_children, models.block_collisions
+
+    def ranges(p, gen, starts, counts, at=0):
+        values = real_ranges(p, gen, starts, counts, at)
+        drawn.append((np.asarray(starts), np.asarray(counts), values))
+        return values
+
+    def count(values, sizes):
+        counted.append((values, tuple(np.asarray(sizes).tolist())))
+        return real_count(values, sizes)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(models, "sample_children", ranges)
+        m.setattr(models, "block_collisions", count)
+        run = simulate(plan, p, stream)
+    if drawn:  # streaming: each chunk is its batches' words
+        labeling = tester.draw_labeling(plan.build_graph(), p, stream).values
+        offsets = np.cumsum(plan.clique_sizes) - plan.clique_sizes
+        for starts, counts, values in drawn:
+            assert set(starts.tolist()) <= set(offsets.tolist())
+            want = [labeling[s:s + c] for s, c in zip(starts, counts)]
+            assert np.array_equal(values, np.concatenate(want))
+        assert sum(v.size for _, _, v in drawn) >= sum(run.ledger.samples)
+    else:  # one call for all cliques, in plan order
+        ((values, sizes),) = counted
+        graph = make_clique_union(sizes)
+        labeling = tester.draw_labeling(graph, p, stream).values
+        assert np.array_equal(values, labeling)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64), trial=st.integers(0, 100),
+       kind=st.sampled_from(["uniform", "heavy"]))
+def test_congest_node_v_reads_word_v(seed, trial, kind):
+    net = congest.Network(random_connected_graph(40, np.random.default_rng(2),
+                                                 0.05), 16)
+    p, stream = input_for(kind, 16), Stream(seed).child(trial)
+    got = congest.draw_node_samples(net, p, stream)
+    whole = one_call(p, stream, 64)
+    assert np.array_equal(got, whole[:net.k])
+    for v in (0, 1, 17, net.k - 1):
+        gen = stream.rng()
+        gen.bit_generator.advance(v)
+        assert got[v] == p.sample(1, gen)[0]
+
+
+# --- trial order ------------------------------------------------------------------
+
+ORDER_SCENARIOS = load_scenarios([
+    {"id": "central", "model": "centralized", "n": 16, "eps": 1.0,
+     "dist": {"kind": "bump"}, "trials": 6},
+    {"id": "stream", "model": "streaming", "n": 64, "eps": 1.0, "m_bits": 48,
+     "dist": {"kind": "heavy"}, "trials": 6},
+    {"id": "simstream", "model": "simultaneous_streaming", "n": 64, "eps": 1.0,
+     "k": 2, "m_bits": 48, "dist": {"kind": "uniform"}, "trials": 6},
+    {"id": "pipelined", "model": "congest_pipelined", "n": 4, "eps": 1.0,
+     "topology": {"kind": "path", "k": 150}, "dist": {"kind": "uniform"},
+     "trials": 6},
+])
+
+
+def scenario_bytes(scenario, seed, order=None):
+    result = run_scenario(scenario, seed, trial_order=order)
+    return summaries_to_csv([result.summary]) + records_to_jsonl(result.records)
+
+
+@pytest.mark.parametrize("scenario", ORDER_SCENARIOS, ids=lambda s: s.scenario_id)
+@settings(max_examples=5, deadline=None)
+@given(order=st.permutations(range(6)), seed=st.integers(0, 2**32))
+def test_trial_order_changes_no_byte(scenario, order, seed):
+    assert scenario_bytes(scenario, seed, order) == scenario_bytes(scenario, seed)
+
+
+# --- the word-to-sample map --------------------------------------------------------
+
+EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**63 - 1, 2**63, 2**64 - 2**11 - 1,
+              2**64 - 2**11, 2**64 - 1]
+
+
+def reference_map(p, word):
+    """The documented map, on Python floats (IEEE doubles like numpy's),
+    with the clamp to n - 1 it never needs."""
+    accept, alias = p._table()
+    x = (word >> 11) * (p.n * 2.0**-53)
+    idx = min(math.floor(x), p.n - 1)
+    if x - idx < accept[idx]:
+        return idx + 1
+    return int(alias[idx]) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**20 + 1])
+def test_map_stays_in_the_domain(n):
+    words = EDGE_WORDS + np.random.default_rng(n).integers(
+        0, 2**64, size=200, dtype=np.uint64).tolist()
+    for p in (make_uniform(n), input_for("heavy", n)):
+        got = p.sample(len(words), Words(words))
+        assert got.dtype == np.int64
+        assert got.min() >= 1 and got.max() <= n
+        assert got.tolist() == [reference_map(p, w) for w in words]
+    # the top word lands on the last value: x stays below n unclamped
+    assert make_uniform(n).sample(1, Words([2**64 - 1]))[0] == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2**52))
+def test_the_top_grid_point_stays_below_n(n):
+    """(2**53 - 1) * n rounds to below n * 2**53 for every n, so
+    ``floor(x)`` is at most n - 1 for every word."""
+    assert math.floor((2**53 - 1) * (n * 2.0**-53)) <= n - 1
+
+
+def test_a_column_below_one_splits_on_the_fraction():
+    """Column 0 accepts 1 - 2**-6 and aliases to column 3: a word whose
+    fraction lands past the accept level of column 0 gives value 4."""
+    d = 2.0**-8
+    p = Distribution([0.25 - d, 0.25, 0.25, 0.25 + d])
+    accept, alias = p._table()
+    assert accept[0] == 1 - 4 * d and alias[0] == 3 and not p.flat
+    # idx 0 and frac just below / at the accept level
+    below = int((1 - 4 * d) * 2**51 - 1) << 11
+    at = int((1 - 4 * d) * 2**51) << 11
+    assert p.sample(2, Words([below, at])).tolist() == [1, 4]
+    assert make_uniform(4).sample(2, Words([below, at])).tolist() == [1, 1]
+
+
+def test_sample_labeling_equals_the_unowned_labeling():
+    g = make_star(9)
+    for p in (make_uniform(7), make_heavy(7, 0.5)):
+        stream = Stream(8).child(5)
+        assert np.array_equal(sample_labeling(p, g.vertex_count, stream).values,
+                              tester.draw_labeling(g, p, stream).values)

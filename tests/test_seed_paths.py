@@ -1,12 +1,13 @@
-"""Seed-path contract v1: pinned output bytes for a fixed master seed.
+"""Seed-path contract v2: pinned output bytes for a fixed master seed.
 
 Each suite below is a reduced copy of one benchmark workload (same
 models, sizes and inputs, 20 trials a scenario) at the seeds the
 benchmark derives from its workload seed 1.  The sha256 of the suite
-CSV followed by the trial JSONL was recorded before the batched clique
-draws replaced one generator per owner, so any change of a drawn value,
-a decision or a ledger field shows here.  A change that means to alter
-these bytes must say so and pin the new hashes.
+CSV followed by the trial JSONL was recorded when contract v2 (one
+generator per trial, sample j from raw word j, see `collitest.rng`)
+replaced one generator per clique, batch and node, so any change of a
+drawn value, a decision or a ledger field shows here.  A change that
+means to alter these bytes must say so and pin the new hashes.
 """
 import hashlib
 
@@ -58,11 +59,11 @@ SUITES = {
 
 GOLDEN = {
     "dense_cliques":
-        "e15ba626a1d777b8c98b2c2809388275d17b6d684b8a91688af426cc0645c421",
+        "f15cc672a76430cc7b7650c9517c497a8c639cafdc475c04d0fd5f5840bd0daf",
     "stream_batches":
-        "559d52ef81edb1719fb5a0cc60263bdda2ce4a0416375fb8a3e84521846b9771",
+        "5d2ddb5eb9905143be149af9d702cbebe1206fc3bd98e8b08d59bbd021bee99d",
     "congest_mixed":
-        "104193c932b0d196da33de1e452bad313a0bbcab2213440bad79ef788f4c4f1e",
+        "20876da7d8c586f35a04db4446348ded75a852fac2064a18128c23ca20d54e05",
 }
 
 

@@ -159,24 +159,30 @@ class TestRun:
         assert out.to_json() == {"z": 0, "t": out.t, "decision": "YES"}
 
 
+def words_from(p, stream, start, count):
+    """`count` samples from raw word `start` on of the trial stream."""
+    gen = stream.rng()
+    gen.bit_generator.advance(start)
+    return p.sample(count, gen)
+
+
 class TestLabelingConvention:
     def test_owned_graph_uses_per_owner_streams(self):
+        """Each owner's stream is its own word range of the trial
+        generator, in owner order."""
         g = make_disjoint_cliques(3, 2)
         p = make_uniform(9)
         stream = Stream(8).child(4)
         lab = draw_labeling(g, p, stream)
-        first = p.sample(3, stream.child(0).rng())
-        second = p.sample(3, stream.child(1).rng())
-        assert np.array_equal(lab.values[:3], first)
-        assert np.array_equal(lab.values[3:], second)
+        assert np.array_equal(lab.values[:3], words_from(p, stream, 0, 3))
+        assert np.array_equal(lab.values[3:], words_from(p, stream, 3, 3))
 
     def test_unowned_graph_is_owner_zero(self):
         g = make_star(4)
         p = make_uniform(9)
         stream = Stream(8).child(5)
         lab = draw_labeling(g, p, stream)
-        assert np.array_equal(lab.values, p.sample(5, stream.child(0).rng()))
-
+        assert np.array_equal(lab.values, p.sample(5, stream.rng()))
 
     def test_interleaved_owners_match_per_owner_scans(self):
         """Owner ids out of vertex order, with gaps, and a lone vertex."""
@@ -187,9 +193,11 @@ class TestLabelingConvention:
         for trial in range(3):
             stream = Stream(31).child(trial)
             want = np.empty(10, dtype=np.int64)
-            for oid in np.unique(g.owner):  # the per-owner scan it replaced
+            start = 0
+            for oid in np.unique(g.owner):  # owners in id order, one range each
                 idx = np.nonzero(g.owner == oid)[0]
-                want[idx] = p.sample(idx.size, stream.child(int(oid)).rng())
+                want[idx] = words_from(p, stream, start, idx.size)
+                start += idx.size
             got = draw_labeling(g, p, stream)
             assert got.values.dtype == want.dtype
             assert np.array_equal(got.values, want)

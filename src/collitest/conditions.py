@@ -7,12 +7,14 @@ three of the following hold (c(G) is the directed two-path count):
     2.  |E| >= 16 n / ((1 - tau)^2 eps^4)
     3.  c(G) / |E|^2 <= (1 - tau)^2 eps^2 / (16 sqrt(n))
 
-`certify_graph` / `certify_stats` evaluate these exactly.  The planners
-below search for the cheapest graph of the right family that such a
-certificate accepts, per computational model: one clique (centralized),
-k equal cliques (simultaneous), rate-proportional cliques (asymmetric
-sampling cost), and batched cliques (memory-constrained streaming,
-alone or with k players).
+`certify_graph` / `certify_stats` evaluate these exactly, and
+`collision_threshold` is the tester's threshold T.  One builder, `_plan`,
+turns cliques with owners and a tau into a certified `Plan`; every
+planner and `Plan.from_json` go through it.  The four equal-clique
+models are one search, `_equal_cliques(n, eps, k, referee, m_bits)`.
+No referee gives family `clique` (centralized, streaming), a referee
+`disjoint_cliques` (simultaneous), memory-bound batches
+`batched_cliques`, and the asymmetric model's cliques `rate_cliques`.
 
 Closed-form conditions for a union of `ell` q-cliques exist in two
 flavors.  The historically used form assumes the UNDIRECTED two-path
@@ -32,8 +34,9 @@ explicit grid instead (`first_certified_tau`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -110,6 +113,12 @@ def _stats_pass(edge_count: int, two_paths: int, tau: float, n: int,
         return False
     return (two_paths / edge_count**2
             <= (1.0 - tau) ** 2 * eps**2 / (16.0 * math.sqrt(n)))
+
+
+def collision_threshold(edge_count: int, tau: float, n: int,
+                        eps: float) -> float:
+    """T = |E| (1 + tau eps^2) / n, kept as a real (never rounded)."""
+    return edge_count * (1.0 + tau * eps**2) / n
 
 
 def certify_stats(edge_count: int, two_path_count: int, tau: float, n: int,
@@ -393,7 +402,7 @@ class Plan:
 
     @property
     def threshold(self) -> float:
-        return self.edge_count * (1.0 + self.tau * self.eps**2) / self.n
+        return collision_threshold(self.edge_count, self.tau, self.n, self.eps)
 
     @property
     def samples_total(self) -> int:
@@ -438,27 +447,18 @@ class Plan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Plan":
-        sizes = tuple(int(s) for s in obj["clique_sizes"])
-        edge_count, two_paths = clique_union_stats(sizes)
-        report = certify_stats(edge_count, two_paths, obj["tau"], obj["n"],
-                               obj["eps"])
-        res = obj["resources"]
-        return cls(
-            family=obj["family"], n=int(obj["n"]), eps=float(obj["eps"]),
-            tau=float(obj["tau"]), clique_sizes=sizes,
-            clique_players=tuple(int(p) for p in obj["clique_players"]),
-            players=int(obj["players"]),
-            edge_count=edge_count, two_path_count=two_paths, report=report,
-            resources=PlanResources(
-                samples_total=res["samples_total"],
-                samples_per_player=res["samples_per_player"],
-                sampling_time=res["sampling_time"],
-                message_bits=res["message_bits"],
-                memory_bits=res["memory_bits"]),
+        """Rebuild through `_plan`: statistics, certificate and resources
+        are derived again from the cliques, not read from the JSON."""
+        runs = groupby(zip(map(int, obj["clique_sizes"]),
+                           map(int, obj["clique_players"])))
+        return _plan(
+            int(obj["n"]), float(obj["eps"]),
+            [(size, len(list(run)), owner) for (size, owner), run in runs],
+            int(obj["players"]), tau=float(obj["tau"]),
+            referee=obj["resources"]["message_bits"] is not None,
+            m_bits=obj["m_bits"],
             rates=None if obj["rates"] is None else tuple(obj["rates"]),
-            sampling_time=obj["sampling_time"], m_bits=obj["m_bits"],
-            m_prime=obj["m_prime"], bits_per_sample=obj["bits_per_sample"],
-        )
+            sampling_time=obj["sampling_time"])
 
 
 def _validate_inputs(n: int, eps: float) -> None:
@@ -466,66 +466,6 @@ def _validate_inputs(n: int, eps: float) -> None:
         raise ValueError("domain size must be >= 1")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-
-
-def plan_centralized(n: int, eps: float) -> Plan:
-    """Smallest certified single clique: q samples, all pairs compared."""
-    _validate_inputs(n, eps)
-    q, tau = _smallest_feasible(lambda q: equal_cliques_stats(q, 1), 2,
-                                "clique size", n, eps)
-    edge_count, two_paths = equal_cliques_stats(q, 1)
-    return Plan(
-        family="clique", n=n, eps=eps, tau=tau,
-        clique_sizes=(q,), clique_players=(0,), players=1,
-        edge_count=edge_count, two_path_count=two_paths,
-        report=certify_stats(edge_count, two_paths, tau, n, eps),
-        resources=PlanResources(samples_total=q, samples_per_player=q),
-    )
-
-
-def plan_simultaneous(n: int, eps: float, k: int) -> Plan:
-    """k players, one clique of q' samples each, short message to a referee."""
-    _validate_inputs(n, eps)
-    if k < 1:
-        raise ValueError("need at least one player")
-    q, tau = _smallest_feasible(lambda q: equal_cliques_stats(q, k), 2,
-                                "clique size", n, eps)
-    edge_count, two_paths = equal_cliques_stats(q, k)
-    t = edge_count * (1.0 + tau * eps**2) / n
-    return Plan(
-        family="disjoint_cliques", n=n, eps=eps, tau=tau,
-        clique_sizes=(q,) * k, clique_players=tuple(range(k)), players=k,
-        edge_count=edge_count, two_path_count=two_paths,
-        report=certify_stats(edge_count, two_paths, tau, n, eps),
-        resources=PlanResources(samples_total=q * k, samples_per_player=q,
-                                message_bits=message_bit_width(t)),
-    )
-
-
-def plan_asymmetric(n: int, eps: float, rates) -> Plan:
-    """Per-player cliques of size floor(R_i t) for the smallest certified t."""
-    _validate_inputs(n, eps)
-    rates = tuple(float(r) for r in rates)
-    if not rates or any(r < 0 for r in rates):
-        raise ValueError("rates must be non-negative")
-    if not any(r > 0 for r in rates):
-        raise ValueError("at least one rate must be positive")
-    t, sizes = _minimal_time(n, eps, rates)
-    edge_count, two_paths = clique_union_stats(sizes)
-    tau = _feasible_tau(edge_count, two_paths, n, eps)
-    thr = edge_count * (1.0 + tau * eps**2) / n
-    return Plan(
-        family="rate_cliques", n=n, eps=eps, tau=tau,
-        clique_sizes=sizes, clique_players=tuple(range(len(rates))),
-        players=len(rates),
-        edge_count=edge_count, two_path_count=two_paths,
-        report=certify_stats(edge_count, two_paths, tau, n, eps),
-        resources=PlanResources(samples_total=sum(sizes),
-                                samples_per_player=max(sizes),
-                                sampling_time=t,
-                                message_bits=message_bit_width(thr)),
-        rates=rates, sampling_time=t,
-    )
 
 
 def _streaming_memory_fields(n: int, m_bits: int) -> tuple[int, int]:
@@ -546,78 +486,110 @@ def _check_counter_budget(t: float, m_bits: int) -> None:
             f"(half the memory) are reserved for it")
 
 
-def plan_streaming(n: int, eps: float, m_bits: int) -> Plan:
-    """One-pass stream under an m-bit memory budget.
+def _concat(parts: list[tuple]) -> tuple:
+    """The parts joined; a lone part is returned as is, without a copy."""
+    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
-    Stores and compares batches of m' = floor(m / (2 ceil(log2 n)))
-    samples; when m' already covers the centralized plan, that plan is
-    returned unchanged (single batch).
+
+def _plan(n: int, eps: float, groups, players: int, *, tau: float | None = None,
+          referee: bool = False, m_bits: int | None = None, rates=None,
+          sampling_time: float | None = None) -> Plan:
+    """The certified plan of these cliques; every plan is built here.
+
+    `groups` lists the cliques in order as runs ``(size, count, owner)``;
+    statistics, tau (`_feasible_tau` unless given), threshold,
+    certificate, resources and family follow from them.  No Python loop
+    runs per clique: the tuples are joined from per-run repeats.
     """
-    _validate_inputs(n, eps)
-    bps, m_prime = _streaming_memory_fields(n, m_bits)
-    base = plan_centralized(n, eps)
-    if m_prime >= base.resources.samples_total:
-        _check_counter_budget(base.threshold, m_bits)
-        peak = (base.resources.samples_total * bps
-                + counter_bit_width(base.threshold))
-        return replace(
-            base, m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
-            resources=replace(base.resources, memory_bits=peak))
-    ell, tau = _smallest_feasible(lambda ell: equal_cliques_stats(m_prime, ell),
-                                  1, "clique count", n, eps)
-    edge_count, two_paths = equal_cliques_stats(m_prime, ell)
-    thr = edge_count * (1.0 + tau * eps**2) / n
-    _check_counter_budget(thr, m_bits)
-    peak = m_prime * bps + counter_bit_width(thr)
+    edge_count = two_paths = 0
+    loads = [0] * players
+    for size, count, owner in groups:
+        e, c = equal_cliques_stats(size, count)
+        edge_count += e
+        two_paths += c
+        loads[owner] += size * count
+    sizes = _concat([(size,) * count for size, count, _ in groups])
+    owners = _concat([(owner,) * count for _, count, owner in groups])
+    if tau is None:
+        tau = _feasible_tau(edge_count, two_paths, n, eps)
+    t = collision_threshold(edge_count, tau, n, eps)
+    bps = m_prime = memory = None
+    if m_bits is not None:
+        bps, m_prime = _streaming_memory_fields(n, m_bits)
+        _check_counter_budget(t, m_bits)
+        memory = max(size for size, _, _ in groups) * bps + counter_bit_width(t)
+    family = ("rate_cliques" if rates is not None
+              else "batched_cliques" if len(sizes) > players
+              else "disjoint_cliques" if referee else "clique")
     return Plan(
-        family="batched_cliques", n=n, eps=eps, tau=tau,
-        clique_sizes=(m_prime,) * ell, clique_players=(0,) * ell, players=1,
+        family=family, n=n, eps=eps, tau=tau, clique_sizes=sizes,
+        clique_players=owners, players=players,
         edge_count=edge_count, two_path_count=two_paths,
         report=certify_stats(edge_count, two_paths, tau, n, eps),
-        resources=PlanResources(samples_total=m_prime * ell,
-                                samples_per_player=m_prime * ell,
-                                memory_bits=peak),
+        resources=PlanResources(
+            samples_total=sum(loads), samples_per_player=max(loads),
+            sampling_time=sampling_time,
+            message_bits=message_bit_width(t) if referee else None,
+            memory_bits=memory),
+        rates=rates, sampling_time=sampling_time,
         m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
     )
+
+
+def _equal_cliques(n: int, eps: float, k: int, referee: bool,
+                   m_bits: int | None = None) -> Plan:
+    """k players, each with one smallest certified clique, or, when that
+    clique does not fit an m-bit memory, with the fewest batches of
+    m' = floor(m / (2 ceil(log2 n))) samples."""
+    _validate_inputs(n, eps)
+    if k < 1:
+        raise ValueError("need at least one player")
+    m_prime = None if m_bits is None else _streaming_memory_fields(n, m_bits)[1]
+    q, _ = _smallest_feasible(lambda q: equal_cliques_stats(q, k), 2,
+                              "clique size", n, eps)
+    batches = 1
+    if m_prime is not None and m_prime < q:
+        # feasibility is monotone in ell, so ceil(min_count / k) batches is minimal
+        min_count, _ = _smallest_feasible(
+            lambda ell: equal_cliques_stats(m_prime, ell), 1, "clique count",
+            n, eps)
+        q, batches = m_prime, math.ceil(min_count / k)
+    return _plan(n, eps, [(q, batches, p) for p in range(k)], k,
+                 referee=referee, m_bits=m_bits)
+
+
+def plan_centralized(n: int, eps: float) -> Plan:
+    """Smallest certified single clique: q samples, all pairs compared."""
+    return _equal_cliques(n, eps, 1, referee=False)
+
+
+def plan_simultaneous(n: int, eps: float, k: int) -> Plan:
+    """k players, one clique of q' samples each, short message to a referee."""
+    return _equal_cliques(n, eps, k, referee=True)
+
+
+def plan_asymmetric(n: int, eps: float, rates) -> Plan:
+    """Per-player cliques of size floor(R_i t) for the smallest certified t."""
+    _validate_inputs(n, eps)
+    rates = tuple(float(r) for r in rates)
+    if not rates or any(r < 0 for r in rates):
+        raise ValueError("rates must be non-negative")
+    if not any(r > 0 for r in rates):
+        raise ValueError("at least one rate must be positive")
+    t, sizes = _minimal_time(n, eps, rates)
+    return _plan(n, eps, [(s, 1, i) for i, s in enumerate(sizes)], len(rates),
+                 referee=True, rates=rates, sampling_time=t)
+
+
+def plan_streaming(n: int, eps: float, m_bits: int) -> Plan:
+    """One-pass stream under an m-bit memory budget: batches of m'
+    samples, or the centralized clique when m' covers it."""
+    return _equal_cliques(n, eps, 1, referee=False, m_bits=m_bits)
 
 
 def plan_simultaneous_streaming(n: int, eps: float, k: int, m_bits: int) -> Plan:
     """k memory-constrained players, each streaming batches of m' samples."""
-    _validate_inputs(n, eps)
-    if k < 1:
-        raise ValueError("need at least one player")
-    bps, m_prime = _streaming_memory_fields(n, m_bits)
-    sim = plan_simultaneous(n, eps, k)
-    if m_prime >= sim.resources.samples_per_player:
-        _check_counter_budget(sim.threshold, m_bits)
-        peak = (sim.resources.samples_per_player * bps
-                + counter_bit_width(sim.threshold))
-        return replace(
-            sim, m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
-            resources=replace(sim.resources, memory_bits=peak))
-    # feasibility is monotone in ell, so ceil(min_count / k) batches is minimal
-    min_count, _ = _smallest_feasible(
-        lambda ell: equal_cliques_stats(m_prime, ell), 1, "clique count", n, eps)
-    batches = math.ceil(min_count / k)
-    ell = batches * k
-    edge_count, two_paths = equal_cliques_stats(m_prime, ell)
-    tau = _feasible_tau(edge_count, two_paths, n, eps)
-    thr = edge_count * (1.0 + tau * eps**2) / n
-    _check_counter_budget(thr, m_bits)
-    peak = m_prime * bps + counter_bit_width(thr)
-    return Plan(
-        family="batched_cliques", n=n, eps=eps, tau=tau,
-        clique_sizes=(m_prime,) * ell,
-        clique_players=tuple(c // batches for c in range(ell)),
-        players=k,
-        edge_count=edge_count, two_path_count=two_paths,
-        report=certify_stats(edge_count, two_paths, tau, n, eps),
-        resources=PlanResources(samples_total=m_prime * ell,
-                                samples_per_player=m_prime * batches,
-                                message_bits=message_bit_width(thr),
-                                memory_bits=peak),
-        m_bits=m_bits, m_prime=m_prime, bits_per_sample=bps,
-    )
+    return _equal_cliques(n, eps, k, referee=True, m_bits=m_bits)
 
 
 # ---------------------------------------------------------------------------

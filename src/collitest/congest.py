@@ -59,8 +59,8 @@ import numpy as np
 
 from . import tester
 from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
-                         certify_stats, equal_cliques_stats,
-                         first_certified_tau)
+                         certify_stats, collision_threshold,
+                         equal_cliques_stats, first_certified_tau)
 from .dist import Distribution
 from .encoding import message_bit_width, sample_bit_width
 from .models import Message
@@ -259,10 +259,6 @@ class BfsTree:
     preorder: list[int]  # depth-first order, children visited by ascending id
     rounds: int
 
-    @property
-    def depth_max(self) -> int:
-        return int(self.depth.max()) if len(self.depth) else 0
-
 
 def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
     """Leader election and BFS in one flood, until globally quiescent.
@@ -352,6 +348,25 @@ class DetectionResult:
                 "two_path_count": self.two_path_count, "rounds": self.rounds}
 
 
+def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
+                     tau_grid, n: int, eps: float):
+    """Sum |E| and c(G) from node degrees up the tree, certify at the root
+    on the tau grid (`COARSE_TAU_GRID` by default) and flood the verdict
+    down.  Returns (|E|, c, tau_star or None, rounds)."""
+    tau_grid = tuple(tau_grid) if tau_grid is not None else COARSE_TAU_GRID
+    k = degrees.size
+    degree_sum = int(degrees.sum())
+    assert degree_sum % 2 == 0
+    edge_count = degree_sum // 2
+    two_path = int(np.sum(degrees * (degrees - 1)))
+    up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
+    rounds = _tree_rounds(tree, meter, up_bits, toward_root=True)
+    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
+    rounds += _tree_rounds(tree, meter, 1 + sample_bit_width(len(tau_grid) + 1),
+                           toward_root=False)
+    return edge_count, two_path, tau_star, rounds
+
+
 def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
                     tree: BfsTree | None = None,
                     meter: BitMeter | None = None) -> DetectionResult:
@@ -363,23 +378,13 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
     verdict is flooded back down.  Rounds exclude the tree build, which
     is a reusable prerequisite.
     """
-    tau_grid = tuple(tau_grid) if tau_grid is not None else COARSE_TAU_GRID
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
-    k = net.k
-    degrees = net.topology.degrees
-    degree_sum = int(degrees.sum())
-    two_path = int(np.sum(degrees * (degrees - 1)))
-    assert degree_sum % 2 == 0
-    edge_count = degree_sum // 2
-    up_bits = (sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1))
-    rounds = _tree_rounds(tree, meter, up_bits, toward_root=True)
-    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
+    edge_count, two_path, tau_star, rounds = _certify_at_root(
+        tree, meter, net.topology.degrees, tau_grid, n, eps)
     certified = tau_star is not None
     report = (certify_stats(edge_count, two_path, tau_star, n, eps)
               if certified else None)
-    down_bits = 1 + sample_bit_width(len(tau_grid) + 1)
-    rounds += _tree_rounds(tree, meter, down_bits, toward_root=False)
     return DetectionResult(certified=certified, tau_star=tau_star,
                            edge_count=edge_count, two_path_count=two_path,
                            rounds=rounds, tree=tree, report=report)
@@ -464,7 +469,7 @@ def _local_schedule(net: Network, n: int, eps: float, tau_star: float,
     sum_rounds = _tree_rounds(tree, meter, bits["sum"], toward_root=True)
     return Schedule(path="local", net=net, tree=tree, n=n, eps=eps,
                     tau=tau_star,
-                    threshold=topo.edge_count * (1.0 + tau_star * eps**2) / n,
+                    threshold=collision_threshold(topo.edge_count, tau_star, n, eps),
                     rounds_breakdown={"exchange": 1, "sum": sum_rounds},
                     bits=bits)
 
@@ -513,7 +518,7 @@ class BundlePlan:
 
     @property
     def threshold(self) -> float:
-        return self.edge_count * (1.0 + self.tau * self.eps**2) / self.n
+        return collision_threshold(self.edge_count, self.tau, self.n, self.eps)
 
 
 def choose_bundle_plan(n: int, eps: float, k: int) -> BundlePlan:
@@ -810,7 +815,6 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
     """
     if t < 1:
         raise ValueError("power must be >= 1")
-    tau_grid = tuple(tau_grid) if tau_grid is not None else COARSE_TAU_GRID
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
     k = net.k
@@ -835,18 +839,11 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
             meter.send(tails[live], heads[live],
                        np.minimum(net.channel_bits, remaining[live]))
         rounds += hop_rounds
-    power_degrees = ball_sizes[t] - 1
-    degree_sum = int(power_degrees.sum())
-    assert degree_sum % 2 == 0
-    edge_count = degree_sum // 2
-    two_path = int(np.sum(power_degrees * (power_degrees - 1)))
-    up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
-    rounds += _tree_rounds(tree, meter, up_bits, toward_root=True)
-    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
-    rounds += _tree_rounds(tree, meter, 1 + sample_bit_width(len(tau_grid) + 1),
-                           toward_root=False)
+    edge_count, two_path, tau_star, root_rounds = _certify_at_root(
+        tree, meter, ball_sizes[t] - 1, tau_grid, n, eps)
     return PowerDetectionResult(certified=tau_star is not None,
                                 tau_star=tau_star,
                                 congestion_ok=congestion_ok,
                                 edge_count=edge_count,
-                                two_path_count=two_path, rounds=rounds)
+                                two_path_count=two_path,
+                                rounds=rounds + root_rounds)

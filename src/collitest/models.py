@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import Plan, clique_union_stats
+from .conditions import Plan, clique_union_stats, collision_threshold
 from .dist import Distribution, sample_children
 from .encoding import counter_bit_width, message_bit_width
 from .errors import ModelViolationError
@@ -151,7 +151,7 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
         max_exp = max(exponents)
         exponent_bits = math.ceil(math.log2(max_exp)) if max_exp > 1 else 0
         edge_count, _ = clique_union_stats(sizes)
-        t = edge_count * (1.0 + plan.tau * plan.eps**2) / plan.n
+        t = collision_threshold(edge_count, plan.tau, plan.n, plan.eps)
         # the referee must be able to recover |E| from the exponents alone
         recovered = sum((1 << e) * ((1 << e) - 1) // 2 for e in exponents)
         if recovered != edge_count:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import collision_threshold
 from .dist import Distribution, SampleLabeling, l1_distance, make_uniform
 from .errors import CapacityError
 from .graph import ComparisonGraph
@@ -81,7 +82,7 @@ class TestOutcome:
 
 def threshold(spec: TesterSpec) -> float:
     """T = |E| (1 + tau eps^2) / n, kept as a real (never rounded)."""
-    return spec.graph.edge_count * (1.0 + spec.tau * spec.eps**2) / spec.n
+    return collision_threshold(spec.graph.edge_count, spec.tau, spec.n, spec.eps)
 
 
 def within_clique_collisions(values: np.ndarray) -> int:

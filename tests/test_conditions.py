@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -17,6 +20,7 @@ from collitest.conditions import (_feasible_tau, _smallest_feasible,
 from collitest.encoding import message_bit_width
 from collitest.errors import CapacityError
 from collitest.graph import make_clique, make_matching, make_star
+from collitest.harness import plan_for
 
 
 class TestCertify:
@@ -432,3 +436,43 @@ class TestPlanJson:
             assert loaded.tau == plan.tau
             assert loaded.report.overall
             assert loaded.threshold == pytest.approx(plan.threshold)
+
+
+# every planner on a fixed grid: 276 problems, 220 plans and 56
+# CapacityErrors (m' < 3 or the counter budget)
+PLAN_GRID_SHA256 = (
+    "dcb9a556038d15eb13c6e421e770779bab9fb2c87bed4915277f9d3d3b2d35ea")
+
+
+def _plan_grid():
+    for n, eps in itertools.product((1, 4, 16, 1024), (0.25, 0.5, 1.0)):
+        yield "centralized", n, eps, {}
+        for k in (1, 3, 8):
+            yield "simultaneous", n, eps, {"k": k}
+        for rates in ((1,), (4, 2, 1, 1), (0, 1, 3)):
+            yield "asymmetric", n, eps, {"rates": rates}
+        for m_bits in (12, 48, 400, 10**6):
+            yield "streaming", n, eps, {"m_bits": m_bits}
+        for k, m_bits in itertools.product((1, 3, 8), (12, 48, 400, 10**6)):
+            yield "simultaneous_streaming", n, eps, {"k": k, "m_bits": m_bits}
+
+
+def test_plan_grid_is_pinned_and_round_trips():
+    """Every plan's JSON (or its CapacityError text) on the grid hashes to
+    the recorded value, and every plan survives `Plan.from_json`."""
+    digest = hashlib.sha256()
+    entries = plans = 0
+    for model, n, eps, params in _plan_grid():
+        entries += 1
+        try:
+            plan = plan_for(model, n, eps, **params)
+        except CapacityError as exc:
+            text = f"CapacityError: {exc}"
+        else:
+            plans += 1
+            text = json.dumps(plan.to_json(), sort_keys=True)
+            assert Plan.from_json(plan.to_json()) == plan
+        digest.update(
+            f"{model} {n} {eps} {sorted(params.items())}\n{text}\n".encode())
+    assert (entries, plans) == (276, 220)
+    assert digest.hexdigest() == PLAN_GRID_SHA256

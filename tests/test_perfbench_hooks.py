@@ -7,6 +7,7 @@ the traced benchmark.  Installing and restoring the hooks here makes
 that fail in the unit tests instead.
 """
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +19,25 @@ from collitest.conditions import plan_centralized, plan_streaming
 from collitest.dist import make_uniform
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _all_models(trials=2):
+    """One small scenario of each of the eight harness models."""
+    q = plan_centralized(4, 1.0).clique_sizes[0]
+    base = {"n": 16, "eps": 1.0, "dist": {"kind": "uniform"}, "trials": trials}
+    scenarios = [
+        {"model": "centralized"}, {"model": "simultaneous", "k": 3},
+        {"model": "asymmetric", "rates": [2, 1]},
+        {"model": "streaming", "n": 64, "m_bits": 48},
+        {"model": "simultaneous_streaming", "n": 64, "k": 2, "m_bits": 48},
+        {"model": "congest_local", "n": 4,
+         "topology": {"kind": "clique", "k": q}},
+        {"model": "congest_pipelined", "n": 4,
+         "topology": {"kind": "path", "k": 150}},
+        {"model": "congest_combined", "n": 4,
+         "topology": {"kind": "star", "k": 150}},
+    ]
+    return [{**base, **s} for s in scenarios]
 
 
 @pytest.fixture
@@ -53,23 +73,10 @@ def test_trials_are_direct_children_of_their_run(perfbench_modules):
     spans directly under `harness.run_scenario`: one per trial for every
     model, with any other trial span nested inside one of them."""
     child, tracer = perfbench_modules
-    q = plan_centralized(4, 1.0).clique_sizes[0]
-    base = {"n": 16, "eps": 1.0, "dist": {"kind": "uniform"}, "trials": 2}
-    scenarios = [
-        {"model": "centralized"}, {"model": "simultaneous", "k": 3},
-        {"model": "asymmetric", "rates": [2, 1]},
-        {"model": "streaming", "n": 64, "m_bits": 48},
-        {"model": "simultaneous_streaming", "n": 64, "k": 2, "m_bits": 48},
-        {"model": "congest_local", "n": 4,
-         "topology": {"kind": "clique", "k": q}},
-        {"model": "congest_pipelined", "n": 4,
-         "topology": {"kind": "path", "k": 150}},
-        {"model": "congest_combined", "n": 4,
-         "topology": {"kind": "star", "k": 150}},
-    ]
+    scenarios = _all_models()
     with tracer.Tracer() as tr:
         child.mark_trials(tr)
-        for s in harness.load_scenarios([{**base, **s} for s in scenarios]):
+        for s in harness.load_scenarios(scenarios):
             harness.run_scenario(s, 3)
     ids, parent, _, _ = tr.spans()
     nid = {name: i for i, name in enumerate(tr.names)}
@@ -98,3 +105,15 @@ def test_a_streaming_trial_counts_one_generator_and_its_samples(
     assert totals["rng.generator"][0] == 1
     assert totals["dist.sample"][0] >= 1
     assert tr.counters["dist.samples_drawn"] == sum(plan.clique_sizes)
+
+
+def test_setup_pass_runs_every_model(perfbench_modules):
+    """The set-up pass calls the planners, `Plan.build_graph` and the
+    CONGEST set-up (`Network`, `build_bfs_tree`, `detect_topology`,
+    `choose_bundle_plan`) by name, outside `run_scenario`; it must still
+    time all eight models."""
+    child, _ = perfbench_modules
+    scenarios = _all_models(trials=1)
+    assert {s["model"] for s in scenarios} == set(harness.MODELS)
+    out = child.run_pass("setup", {"master_seed": 3, "scenarios": scenarios})
+    assert math.isfinite(out["setup_s"]) and out["setup_s"] > 0

@@ -6,7 +6,8 @@ scenarios, one CSV), `audit` (moments of Z against their closed forms)
 and `counterexample` (the certified cycle whose hub-augmented supergraph
 certifies for no tau).
 
-Exit codes: 0 success, 1 usage error, 2 planner capacity error.
+Exit codes: 0 success, 1 usage error (a bad option, a missing file or
+field; printed as `error: ...`), 2 planner capacity error.
 """
 from __future__ import annotations
 
@@ -158,7 +159,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except KeyError as exc:
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

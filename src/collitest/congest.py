@@ -36,9 +36,10 @@ Protocols:
   every node sends its sample to each higher-id neighbor, local counts,
   one convergecast, decision at the root.
 * `pipelined_bundle_protocol` (any topology with enough nodes): counts
-  subtree sizes, pipelines leftover samples upward so whole bundles of s
-  samples gather at single nodes, lets each bundle act as one virtual
-  player of the simultaneous tester, and aggregates their messages.
+  subtree sizes and pipelines leftover samples upward so whole bundles of
+  s samples gather at single nodes.  The bundles are the players of a
+  simultaneous `Plan` (family `disjoint_cliques`, one s-clique each),
+  and the models referee decides from their messages.
 * `combined_protocol` runs detection and picks whichever path applies.
 * `graph_power_detection` certifies the distance-<=t power of the
   topology, flagging nodes whose t-ball is too large to exchange within
@@ -58,12 +59,12 @@ from itertools import chain
 import numpy as np
 
 from . import tester
-from .conditions import (COARSE_TAU_GRID, _feasible_tau, _stats_pass,
-                         certify_stats, collision_threshold,
+from .conditions import (COARSE_TAU_GRID, Plan, _feasible_tau, _plan,
+                         _stats_pass, certify_stats, collision_threshold,
                          equal_cliques_stats, first_certified_tau)
 from .dist import Distribution
-from .encoding import message_bit_width, sample_bit_width
-from .models import Message
+from .encoding import sample_bit_width
+from .models import _referee
 from .errors import (CapacityError, InvalidNetworkError,
                      ModelViolationError, ProtocolRefusedError)
 from .graph import ComparisonGraph
@@ -115,7 +116,9 @@ class Network:
 
     @cached_property
     def diameter(self) -> int:
-        """Largest eccentricity, computed on first read."""
+        """Largest eccentricity, computed on first read; no run path reads
+        it.  It grows about as k^3 on a k-node path (2-core VM): 0.64 s,
+        7.0 s and 56 s at 1600, 3200 and 6400 nodes."""
         return max(h for h, _ in _reach_levels(self))
 
     def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +406,9 @@ class Schedule:
     network, the tree and the bundle plan; only the collision count
     depends on the samples.  A protocol called without a schedule builds
     one and charges it to its meter; called with one, it charges nothing
-    and only draws, counts and decides.  `bits` holds the message width
-    of each phase.  A pipelined schedule also holds the plan, the
+    and only draws, counts and decides (`_run`).  `bits` holds the
+    message width of each phase.  A pipelined schedule also holds the
+    simultaneous `Plan` whose players are the bundles, the
     `BundleAssignment` and `bundles`, the (ell, s) array of each
     bundle's node ids; its assignment is shared by every run of the
     schedule and must not be mutated.
@@ -419,7 +423,7 @@ class Schedule:
     threshold: float
     rounds_breakdown: dict
     bits: dict
-    plan: BundlePlan | None = None
+    plan: Plan | None = None
     assignment: BundleAssignment | None = None
     bundles: np.ndarray | None = None
 
@@ -428,7 +432,7 @@ class Schedule:
         return sum(self.rounds_breakdown.values())
 
     def check(self, meter, path: str, net: Network, tree, n: int, eps: float,
-              tau: float | None = None, plan: BundlePlan | None = None) -> None:
+              tau: float | None = None, plan: Plan | None = None) -> None:
         """Raise ValueError unless this schedule serves a `path` run with
         these arguments; a run given a schedule charges no meter."""
         if meter is not None:
@@ -443,14 +447,39 @@ class Schedule:
 
 
 @dataclass
-class LocalRun:
+class CongestRun:
+    """One trial; plan, assignment and messages are None on the local path."""
+
     decision: str
     rounds: int
-    z: int
+    z: int | None  # None when a bundle sent the sentinel
     threshold: float
     values: np.ndarray
     rounds_breakdown: dict
-    schedule: Schedule | None = None
+    schedule: Schedule
+    plan: Plan | None = None
+    assignment: BundleAssignment | None = None
+    messages: list | None = None
+
+
+def _run(schedule: Schedule, p: Distribution, stream: Stream) -> CongestRun:
+    """Draw one sample per node, count and decide.  The local path
+    compares Z of the topology with T; on the pipelined path each bundle
+    counts its own clique and the models referee decides."""
+    values = draw_node_samples(schedule.net, p, stream)
+    t = schedule.threshold
+    if schedule.plan is None:
+        z = tester.count_collisions(schedule.net.topology, values)
+        decision, messages = ("YES" if z < t else "NO"), None
+    else:
+        decision, messages, z = _referee(
+            tester.row_collisions(values[schedule.bundles]).tolist(), t,
+            schedule.bits["message"])
+    return CongestRun(decision=decision, rounds=schedule.rounds, z=z,
+                      threshold=t, values=values,
+                      rounds_breakdown=dict(schedule.rounds_breakdown),
+                      schedule=schedule, plan=schedule.plan,
+                      assignment=schedule.assignment, messages=messages)
 
 
 def _local_schedule(net: Network, n: int, eps: float, tau_star: float,
@@ -478,7 +507,7 @@ def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
                              p: Distribution, stream: Stream,
                              tree: BfsTree | None = None,
                              meter: BitMeter | None = None,
-                             schedule: Schedule | None = None) -> LocalRun:
+                             schedule: Schedule | None = None) -> CongestRun:
     """O(D)-round test on a certified topology.
 
     One round of sample exchange along the id orientation (each edge is
@@ -491,52 +520,29 @@ def local_collision_protocol(net: Network, n: int, eps: float, tau_star: float,
         schedule = _local_schedule(net, n, eps, tau_star, tree, meter)
     else:
         schedule.check(meter, "local", net, tree, n, eps, tau=tau_star)
-    values = draw_node_samples(net, p, stream)
-    z = tester.count_collisions(net.topology, values)
-    t = schedule.threshold
-    return LocalRun(decision="YES" if z < t else "NO", rounds=schedule.rounds,
-                    z=z, threshold=t, values=values,
-                    rounds_breakdown=dict(schedule.rounds_breakdown),
-                    schedule=schedule)
+    return _run(schedule, p, stream)
 
 
 # ---------------------------------------------------------------------------
 # bundle pipelining
 
 
-@dataclass(frozen=True)
-class BundlePlan:
-    """Bundle size s, bundle count ell and tau for the virtual tester."""
-
-    s: int
-    ell: int
-    tau: float
-    edge_count: int
-    two_path_count: int
-    n: int
-    eps: float
-
-    @property
-    def threshold(self) -> float:
-        return collision_threshold(self.edge_count, self.tau, self.n, self.eps)
-
-
-def choose_bundle_plan(n: int, eps: float, k: int) -> BundlePlan:
+def choose_bundle_plan(n: int, eps: float, k: int) -> Plan:
     """Smallest certified bundle size s >= 3 with ell = floor(k/s) bundles.
 
     Rounds grow with s, so the smallest certified s wins; tau is solved
-    exactly per s.  Raises CapacityError when no (s, tau) fits within k
-    samples.
+    exactly per s.  The bundles are the ell players of a simultaneous
+    plan, one s-clique each.  Raises CapacityError when no (s, tau) fits
+    within k samples.
     """
     for s in range(3, k + 1):
         ell = k // s
         if ell < 1:
             break
-        edge_count, two_path = equal_cliques_stats(s, ell)
-        tau = _feasible_tau(edge_count, two_path, n, eps)
+        tau = _feasible_tau(*equal_cliques_stats(s, ell), n, eps)
         if tau is not None:
-            return BundlePlan(s=s, ell=ell, tau=tau, edge_count=edge_count,
-                              two_path_count=two_path, n=n, eps=eps)
+            return _plan(n, eps, [(s, 1, j) for j in range(ell)], ell,
+                         tau=tau, referee=True)
     raise CapacityError(
         f"{k} single-sample nodes cannot host a certified bundle tester "
         f"for n={n}, eps={eps}")
@@ -658,7 +664,7 @@ def _pipeline_rounds(net: Network, tree: BfsTree, assignment: BundleAssignment,
 
 
 def _pipelined_schedule(net: Network, n: int, eps: float,
-                        tree: BfsTree | None, plan: BundlePlan | None,
+                        tree: BfsTree | None, plan: Plan | None,
                         meter: BitMeter | None) -> Schedule:
     plan = plan or choose_bundle_plan(n, eps, net.k)
     meter = meter or BitMeter(net)
@@ -666,16 +672,17 @@ def _pipelined_schedule(net: Network, n: int, eps: float,
     if tree is None:
         tree = build_bfs_tree(net, meter)
         tree_rounds = tree.rounds
-    assignment = bundle_assignment(tree, plan.s)
-    if len(assignment.bundles) != plan.ell:
+    s, ell = plan.clique_sizes[0], plan.players
+    assignment = bundle_assignment(tree, s)
+    if len(assignment.bundles) != ell:
         raise ModelViolationError("bundle count does not match the plan")
     bits = {"count": sample_bit_width(net.k + 1),
-            "message": message_bit_width(plan.threshold),
+            "message": plan.resources.message_bits,
             "answer": 1 + sample_bit_width(plan.edge_count + 1)}
     count_rounds = _tree_rounds(tree, meter, bits["count"], toward_root=True)
     pipe_rounds = _pipeline_rounds(net, tree, assignment, meter)
     answer_rounds = _tree_rounds(tree, meter, bits["answer"], toward_root=True)
-    bundles = np.array(assignment.bundles, dtype=np.int64).reshape(plan.ell, plan.s)
+    bundles = np.array(assignment.bundles, dtype=np.int64).reshape(ell, s)
     return Schedule(path="pipelined", net=net, tree=tree, n=n, eps=eps,
                     tau=plan.tau, threshold=plan.threshold,
                     rounds_breakdown={"tree": tree_rounds, "count": count_rounds,
@@ -685,54 +692,26 @@ def _pipelined_schedule(net: Network, n: int, eps: float,
                     bundles=bundles)
 
 
-@dataclass
-class PipelinedRun:
-    decision: str
-    rounds: int
-    plan: BundlePlan
-    z: int | None
-    threshold: float
-    assignment: BundleAssignment
-    values: np.ndarray
-    rounds_breakdown: dict
-    messages: list | None = None
-    schedule: Schedule | None = None
-
-
 def pipelined_bundle_protocol(net: Network, n: int, eps: float,
                               p: Distribution, stream: Stream,
                               tree: BfsTree | None = None,
-                              plan: BundlePlan | None = None,
+                              plan: Plan | None = None,
                               meter: BitMeter | None = None,
-                              schedule: Schedule | None = None) -> PipelinedRun:
+                              schedule: Schedule | None = None) -> CongestRun:
     """Gather samples into bundles of s, run virtual players, aggregate.
 
     Phases: (build tree if needed), count subtree sizes, pipeline
-    remainders upward, simulate one virtual simultaneous player per
-    bundle where it gathered, and convergecast (partial collision sum,
-    sentinel flag) to the root acting as referee.  A given `schedule`
-    supplies the tree (when `tree` is None) and the plan (when `plan`
-    is None).
+    remainders upward, let each bundle play its clique of the
+    simultaneous plan where it gathered, and convergecast (partial
+    collision sum, sentinel flag) to the root acting as referee.  A
+    given `schedule` supplies the tree (when `tree` is None) and the
+    plan (when `plan` is None).
     """
     if schedule is None:
         schedule = _pipelined_schedule(net, n, eps, tree, plan, meter)
     else:
         schedule.check(meter, "pipelined", net, tree, n, eps, plan=plan)
-    values = draw_node_samples(net, p, stream)
-    t = schedule.threshold
-    z_bundles = tester.row_collisions(values[schedule.bundles]).tolist()
-    messages = [Message(None if z_j >= t else z_j, schedule.bits["message"])
-                for z_j in z_bundles]
-    if any(m.is_sentinel for m in messages):
-        decision, z_out = "NO", None
-    else:
-        total = sum(z_bundles)
-        decision, z_out = ("YES" if total < t else "NO"), total
-    return PipelinedRun(
-        decision=decision, rounds=schedule.rounds, plan=schedule.plan,
-        z=z_out, threshold=t, assignment=schedule.assignment, values=values,
-        rounds_breakdown=dict(schedule.rounds_breakdown), messages=messages,
-        schedule=schedule)
+    return _run(schedule, p, stream)
 
 
 @dataclass
@@ -742,8 +721,8 @@ class CombinedRun:
     path: str  # "local" | "pipelined"
     detection: DetectionResult
     rounds_breakdown: dict
-    local: LocalRun | None = None
-    pipelined: PipelinedRun | None = None
+    local: CongestRun | None = None
+    pipelined: CongestRun | None = None
     schedule: Schedule | None = None
 
 
@@ -770,18 +749,18 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     if detection.certified:
         run = local_collision_protocol(net, n, eps, detection.tau_star, p,
                                        stream, tree=tree, schedule=schedule)
-        path, local, pipelined = "local", run, None
     else:
         run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree,
                                         schedule=schedule)
-        path, local, pipelined = "pipelined", None, run
     # the pipelined run was handed the tree, so its own "tree" entry is 0
     breakdown = {**run.rounds_breakdown, "tree": tree.rounds,
                  "detect": detection.rounds}
+    local = run if detection.certified else None
     return CombinedRun(decision=run.decision, rounds=base_rounds + run.rounds,
-                       path=path, detection=detection,
+                       path=run.schedule.path, detection=detection,
                        rounds_breakdown=breakdown, local=local,
-                       pipelined=pipelined, schedule=run.schedule)
+                       pipelined=run if local is None else None,
+                       schedule=run.schedule)
 
 
 @dataclass

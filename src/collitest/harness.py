@@ -343,7 +343,8 @@ def run_scenario(scenario: Scenario, master_seed: int,
             family, q, ell = "topology", net.k, 1
             edges = net.topology.edge_count
         else:
-            family, q, ell = "bundled", schedule.plan.s, schedule.plan.ell
+            sizes = schedule.plan.clique_sizes
+            family, q, ell = "bundled", max(sizes), len(sizes)
             edges = schedule.plan.edge_count
         plan = None
 

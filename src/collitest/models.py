@@ -102,12 +102,6 @@ class SimulationRun:
     threshold: float
 
 
-def _rounded_pow2(x: int) -> int:
-    if x < 1:
-        raise ValueError("cannot round a non-positive sample count")
-    return 1 << math.ceil(math.log2(x))
-
-
 def _referee(z_per_player, t: float, base_bits: int, exponents=None,
              exponent_bits: int = 0):
     """Encode per-player messages and decide like the referee would."""

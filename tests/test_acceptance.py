@@ -324,7 +324,7 @@ def test_criterion_7_congest():
                                        Stream(902).child(trial),
                                        detection=path_det)
             assert run.path == "pipelined"
-            s = run.pipelined.plan.s
+            s = run.pipelined.plan.clique_sizes[0]
             assert run.rounds <= cg.C_PIPE * (path_net.diameter + s) + cg.C0
 
         # a path where no tau whatsoever certifies the topology (|E| = 399
@@ -335,8 +335,9 @@ def test_criterion_7_congest():
         long_run = cg.combined_protocol(long_net, 16, 1.0, make_uniform(16),
                                         Stream(903).child(0))
         assert long_run.path == "pipelined"
+        long_s = long_run.pipelined.plan.clique_sizes[0]
         assert long_run.rounds <= cg.C_PIPE * (
-            long_net.diameter + long_run.pipelined.plan.s) + cg.C0
+            long_net.diameter + long_s) + cg.C0
 
         # aggregation exactness on 100 random connected topologies
         gen = Stream(905).rng()

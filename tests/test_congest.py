@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collitest import congest as cg
-from collitest.conditions import plan_centralized
+from collitest.conditions import Plan, _plan, plan_centralized
 from collitest.dist import Distribution, make_bump, make_uniform
 from collitest.errors import (CapacityError, InvalidNetworkError,
                               ModelViolationError, ProtocolRefusedError)
@@ -284,19 +284,83 @@ class TestBundleAssignment:
         assert a.bundles == b.bundles and a.bundle_holder == b.bundle_holder
 
 
+# (n, eps, k) -> (s, ell, tau.hex(), threshold.hex()) of `choose_bundle_plan`
+# on the grid n in {2, 4, 16, 64}, eps in {0.5, 0.9, 1.0}, k in {20, 150,
+# 300, 800}; every other problem of the grid raises CapacityError
+BUNDLE_PLAN_PINS = {
+    (2, 0.5, 800): (4, 200, "0x1.58c81066187e8p-2", "0x1.4540a7337a4b4p+9"),
+    (2, 0.9, 150): (3, 50, "0x1.5980add4c5d26p-2", "0x1.7dfd49403df1bp+6"),
+    (2, 0.9, 300): (3, 100, "0x1.8a44c2bd7e520p-2", "0x1.898fd13677b9fp+7"),
+    (2, 0.9, 800): (3, 266, "0x1.b7d0725c991c6p-2", "0x1.0ce7f21b6e209p+9"),
+    (2, 1.0, 150): (3, 50, "0x1.5d03b3b8b1e5ep-2", "0x1.924015a71c1e6p+6"),
+    (2, 1.0, 300): (3, 100, "0x1.8cc07749d0ea6p-2", "0x1.a03c62f2a034bp+7"),
+    (2, 1.0, 800): (3, 266, "0x1.b95638fe70630p-2", "0x1.1d7bac5a92255p+9"),
+    (4, 0.5, 800): (14, 57, "0x1.cf71319856bdep-3", "0x1.5687113ff0d2cp+10"),
+    (4, 0.9, 300): (3, 100, "0x1.6e05e626374fcp-2", "0x1.82dbe65d91a03p+6"),
+    (4, 0.9, 800): (3, 266, "0x1.a67eebc4a03adp-2", "0x1.0a2c4d356014ap+8"),
+    (4, 1.0, 150): (3, 50, "0x1.58c81066187e7p-2", "0x1.91029ccde92d1p+5"),
+    (4, 1.0, 300): (3, 100, "0x1.89c237dc651f4p-2", "0x1.9f5be65d91a02p+6"),
+    (4, 1.0, 800): (3, 266, "0x1.b78067eea0819p-2", "0x1.1d20243f9d854p+8"),
+    (16, 0.9, 800): (4, 200, "0x1.6e05e626374fcp-2", "0x1.82dbe65d91a03p+6"),
+    (16, 1.0, 300): (75, 4, "0x1.44799a4ac10ecp-4", "0x1.765a844f00a57p+9"),
+    (16, 1.0, 800): (3, 266, "0x1.6f00cfdd41032p-2", "0x1.0f00487f3b0a7p+6"),
+    (64, 0.9, 800): (80, 10, "0x1.d2aff87af0652p-4", "0x1.0da8ae4a047f8p+9"),
+    (64, 1.0, 800): (14, 57, "0x1.cf71319856bdep-3", "0x1.8d8c44ffc34b1p+6"),
+}
+
+
 class TestPipelined:
+    def test_bundle_choices_are_pinned(self):
+        # s and ell come back from the exact statistics of ell s-cliques,
+        # |E| = ell s (s-1) / 2 and c = ell s (s-1) (s-2), so the pin reads
+        # nothing but the plan's statistics, tau and threshold
+        seen = {}
+        for n in (2, 4, 16, 64):
+            for eps in (0.5, 0.9, 1.0):
+                for k in (20, 150, 300, 800):
+                    try:
+                        plan = cg.choose_bundle_plan(n, eps, k)
+                    except CapacityError as err:
+                        assert str(err) == (
+                            f"{k} single-sample nodes cannot host a certified "
+                            f"bundle tester for n={n}, eps={eps}")
+                        continue
+                    s = plan.two_path_count // (2 * plan.edge_count) + 2
+                    ell = 2 * plan.edge_count // (s * (s - 1))
+                    seen[n, eps, k] = (s, ell, plan.tau.hex(),
+                                       plan.threshold.hex())
+        assert seen == BUNDLE_PLAN_PINS
+
+    def test_bundle_plans_are_certified_simultaneous_plans(self):
+        for n, eps, k in BUNDLE_PLAN_PINS:
+            plan = cg.choose_bundle_plan(n, eps, k)
+            assert plan.report.overall
+            assert plan.family == "disjoint_cliques"
+            assert plan.players == len(plan.clique_sizes)
+            assert Plan.from_json(plan.to_json()) == plan
+        for n, k in ((4, 150), (2, 300)):
+            net = cg.Network(make_path(k), n)
+            run = cg.pipelined_bundle_protocol(net, n, 1.0, make_uniform(n),
+                                               Stream(22).child(0))
+            assert run.plan == cg.choose_bundle_plan(n, 1.0, k)
+            assert (run.schedule.bits["message"]
+                    == run.plan.resources.message_bits)
+            assert all(m.encoded_bits == run.plan.resources.message_bits
+                       for m in run.messages)
+
     def test_path_topology_end_to_end(self):
         net = cg.Network(make_path(150), 4)
         tree = cg.build_bfs_tree(net)
         plan = cg.choose_bundle_plan(4, 1.0, 150)
-        assert plan.s == 3
+        s, ell = plan.clique_sizes[0], plan.players
+        assert s == 3
         p = make_uniform(4)
         for trial in range(30):
             meter = cg.BitMeter(net)
             run = cg.pipelined_bundle_protocol(net, 4, 1.0, p,
                                                Stream(21).child(trial),
                                                tree=tree, meter=meter)
-            graph = make_clique_union([plan.s] * plan.ell)
+            graph = make_clique_union([s] * ell)
             order = [v for bundle in run.assignment.bundles for v in bundle]
             spec = tester.TesterSpec(graph, plan.tau, 4, 1.0)
             mono = tester.evaluate(spec, run.values[np.array(order)])
@@ -304,7 +368,7 @@ class TestPipelined:
             if run.z is not None:
                 assert run.z == mono.z
             assert (tree.rounds + run.rounds
-                    <= cg.C_PIPE * (net.diameter + plan.s) + cg.C0)
+                    <= cg.C_PIPE * (net.diameter + s) + cg.C0)
 
     def test_bundle_size_rejected_below_three(self):
         with pytest.raises(CapacityError):
@@ -320,8 +384,8 @@ class TestPipelined:
         # a path of 8 with bundles of 4: two bundles, rounds within budget
         net = cg.Network(make_path(8), 2)
         tree = cg.build_bfs_tree(net)
-        plan = cg.BundlePlan(s=4, ell=2, tau=0.5, edge_count=12,
-                             two_path_count=48, n=2, eps=1.0)
+        plan = _plan(2, 1.0, [(4, 1, 0), (4, 1, 1)], 2, tau=0.5,
+                     referee=True)
         run = cg.pipelined_bundle_protocol(net, 2, 1.0, make_uniform(2),
                                            Stream(9).child(0), tree=tree,
                                            plan=plan)
@@ -354,7 +418,7 @@ class TestCombined:
                                        detection=detection)
             detection = run.detection
             assert run.path == "pipelined"
-            s = run.pipelined.plan.s
+            s = run.pipelined.plan.clique_sizes[0]
             assert run.rounds <= cg.C_PIPE * (net.diameter + s) + cg.C0
 
     def test_local_path_is_cheaper_when_both_apply(self):
@@ -405,11 +469,10 @@ class TestRoundReplay:
         pipe_meter = cg.BitMeter(net, record_transcript=True)
         run = cg.pipelined_bundle_protocol(net, 4, 1.0, make_uniform(4),
                                            Stream(61).child(0), tree=tree,
-                                           plan=cg.BundlePlan(
-                                               s=3, ell=10, tau=0.5,
-                                               edge_count=30,
-                                               two_path_count=60, n=4,
-                                               eps=1.0),
+                                           plan=_plan(
+                                               4, 1.0,
+                                               [(3, 1, j) for j in range(10)],
+                                               10, tau=0.5, referee=True),
                                            meter=pipe_meter)
         assert pipe_meter.rounds == run.rounds
         # transcript replay: per-edge totals never exceed the channel

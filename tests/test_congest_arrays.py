@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from collitest import congest as cg
-from collitest.conditions import (COARSE_TAU_GRID, _feasible_tau,
+from collitest.conditions import (COARSE_TAU_GRID, _feasible_tau, _plan,
                                   first_certified_tau, plan_centralized)
 from collitest.dist import make_bump, make_uniform
 from collitest.encoding import sample_bit_width
@@ -274,7 +274,7 @@ def test_schedules_match_per_message_oracles(topologies, name, n, eps):
         assert meter.rounds == rounds
 
     try:
-        s = cg.choose_bundle_plan(n, eps, net.k).s
+        s = cg.choose_bundle_plan(n, eps, net.k).clique_sizes[0]
     except CapacityError:
         s = 3
     assignment = cg.bundle_assignment(tree, s)
@@ -393,9 +393,8 @@ def bundle_plan_or_threes(n, eps, k):
     try:
         return cg.choose_bundle_plan(n, eps, k)
     except CapacityError:
-        edges, two_paths = 3 * (k // 3), 6 * (k // 3)
-        return cg.BundlePlan(s=3, ell=k // 3, tau=0.5, edge_count=edges,
-                             two_path_count=two_paths, n=n, eps=eps)
+        return _plan(n, eps, [(3, 1, j) for j in range(k // 3)], k // 3,
+                     tau=0.5, referee=True)
 
 
 def assert_same_run(got, want):
@@ -491,8 +490,8 @@ def test_schedules_refuse_a_meter_and_foreign_arguments():
     plan = bundle_plan_or_threes(4, 1.0, net.k)
     piped = cg.pipelined_bundle_protocol(net, 4, 1.0, p, stream, tree=tree,
                                          plan=plan).schedule
-    other_plan = cg.BundlePlan(s=5, ell=6, tau=0.5, edge_count=60,
-                               two_path_count=480, n=4, eps=1.0)
+    other_plan = _plan(4, 1.0, [(5, 1, j) for j in range(6)], 6, tau=0.5,
+                       referee=True)
     twin = cg.Network(make_path(30), 4)
     q = plan_centralized(4, 1.0).clique_sizes[0]
     clique = cg.Network(make_clique(q), 4)

@@ -319,6 +319,40 @@ class TestCli:
             cli_main(["plan", "--model", "nonsense", "--n", "4", "--eps", "1"])
         assert exc.value.code == 1
 
+    def test_missing_scenario_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = cli_main(["run", "--scenario", str(missing), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
+
+    def test_out_prefix_in_missing_directory_exit_code(self, tmp_path, capsys):
+        spec = dict(id="demo", model="centralized", n=16, eps=1.0,
+                    dist={"kind": "uniform"}, trials=2)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1",
+                         "--out-prefix", str(tmp_path / "no_dir" / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_dir" in err
+
+    def test_scenario_without_trials_exit_code(self, tmp_path, capsys):
+        spec = dict(id="demo", model="centralized", n=16, eps=1.0,
+                    dist={"kind": "uniform"})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing field 'trials'\n"
+
+    def test_graph_without_size_exit_code(self, capsys):
+        code = cli_main(["audit", "--graph", '{"kind": "clique"}',
+                         "--dist", '{"kind": "uniform", "n": 8}',
+                         "--trials", "5", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing field 'q'\n"
+
     def test_run_writes_csv_and_jsonl(self, tmp_path, capsys):
         spec = dict(id="demo", model="centralized", n=16, eps=1.0,
                     dist={"kind": "uniform"}, trials=5)

@@ -90,7 +90,8 @@ def _plan_table(plan) -> str:
         ("n / eps", f"{plan.n} / {plan.eps:g}"),
         ("tau", f"{plan.tau:.6g}"),
         ("threshold T", f"{plan.threshold:.6g}"),
-        ("cliques", f"{len(plan.clique_sizes)} (max size {max(plan.clique_sizes)})"),
+        ("cliques", f"{sum(count for _, count, _ in plan.runs)} "
+                    f"(max size {max(size for size, _, _ in plan.runs)})"),
         ("players", str(plan.players)),
         ("edges / two-paths", f"{plan.edge_count} / {plan.two_path_count}"),
         ("samples total", str(res.samples_total)),

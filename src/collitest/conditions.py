@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby
-
-import numpy as np
 
 from .encoding import counter_bit_width, message_bit_width, sample_bit_width
 from .errors import CapacityError
@@ -273,7 +270,7 @@ def _smallest(ok, lo: int, what: str) -> int:
     hi = 2 * lo
     while not ok(hi):
         lo, hi = hi, hi * 2
-        if hi > 1 << 40:
+        if hi > 1 << 62:
             raise CapacityError(f"{what} search diverged")
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -376,19 +373,19 @@ class PlanResources:
 class Plan:
     """A certified tester layout: cliques, their owners, and tau.
 
-    `clique_sizes[c]` is the vertex count of clique `c`;
-    `clique_players[c]` names the player that executes it.  The plan's
-    comparison graph is the disjoint union of these cliques with the
-    clique index as the vertex owner, so per-clique sample streams are
-    addressed by `(trial, clique_index)`.
+    `runs` lists the cliques in order as maximal runs ``(size, count,
+    owner)`` (`count` cliques of `size` vertices that player `owner`
+    executes), the plan's only stored layout; `clique_sizes` and
+    `clique_players` expand them clique by clique.  The plan's graph is
+    the disjoint union of the cliques with the clique index as the
+    vertex owner.
     """
 
     family: str  # clique | disjoint_cliques | rate_cliques | batched_cliques
     n: int
     eps: float
     tau: float
-    clique_sizes: tuple[int, ...]
-    clique_players: tuple[int, ...]
+    runs: tuple[tuple[int, int, int], ...]
     players: int
     edge_count: int
     two_path_count: int
@@ -405,22 +402,16 @@ class Plan:
         return collision_threshold(self.edge_count, self.tau, self.n, self.eps)
 
     @property
-    def samples_total(self) -> int:
-        return sum(self.clique_sizes)
+    def clique_sizes(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable([(s,) * c for s, c, _ in self.runs]))
 
-    @cached_property
-    def clique_arrays(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """``(sizes, cliques)``: `clique_sizes` as a read-only int64
-        array, and for each player the indices of its cliques in
-        ascending order, also read-only.  Computed on first use, so that
-        a simulator's trials share them.
-        """
-        sizes = np.array(self.clique_sizes, dtype=np.int64)
-        players = np.array(self.clique_players, dtype=np.int64)
-        order = np.argsort(players, kind="stable")
-        sizes.flags.writeable = order.flags.writeable = False
-        ends = np.cumsum(np.bincount(players, minlength=self.players))
-        return sizes, tuple(np.split(order, ends[:-1]))
+    @property
+    def clique_players(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable([(o,) * c for _, c, o in self.runs]))
+
+    @property
+    def samples_total(self) -> int:
+        return sum(size * count for size, count, _ in self.runs)
 
     def build_graph(self) -> ComparisonGraph:
         return make_clique_union(self.clique_sizes)
@@ -486,30 +477,30 @@ def _check_counter_budget(t: float, m_bits: int) -> None:
             f"(half the memory) are reserved for it")
 
 
-def _concat(parts: list[tuple]) -> tuple:
-    """The parts joined; a lone part is returned as is, without a copy."""
-    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
-
-
 def _plan(n: int, eps: float, groups, players: int, *, tau: float | None = None,
           referee: bool = False, m_bits: int | None = None, rates=None,
           sampling_time: float | None = None) -> Plan:
     """The certified plan of these cliques; every plan is built here.
 
     `groups` lists the cliques in order as runs ``(size, count, owner)``;
-    statistics, tau (`_feasible_tau` unless given), threshold,
-    certificate, resources and family follow from them.  No Python loop
-    runs per clique: the tuples are joined from per-run repeats.
+    the plan keeps them as maximal runs.  Statistics, tau (`_feasible_tau`
+    unless given), threshold, certificate, resources and family follow
+    from the runs, never from a per-clique loop.
     """
     edge_count = two_paths = 0
     loads = [0] * players
+    runs = []
     for size, count, owner in groups:
         e, c = equal_cliques_stats(size, count)
         edge_count += e
         two_paths += c
         loads[owner] += size * count
-    sizes = _concat([(size,) * count for size, count, _ in groups])
-    owners = _concat([(owner,) * count for _, count, owner in groups])
+        if runs and runs[-1][::2] == (size, owner):
+            runs[-1] = (size, runs[-1][1] + count, owner)
+        else:
+            runs.append((size, count, owner))
+    if sum(loads) >= 1 << 62:  # past the simulators' int64 word offsets
+        raise CapacityError(f"{sum(loads)} samples: word offsets need < 2**62")
     if tau is None:
         tau = _feasible_tau(edge_count, two_paths, n, eps)
     t = collision_threshold(edge_count, tau, n, eps)
@@ -517,13 +508,12 @@ def _plan(n: int, eps: float, groups, players: int, *, tau: float | None = None,
     if m_bits is not None:
         bps, m_prime = _streaming_memory_fields(n, m_bits)
         _check_counter_budget(t, m_bits)
-        memory = max(size for size, _, _ in groups) * bps + counter_bit_width(t)
+        memory = max(size for size, _, _ in runs) * bps + counter_bit_width(t)
     family = ("rate_cliques" if rates is not None
-              else "batched_cliques" if len(sizes) > players
+              else "batched_cliques" if sum(c for _, c, _ in runs) > players
               else "disjoint_cliques" if referee else "clique")
     return Plan(
-        family=family, n=n, eps=eps, tau=tau, clique_sizes=sizes,
-        clique_players=owners, players=players,
+        family=family, n=n, eps=eps, tau=tau, runs=tuple(runs), players=players,
         edge_count=edge_count, two_path_count=two_paths,
         report=certify_stats(edge_count, two_paths, tau, n, eps),
         resources=PlanResources(

@@ -672,7 +672,7 @@ def _pipelined_schedule(net: Network, n: int, eps: float,
     if tree is None:
         tree = build_bfs_tree(net, meter)
         tree_rounds = tree.rounds
-    s, ell = plan.clique_sizes[0], plan.players
+    s, ell = plan.runs[0][0], plan.players
     assignment = bundle_assignment(tree, s)
     if len(assignment.bundles) != ell:
         raise ModelViolationError("bundle count does not match the plan")

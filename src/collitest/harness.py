@@ -274,7 +274,8 @@ def run_scenario(scenario: Scenario, master_seed: int,
     if scenario.model in PLANNERS:
         plan = plan_for(scenario.model, scenario.n, scenario.eps, scenario.k,
                         scenario.rates, scenario.m_bits)
-        family, q, ell = plan.family, max(plan.clique_sizes), len(plan.clique_sizes)
+        family, q = plan.family, max(size for size, _, _ in plan.runs)
+        ell = sum(count for _, count, _ in plan.runs)
         tau, thr, edges = plan.tau, plan.threshold, plan.edge_count
         sampling_time = plan.sampling_time
         if scenario.model == "centralized":
@@ -343,8 +344,8 @@ def run_scenario(scenario: Scenario, master_seed: int,
             family, q, ell = "topology", net.k, 1
             edges = net.topology.edge_count
         else:
-            sizes = schedule.plan.clique_sizes
-            family, q, ell = "bundled", max(sizes), len(sizes)
+            # a bundle plan is `players` runs of one s-clique each
+            family, q, ell = "bundled", schedule.plan.runs[0][0], schedule.plan.players
             edges = schedule.plan.edge_count
         plan = None
 

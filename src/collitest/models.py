@@ -17,14 +17,14 @@ monolithic tester also reaches.
 
 The simultaneous and asymmetric simulators read all cliques of a trial
 in one `Distribution.sample` call and count them with one
-`tester.block_collisions` call.  The streaming simulators read each
-player's batches a chunk at a time (`dist.sample_children`: an advance to
-the player's first batch, then one read a chunk) and count each chunk
-with one `block_collisions` call; the plan's batch sizes and per-player
-batch indices are arrays built once per plan (`Plan.clique_arrays`).
-A chunk may run past the batch at which the player's counter reaches
-T; those samples are drawn and discarded, which no other batch can
-notice since each owns its own words.
+`tester.block_collisions` call.  The streaming simulators walk the
+plan's runs of equal batches (`Plan.runs`) once, a chunk at a time: one
+`dist.sample_children` call reads a chunk's batches (an advance to the
+chunk's first batch, then one read) and one `block_collisions` call
+counts them, so no per-batch array of the plan is ever built.  A chunk
+may run past the batch at which the player's counter reaches T; those
+samples are drawn and discarded, which no other batch can notice since
+each owns its own words.
 """
 from __future__ import annotations
 
@@ -42,11 +42,12 @@ from .tester import block_collisions
 # no longer called here; perfbench's tracer wraps the name in this module
 from .tester import within_clique_collisions  # noqa: F401
 
-# The streaming simulators draw each player's batches in chunks:
-# FIRST_CHUNK batches, then twice as many each time, and never more than
-# MAX_CHUNK_SAMPLES samples (but at least one batch) in a chunk.  A player
-# that stops early has drawn at most FIRST_CHUNK batches more than twice
-# the ones it used, and a chunk's arrays stay near a megabyte.
+# The streaming simulators draw each player's batches in chunks of one
+# run: FIRST_CHUNK batches, then twice as many each time, and never more
+# than MAX_CHUNK_SAMPLES samples (but at least one batch) in a chunk.  On
+# a planned layout (one run per player) a player that stops early has
+# drawn at most FIRST_CHUNK batches more than twice the ones it used, and
+# a chunk's arrays stay near a megabyte.
 FIRST_CHUNK = 32
 MAX_CHUNK_SAMPLES = 1 << 13
 
@@ -157,9 +158,10 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
     per_clique = block_collisions(p.sample(sum(sizes), stream.rng()), sizes)
     z_per_player = [0] * plan.players
     samples = [0] * plan.players
-    for c, player in enumerate(plan.clique_players):
-        z_per_player[player] += int(per_clique[c])  # numpy scalars slow `_referee`
-        samples[player] += sizes[c]
+    # Python ints: numpy scalars slow `_referee`
+    for player, z, size in zip(plan.clique_players, per_clique.tolist(), sizes):
+        z_per_player[player] += z
+        samples[player] += size
     decision, messages, total = _referee(z_per_player, t, base_bits,
                                          exponents, exponent_bits)
     ledger = ResourceLedger(
@@ -189,7 +191,7 @@ def _streaming_fields(plan: Plan):
     if plan.m_bits is None or plan.bits_per_sample is None:
         raise ValueError("plan carries no memory budget")
     t = plan.threshold
-    batch_bits = int(plan.clique_arrays[0].max()) * plan.bits_per_sample
+    batch_bits = max(size for size, _, _ in plan.runs) * plan.bits_per_sample
     peak = batch_bits + counter_bit_width(t)
     if peak > plan.m_bits:
         raise ModelViolationError(
@@ -200,35 +202,35 @@ def _streaming_fields(plan: Plan):
 def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
     """Every player streams its batches in order until its counter reaches t.
 
+    The runs are walked once in plan order, each in chunks of at most
+    `rows` batches of that run, `rows` doubling per chunk of its player.
     Returns per player the counter, the samples drawn and whether it
     stopped with batches left.
     """
-    sizes, cliques = plan.clique_arrays
-    starts = np.cumsum(sizes) - sizes  # the first word of each batch
     gen = stream.rng()
-    at = 0  # the word `gen` reads next
+    at = word = 0  # the word `gen` reads next; the end of the runs so far
     counter = np.zeros(plan.players, dtype=np.int64)
     drawn = np.zeros(plan.players, dtype=np.int64)
     early = np.zeros(plan.players, dtype=bool)
-    for player, mine in enumerate(cliques):
-        start, rows = 0, FIRST_CHUNK
-        while start < mine.size:
-            batches = mine[start:start + rows]
-            counts = sizes[batches]
-            fits = max(np.searchsorted(np.cumsum(counts), MAX_CHUNK_SAMPLES,
-                                       side="right"), 1)
-            batches, counts = batches[:fits], counts[:fits]
-            values = sample_children(p, gen, starts[batches], counts, at)
-            at = int(starts[batches[-1]] + counts[-1])
-            cum = counter[player] + np.cumsum(block_collisions(values, counts))
-            hit = np.flatnonzero(cum >= t)
-            used = hit[0] + 1 if hit.size else batches.size
-            counter[player] = cum[used - 1]
-            drawn[player] += counts[:used].sum()
-            start, rows = start + used, 2 * rows
-            if hit.size:
-                early[player] = start < mine.size
+    rows = [FIRST_CHUNK] * plan.players
+    for size, count, owner in plan.runs:
+        first, word = word, word + size * count
+        while first < word:
+            if counter[owner] >= t:  # stopped before this batch
+                early[owner] = True
                 break
+            batches = min(rows[owner], (word - first) // size,
+                          max(MAX_CHUNK_SAMPLES // size, 1))
+            counts = np.full(batches, size, dtype=np.int64)
+            values = sample_children(p, gen, first + size * np.arange(batches),
+                                     counts, at)
+            at = first + size * batches
+            cum = counter[owner] + np.cumsum(block_collisions(values, counts))
+            hit = np.flatnonzero(cum >= t)
+            used = hit[0] + 1 if hit.size else batches
+            counter[owner] = cum[used - 1]
+            drawn[owner] += size * used
+            first, rows[owner] = first + size * used, 2 * rows[owner]
     return counter, drawn, early
 
 

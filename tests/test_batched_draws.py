@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,14 @@ def word_range(p, stream, start, count):
     gen = stream.rng()
     gen.bit_generator.advance(int(start))
     return p.sample(int(count), gen)
+
+
+def as_runs(sizes, owners=None):
+    """Maximal ``(size, count, owner)`` runs of cliques listed one by one;
+    every clique belongs to player 0 unless `owners` is given."""
+    pairs = zip(sizes, owners or (0,) * len(sizes))
+    return tuple((size, len(list(run)), owner)
+                 for (size, owner), run in groupby(pairs))
 
 
 def batch_starts(plan):
@@ -395,8 +404,7 @@ class TestStreamingMatchesPerPathLoop:
     def test_mixed_batch_sizes(self):
         base = plan_streaming(64, 1.0, 48)
         sizes = tuple([4, 70, 4, 4, 9] * 20)
-        plan = replace(base, clique_sizes=sizes, clique_players=(0,) * len(sizes),
-                       m_bits=10_000)
+        plan = replace(base, runs=as_runs(sizes), m_bits=10_000)
         for p in (make_uniform(64), make_heavy(64, 1.0)):
             for trial in range(4):
                 stream = Stream(3).child(trial)
@@ -416,8 +424,7 @@ class TestStreamingMatchesPerPathLoop:
         monkeypatch.setattr(models, "sample_children", record)
         base = plan_streaming(64, 1.0, 48)
         sizes = tuple([1] + [64] * 40 + [1, 300, 2])
-        plan = replace(base, clique_sizes=sizes, clique_players=(0,) * len(sizes),
-                       m_bits=10**6)
+        plan = replace(base, runs=as_runs(sizes), m_bits=10**6)
         # the wide uniform runs to the end, the heavy input stops early
         for p in (make_uniform(4096), make_heavy(64, 1.0)):
             chunks.clear()
@@ -709,7 +716,7 @@ class TestFlatTable:
             assert np.array_equal(got, reference_rows(p, stream, starts, counts))
 
 
-# --- streaming plan arrays, built once per plan ------------------------------
+# --- plan runs, and the chunked streaming loop ------------------------------
 
 def reference_batch_collisions(sizes, batches, p, stream):
     starts = np.cumsum(sizes) - sizes
@@ -719,7 +726,8 @@ def reference_batch_collisions(sizes, batches, p, stream):
 
 
 def reference_stream_counters(plan, p, stream, t):
-    """The chunked loop as it ran with its arrays rebuilt every trial."""
+    """The chunked loop as it ran on per-clique arrays, player by player,
+    its chunks spanning batches of any size."""
     sizes = np.asarray(plan.clique_sizes, dtype=np.int64)
     players = np.asarray(plan.clique_players, dtype=np.int64)
     counter = np.zeros(plan.players, dtype=np.int64)
@@ -772,29 +780,29 @@ def reference_chunked_simultaneous_streaming(plan, p, stream):
 
 
 class TestPlanArrays:
-    def test_arrays_are_read_only_copies_of_the_tuples(self):
+    def test_runs_are_maximal_and_expand_to_the_cliques(self):
         base = plan_simultaneous_streaming(64, 1.0, 2, 48)
-        interleaved = replace(base, clique_players=tuple(
-            c % 3 for c in range(len(base.clique_sizes))), players=4)
+        interleaved = replace(base, runs=as_runs(base.clique_sizes, tuple(
+            c % 3 for c in range(len(base.clique_sizes)))), players=4)
         for plan in (plan_streaming(1024, 0.5, 4000),
                      plan_simultaneous_streaming(1024, 0.5, 8, 400),
                      plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0)), interleaved):
-            sizes, cliques = plan.clique_arrays
-            assert plan.clique_arrays is plan.clique_arrays
-            assert sizes.dtype == np.int64
-            assert sizes.tolist() == list(plan.clique_sizes)
-            assert len(cliques) == plan.players
-            for j, mine in enumerate(cliques):
-                assert mine.tolist() == plan.cliques_of_player(j)
-            for arr in (sizes,) + cliques:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[:1] = 0
-        assert interleaved.clique_arrays[1][3].size == 0
+            assert all(count >= 1 for _, count, _ in plan.runs)
+            assert all(a[::2] != b[::2] for a, b in zip(plan.runs, plan.runs[1:]))
+            assert plan.clique_sizes == tuple(
+                size for size, count, _ in plan.runs for _ in range(count))
+            assert plan.clique_players == tuple(
+                owner for _, count, owner in plan.runs for _ in range(count))
+            assert plan.samples_total == sum(plan.clique_sizes)
+            for j in range(plan.players):
+                assert plan.cliques_of_player(j) == [
+                    c for c, o in enumerate(plan.clique_players) if o == j]
+        assert interleaved.cliques_of_player(3) == []
+        assert len(interleaved.runs) == len(interleaved.clique_sizes)
 
     def test_streaming_equals_the_rebuilt_loop(self):
         base = plan_streaming(1024, 0.5, 4000)
-        ragged = replace(base, clique_sizes=base.clique_sizes[:-1] + (7,))
+        ragged = replace(base, runs=as_runs(base.clique_sizes[:-1] + (7,)))
         early = 0
         for plan in (base, ragged, plan_streaming(1024, 0.5, 400)):
             for p in (make_uniform(1024), make_heavy(1024, 0.5),
@@ -809,9 +817,10 @@ class TestPlanArrays:
 
     def test_simultaneous_streaming_equals_the_rebuilt_loop(self):
         base = plan_simultaneous_streaming(1024, 0.5, 8, 400)
-        interleaved = replace(base, clique_players=tuple(
-            c % 8 for c in range(len(base.clique_sizes))))
-        ragged = replace(base, clique_sizes=base.clique_sizes[:-1] + (7,))
+        interleaved = replace(base, runs=as_runs(base.clique_sizes, tuple(
+            c % 8 for c in range(len(base.clique_sizes)))))
+        ragged = replace(base, runs=as_runs(base.clique_sizes[:-1] + (7,),
+                                            base.clique_players))
         for plan in (base, interleaved, ragged):
             for p in (make_uniform(1024), make_bump(1024, 0.5),
                       make_heavy(1024, 0.5)):

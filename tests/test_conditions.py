@@ -2,8 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from collitest import models, tester
 
 from collitest.conditions import (COARSE_TAU_GRID, Plan,
                                   certify_disjoint_cliques, certify_graph,
@@ -15,12 +20,14 @@ from collitest.conditions import (COARSE_TAU_GRID, Plan,
                                   minimal_clique_size, plan_asymmetric,
                                   plan_centralized, plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
-from collitest.conditions import (_feasible_tau, _smallest_feasible,
+from collitest.conditions import (_feasible_tau, _plan, _smallest_feasible,
                                   _streaming_memory_fields)
 from collitest.encoding import message_bit_width
+from collitest.dist import make_heavy, make_uniform
 from collitest.errors import CapacityError
 from collitest.graph import make_clique, make_matching, make_star
-from collitest.harness import plan_for
+from collitest.harness import PLANNERS, load_scenarios, plan_for, run_scenario
+from collitest.rng import Stream
 
 
 class TestCertify:
@@ -476,3 +483,102 @@ def test_plan_grid_is_pinned_and_round_trips():
             f"{model} {n} {eps} {sorted(params.items())}\n{text}\n".encode())
     assert (entries, plans) == (276, 220)
     assert digest.hexdigest() == PLAN_GRID_SHA256
+
+
+# --- plans of billions of batches, and a feasibility sweep ------------------
+
+def traced(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_maximal_runs(plan):
+    assert all(count >= 1 for _, count, _ in plan.runs)
+    assert all(a[::2] != b[::2] for a, b in zip(plan.runs, plan.runs[1:]))
+    assert (sum(size * count for size, count, _ in plan.runs)
+            == plan.resources.samples_total)
+
+
+class TestHugePlans:
+    """Streaming plans of up to 1.2e15 batches are a single run each."""
+
+    @pytest.mark.parametrize("args,runs", [
+        ((10**5, 0.1, 136), ((4, 6_000_000_000, 0),)),
+        ((10**5, 0.1, 102), ((3, 12_000_000_000, 0),)),
+        ((10**4, 0.1, 136), ((4, 600_000_000, 0),)),
+        ((10**5, 0.25, 136), ((4, 153_600_001, 0),)),
+        # past the clique count search's old cap of 2**40 batches
+        ((10**5, 0.01, 400), ((11, 6_545_454_545_455, 0),)),
+        ((10**6, 0.05, 136), ((3, 1_920_000_000_000, 0),)),
+        ((10**6, 0.01, 136), ((3, 1_200_000_000_000_000, 0),)),
+    ])
+    def test_plans_in_bounded_memory(self, args, runs):
+        plan, peak = traced(plan_streaming, *args)
+        assert plan.runs == runs
+        assert plan.family == "batched_cliques"
+        assert plan.report.overall
+        assert_maximal_runs(plan)
+        assert peak < 1 << 20
+
+    def test_trial_stops_early_in_bounded_memory(self):
+        plan = plan_streaming(10**4, 0.1, 136)
+        run, peak = traced(models.simulate_streaming, plan,
+                           make_heavy(10**4, 1.0), Stream(0).child(0))
+        assert run.decision == "NO" and run.ledger.early_terminated
+        assert run.ledger.samples[0] < plan.resources.samples_total
+        assert peak < 16 << 20
+
+    def test_scenario_summary_reads_the_runs(self):
+        (scenario,) = load_scenarios({
+            "id": "huge", "model": "streaming", "n": 10**4, "eps": 0.1,
+            "m_bits": 136, "dist": {"kind": "heavy", "eps": 1.0}, "trials": 2})
+        summary = run_scenario(scenario, 1).summary
+        assert (summary.q, summary.ell) == (4, 600_000_000)
+        assert summary.yes_count == 0
+
+    def test_offsets_past_int64_are_refused(self):
+        with pytest.raises(CapacityError, match="word offsets"):
+            _plan(16, 1.0, [(4, 1 << 60, 0)], 1)
+
+
+SIMULATE = {
+    "centralized": models.simulate_simultaneous,
+    "simultaneous": models.simulate_simultaneous,
+    "asymmetric": models.simulate_asymmetric,
+    "streaming": models.simulate_streaming,
+    "simultaneous_streaming": models.simulate_simultaneous_streaming,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(sorted(PLANNERS)), n=st.integers(1, 10**6),
+       eps=st.floats(0.01, 1.0), k=st.integers(1, 64),
+       rates=st.lists(st.sampled_from([0, 0.5, 1, 3, 100]), min_size=1,
+                      max_size=6).filter(any),
+       m_bits=st.integers(1, 10**9), heavy=st.booleans(),
+       trial=st.integers(0, 2**20))
+def test_every_feasible_problem_plans_and_runs(model, n, eps, k, rates,
+                                               m_bits, heavy, trial):
+    """A problem either plans, certified, in bounded memory, or is refused
+    for m' < 3 or the counter budget; small plans also run a trial that
+    decides like the monolithic tester on the same trial stream."""
+    try:
+        plan, peak = traced(plan_for, model, n, eps, k, rates, m_bits)
+    except CapacityError as exc:
+        assert str(exc).startswith(("memory m =", "collision counter needs"))
+        return
+    assert plan.report.overall
+    assert_maximal_runs(plan)
+    assert peak < 1 << 20
+    if plan.resources.samples_total > 10**5:
+        return
+    assert Plan.from_json(plan.to_json()) == plan
+    p = make_heavy(n, 1.0) if heavy and n >= 2 else make_uniform(n)
+    stream = Stream(7).child(trial)
+    run = SIMULATE[model](plan, p, stream)
+    spec = tester.TesterSpec(plan.build_graph(), plan.tau, n, eps)
+    assert run.decision == tester.run(spec, p, stream).decision

@@ -100,7 +100,7 @@ class TestObliviousMode:
         q = plan.clique_sizes[0]
         rounded = 1 << math.ceil(math.log2(q))
         rounded_plan = replace(
-            plan, clique_sizes=(rounded,) * 4,
+            plan, runs=tuple((rounded, 1, j) for j in range(4)),
             edge_count=4 * rounded * (rounded - 1) // 2,
             two_path_count=4 * rounded * (rounded - 1) * (rounded - 2))
         for p in (make_uniform(64), make_bump(64, 1.0)):
@@ -156,8 +156,8 @@ class TestAsymmetric:
 
     def test_schedule_drift_raises(self):
         plan = plan_asymmetric(16, 1.0, (2.0, 1.0))
-        broken = replace(plan, clique_sizes=(plan.clique_sizes[0] + 1,
-                                             plan.clique_sizes[1]))
+        broken = replace(plan, runs=((plan.clique_sizes[0] + 1, 1, 0),
+                                     (plan.clique_sizes[1], 1, 1)))
         with pytest.raises(ModelViolationError):
             simulate_asymmetric(broken, make_uniform(16), Stream(0))
 

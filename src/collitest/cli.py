@@ -7,7 +7,8 @@ and `counterexample` (the certified cycle whose hub-augmented supergraph
 certifies for no tau).
 
 Exit codes: 0 success, 1 usage error (a bad option, a missing file or
-field; printed as `error: ...`), 2 planner capacity error.
+field, a plan too large to list as JSON; printed as `error: ...`), 2
+planner capacity error.
 """
 from __future__ import annotations
 
@@ -78,8 +79,12 @@ def _cmd_plan(args) -> int:
     plan = plan_for(args.model, args.n, args.eps, args.k, rates, args.m_bits)
     if args.table:
         print(_plan_table(plan))
-    else:
+        return 0
+    try:
         print(json.dumps(plan.to_json(), indent=2, sort_keys=True))
+    except MemoryError:  # the JSON lists every clique; the table does not
+        raise ValueError("out of memory listing the plan's cliques as JSON; "
+                         "`--table` prints it") from None
     return 0
 
 

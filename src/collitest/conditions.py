@@ -416,9 +416,6 @@ class Plan:
     def build_graph(self) -> ComparisonGraph:
         return make_clique_union(self.clique_sizes)
 
-    def cliques_of_player(self, player: int) -> list[int]:
-        return [c for c, p in enumerate(self.clique_players) if p == player]
-
     def to_json(self) -> dict:
         return {
             "family": self.family, "n": self.n, "eps": self.eps,

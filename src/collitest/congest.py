@@ -91,6 +91,8 @@ class Network:
     def __init__(self, topology: ComparisonGraph, n: int):
         if topology.vertex_count < 1:
             raise InvalidNetworkError("a network needs at least one node")
+        if topology.vertex_count >= 1 << 21:  # see `build_bfs_tree`'s ranks
+            raise InvalidNetworkError("a network needs fewer than 2**21 nodes")
         if n < 1:
             raise ValueError("domain size must be >= 1")
         self.topology = topology

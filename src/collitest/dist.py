@@ -4,10 +4,7 @@ Construction validates and renormalizes a float64 probability vector.
 Sampling goes through a Walker alias table: O(n) setup per distribution,
 then one raw generator word per sample, mapped to its value without
 rejection (`Distribution.sample`; the map and its bias are in `rng`).
-A sample therefore owns a fixed word of its trial's stream, and
-`sample_children` reads the samples of many children of a trial (any
-ascending word ranges, such as a streaming player's batches), skipping
-the gaps between them.
+A sample therefore owns a fixed word of its trial's stream.
 """
 from __future__ import annotations
 
@@ -132,50 +129,6 @@ class Distribution:
 
     def __repr__(self) -> str:
         return f"Distribution(n={self.n})"
-
-
-def sample_children(p: Distribution, gen: np.random.Generator, starts, counts,
-                    at: int = 0) -> np.ndarray:
-    """Samples of many children of one trial stream, concatenated.
-
-    A child is a clique, batch or node that owns a range of the trial's
-    raw words (see `rng`): child ``r`` reads the ``counts[r]`` words
-    from word ``starts[r]`` on of `gen`, whose next word is word `at`.
-    The ranges must start at word 0 or later and be ascending and
-    disjoint, as the batches of one streaming player are; other ranges
-    raise ValueError before any word is read.  Ranges that follow one
-    another without a gap are read in one `Distribution.sample` call,
-    and ``bit_generator.advance`` skips to each run (backwards too, from
-    `at` to an earlier range, modulo PCG64's period of 2**128).  `gen`
-    is left after the last range.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != starts.shape:
-        raise ValueError("give one count per start")
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if counts.min() < 0:
-        raise ValueError("count must be >= 0")
-    if int(starts[0]) < 0:
-        raise ValueError("word offsets must be >= 0")
-    ends, at = starts + counts, int(at)
-    gaps = starts[1:] != ends[:-1]
-    if not gaps.any():
-        runs = [(0, starts.size)]  # one run: every planned player's chunk
-    else:
-        if (starts[1:] < ends[:-1]).any():
-            raise ValueError("word ranges must be ascending and disjoint")
-        cut = (np.flatnonzero(gaps) + 1).tolist()
-        runs = list(zip([0] + cut, cut + [starts.size]))
-    parts = []
-    for first, stop in runs:
-        begin, end = int(starts[first]), int(ends[stop - 1])
-        if begin != at:
-            gen.bit_generator.advance((begin - at) % 2**128)
-        parts.append(p.sample(end - begin, gen))
-        at = end
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def make_uniform(n: int) -> Distribution:

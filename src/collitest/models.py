@@ -18,13 +18,13 @@ monolithic tester also reaches.
 The simultaneous and asymmetric simulators read all cliques of a trial
 in one `Distribution.sample` call and count them with one
 `tester.block_collisions` call.  The streaming simulators walk the
-plan's runs of equal batches (`Plan.runs`) once, a chunk at a time: one
-`dist.sample_children` call reads a chunk's batches (an advance to the
-chunk's first batch, then one read) and one `block_collisions` call
-counts them, so no per-batch array of the plan is ever built.  A chunk
-may run past the batch at which the player's counter reaches T; those
-samples are drawn and discarded, which no other batch can notice since
-each owns its own words.
+plan's runs of equal batches (`Plan.runs`) once, a chunk at a time.  A
+chunk is one word range, read forward: an advance to the chunk's first
+batch, then one read, and one `block_collisions` call counts it, so no
+per-batch array of the plan is ever built.  A chunk may run past the
+batch at which the player's counter reaches T; those samples are drawn
+and discarded, which no other batch can notice since each owns its own
+words.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import Plan, clique_union_stats, collision_threshold
-from .dist import Distribution, sample_children
+from .dist import Distribution
 from .encoding import counter_bit_width, message_bit_width
 from .errors import ModelViolationError
 from .rng import Stream
@@ -221,11 +221,12 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
                 break
             batches = min(rows[owner], (word - first) // size,
                           max(MAX_CHUNK_SAMPLES // size, 1))
-            counts = np.full(batches, size, dtype=np.int64)
-            values = sample_children(p, gen, first + size * np.arange(batches),
-                                     counts, at)
+            if first != at:  # a stopped player's batches lie between
+                gen.bit_generator.advance(first - at)
+            values = p.sample(size * batches, gen)
             at = first + size * batches
-            cum = counter[owner] + np.cumsum(block_collisions(values, counts))
+            cum = counter[owner] + np.cumsum(
+                block_collisions(values, np.full(batches, size)))
             hit = np.flatnonzero(cum >= t)
             used = hit[0] + 1 if hit.size else batches
             counter[owner] = cum[used - 1]

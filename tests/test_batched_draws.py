@@ -1,12 +1,15 @@
 """Word-range draws against one generator per range.
 
 Every sample of a trial owns one raw word of the trial's generator
-(seed-path contract v2, see `collitest.rng`).  The streaming simulators,
-`draw_labeling`, the clique simulators and `draw_node_samples` read many
-ranges of those words together; every result here is compared bitwise
-with a per-path loop that reads each clique, batch, owner or node from
-a fresh generator of the trial path, advanced to the range's first
-word.  That loop is kept below as the reference.
+(seed-path contract v2, see `collitest.rng`).  Every reader draws the
+same way: one generator of the trial, at most one forward
+``bit_generator.advance`` to a range, then `Distribution.sample`.  The
+streaming simulators read a chunk of batches so, `draw_labeling`, the
+clique simulators and `draw_node_samples` read all their words in one
+call; every result here is compared bitwise with a per-path loop that
+reads each clique, batch, owner or node from a fresh generator of the
+trial path, advanced to the range's first word.  That loop is kept
+below as the reference.
 """
 import json
 import os
@@ -27,8 +30,7 @@ from collitest import congest, models, tester
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
-from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
-                            sample_children)
+from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
 from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
                              make_star, random_connected_graph)
 from collitest.harness import moment_audit
@@ -119,7 +121,7 @@ def assert_same_run(got, want):
     assert got.messages == want.messages
 
 
-# --- the batched draw -------------------------------------------------------
+# --- reading word ranges forward --------------------------------------------
 
 MASTER_SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**70 + 3)
 PARENTS = ((), (4,), (2**32 + 1, 7))
@@ -144,42 +146,79 @@ def reference_rows(p, stream, starts, counts):
 
 
 class RecordingGen:
-    """A trial generator that keeps a copy of every raw word it hands out,
-    one array a `random_raw` call."""
+    """A trial generator that records what it does: `reads` holds the
+    word offset and length of every `random_raw` call, `words` a copy of
+    the words each call handed out, and `deltas` every advance."""
 
     def __init__(self, gen):
         self.bit_generator = self
         self._bits = gen.bit_generator
-        self.words = []
+        self.at = 0  # the word read next
+        self.words, self.reads, self.deltas = [], [], []
 
     def advance(self, delta):
         self._bits.advance(delta)
+        self.deltas.append(delta)
+        self.at += delta
 
     def random_raw(self, count):
         out = self._bits.random_raw(count)
         self.words.append(out.copy())
+        self.reads.append((self.at, count))
+        self.at += count
         return out
 
 
+class RecordingStream:
+    """A trial stream whose generators are `RecordingGen`s."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.gens = []
+
+    def rng(self):
+        self.gens.append(RecordingGen(self._stream.rng()))
+        return self.gens[-1]
+
+
+def read_forward(p, gen, starts, counts):
+    """Ascending disjoint ranges read like streaming chunks: a forward
+    advance to a range that does not start where the last one ended,
+    then one `Distribution.sample` call; one array a range."""
+    rows, at = [], 0
+    for start, count in zip(starts, counts):
+        if start != at:
+            gen.bit_generator.advance(int(start) - at)
+        rows.append(p.sample(int(count), gen))
+        at = int(start) + int(count)
+    return rows
+
+
 def assert_rows_equal_random_raw(stream, starts, words):
-    """`sample_children` reads rows of `words` words from `starts` on: the
-    raw words of each row are `random_raw` of a generator of the trial
-    path advanced to the row's start, and its samples are their map."""
+    """Rows of `words` words from `starts` on, read forward from one
+    generator: each read starts at its row, its raw words are
+    `random_raw` of a generator of the trial path advanced to the row's
+    start, and its samples are their map."""
     p = make_heavy(1000, 0.5)
     gen = RecordingGen(stream.rng())
-    got = sample_children(p, gen, starts, [words] * len(starts))
-    raw = np.concatenate(gen.words or [np.empty(0, dtype=np.uint64)])
-    assert raw.dtype == np.uint64 and raw.shape == (len(starts) * words,)
-    for row, start in zip(raw.reshape(len(starts), words), starts):
+    got = read_forward(p, gen, starts, [words] * len(starts))
+    assert gen.reads == [(int(s), words) for s in starts]
+    assert all(delta > 0 for delta in gen.deltas)
+    for row, start in zip(gen.words, starts):
+        assert row.dtype == np.uint64 and row.shape == (words,)
         bits = stream.rng().bit_generator
         bits.advance(int(start))
         assert np.array_equal(row, bits.random_raw(words)), (stream, start,
                                                              words)
+    got = np.concatenate(got or [np.empty(0, dtype=np.int64)])
     want = reference_rows(p, stream, starts, [words] * len(starts))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSampleChildren:
+    """The children of a trial (its cliques, batches or nodes) own ranges
+    of its words, which one generator reads forward."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024, 4097])
     def test_rows_equal_per_path_draws(self, n):
         for p in families(n):
@@ -187,13 +226,12 @@ class TestSampleChildren:
                 for seed in MASTER_SEEDS:
                     for parent in PARENTS:
                         stream = Stream(seed, parent)
-                        got = sample_children(p, stream.rng(), OFFSETS,
-                                              [count] * len(OFFSETS))
-                        assert got.shape == (len(OFFSETS) * count,)
-                        rows = got.reshape(len(OFFSETS), count)
+                        rows = read_forward(p, stream.rng(), OFFSETS,
+                                            [count] * len(OFFSETS))
                         for row, start in zip(rows, OFFSETS):
                             want = word_range(p, stream, start, count)
                             assert row.dtype == want.dtype
+                            assert row.shape == (count,)
                             assert np.array_equal(row, want), (n, count, seed,
                                                                parent, start)
 
@@ -201,28 +239,6 @@ class TestSampleChildren:
         for seed in MASTER_SEEDS + (2**130 + 7,):
             for parent in PARENTS:
                 assert_rows_equal_random_raw(Stream(seed, parent), OFFSETS, 7)
-
-    def test_raw_words_reject_indices_out_of_range(self):
-        """A range that overlaps or precedes the range before it raises
-        before any word is read, also where the gaps around it cancel."""
-        p, gen = make_uniform(8), Stream(1).rng()
-        before = gen.bit_generator.state
-        for starts, counts in (([0, 2], [3, 1]), ([5, 0], [1, 1]),
-                               ([0, 10, 5], [3, 2, 4])):
-            with pytest.raises(ValueError):
-                sample_children(p, gen, starts, counts)
-        assert gen.bit_generator.state == before
-
-    def test_negative_index_raises_like_the_per_path_generator(self):
-        """A word offset below 0 is refused as a negative trial index is."""
-        with pytest.raises(ValueError):
-            Stream(1).child(-1).rng()
-        gen = Stream(1).rng()
-        before = gen.bit_generator.state
-        for starts, counts in (([-1], [3]), ([-4, 0], [4, 2])):
-            with pytest.raises(ValueError):
-                sample_children(make_uniform(8), gen, starts, counts)
-        assert gen.bit_generator.state == before
 
 
 class TestChildRawKernel:
@@ -246,15 +262,12 @@ class TestChildRawKernel:
         p, stream = make_heavy(1000, 0.5), Stream(4, (1,))
         gen = stream.rng()
         before = gen.bit_generator.state
-        for starts in ([], np.empty(0, dtype=np.int64)):
-            out = sample_children(p, gen, starts, [])
-            assert out.shape == (0,) and out.dtype == np.int64
         out = p.sample(0, gen)
         assert out.shape == (0,) and out.dtype == np.int64
         assert gen.bit_generator.state == before
         # ranges of zero words read nothing; `gen` is left at the last one
-        out = sample_children(p, gen, [0, 5], [0, 0])
-        assert out.shape == (0,) and out.dtype == np.int64
+        rows = read_forward(p, gen, [0, 5], [0, 0])
+        assert [(r.shape, r.dtype) for r in rows] == [((0,), np.int64)] * 2
         want = stream.rng().bit_generator
         want.advance(5)
         assert gen.bit_generator.state == want.state
@@ -282,70 +295,19 @@ class TestChildRawKernel:
     @pytest.mark.parametrize("rows, words", [(2000, 40), (10**4, 2),
                                              (200, 300)])
     def test_transient_memory(self, rows, words):
-        """A read holds its output, a few word-sized temporaries of the
-        map and, for ranges read one run each, one small array a run."""
-        counts = np.full(rows, words)
+        """A chunk of `rows` batches of `words` words is one read, which
+        holds its output and a few word-sized temporaries of the map."""
         for p in (make_uniform(1024), make_heavy(1000, 0.5)):
-            for gap in (0, 1):
-                starts = np.cumsum(counts + gap) - counts
-                # warm up outside the trace
-                sample_children(p, Stream(3, (1,)).rng(), starts[:1],
-                                counts[:1])
-                gen = Stream(3, (1,)).rng()
-                tracemalloc.start()
-                try:
-                    out = sample_children(p, gen, starts, counts)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert out.size == rows * words
-                assert peak <= 8 * (out.nbytes + rows * 4 * 8), (p, gap)
-
-
-class TestRaggedSampleChildren:
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1024])
-    def test_mixed_counts_equal_per_path_draws(self, n):
-        """Runs of touching ranges and gaps between them, ragged counts."""
-        few = list(RAGGED_COUNTS)
-        many = few + [26, 1, 0, 2] * 9
-        equal = [26] * 32
-        for p in families(n):
-            for counts in (few, many, equal):
-                counts = np.array(counts)
-                gaps = np.arange(counts.size) * 977 % 5
-                starts = np.cumsum(counts + gaps) - counts
-                for seed, parent in ((0, ()), (2**70 + 3, (2**32 + 1, 7))):
-                    stream = Stream(seed, parent)
-                    got = sample_children(p, stream.rng(), starts, counts)
-                    want = reference_rows(p, stream, starts, counts)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want), (n, len(counts), seed)
-
-    def test_indices_past_32_bits_fall_back_in_a_ragged_call(self):
-        """Offsets past 32 bits, among touching ranges and gaps, are
-        reached by the same advance as any other gap: one read a run."""
-        p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
-        starts = [3, 684, 2**32, 2**32 + 27, 2**40 + 3]
-        counts = [681, 0, 27, 2, 4450]
-        gen = RecordingGen(stream.rng())
-        got = sample_children(p, gen, starts, counts)
-        assert len(gen.words) == 3
-        assert np.array_equal(got, reference_rows(p, stream, starts, counts))
-
-    def test_a_lone_row_equals_its_own_generator(self):
-        for p in (make_uniform(3), make_heavy(1000, 0.5)):
-            stream = Stream(2**70 + 3, (6,))
-            for count in (1, 26, 27, 4450):
-                want = word_range(p, stream, 9, count)
-                got = sample_children(p, stream.rng(), [9], [count])
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    def test_rejects_bad_counts(self):
-        gen = Stream(1).rng()
-        with pytest.raises(ValueError):
-            sample_children(make_uniform(8), gen, [0, 1], [3])
-        with pytest.raises(ValueError):
-            sample_children(make_uniform(8), gen, [0, 3], [3, -1])
+            p.sample(1, Stream(3, (1,)).rng())  # warm up outside the trace
+            gen = Stream(3, (1,)).rng()
+            tracemalloc.start()
+            try:
+                out = p.sample(rows * words, gen)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.size == rows * words
+            assert peak <= 8 * (out.nbytes + rows * 4 * 8), p
 
 
 # --- collision kernels ------------------------------------------------------
@@ -415,13 +377,13 @@ class TestStreamingMatchesPerPathLoop:
         """A small first batch does not let 64-sample batches past the cap."""
         monkeypatch.setattr(models, "MAX_CHUNK_SAMPLES", 200)
         chunks = []
-        real = models.sample_children
+        real = models.block_collisions
 
-        def record(p, gen, starts, counts, at=0):
-            chunks.append(np.asarray(counts).tolist())
-            return real(p, gen, starts, counts, at)
+        def record(values, sizes):  # one call a chunk, one size a batch
+            chunks.append(np.asarray(sizes).tolist())
+            return real(values, sizes)
 
-        monkeypatch.setattr(models, "sample_children", record)
+        monkeypatch.setattr(models, "block_collisions", record)
         base = plan_streaming(64, 1.0, 48)
         sizes = tuple([1] + [64] * 40 + [1, 300, 2])
         plan = replace(base, runs=as_runs(sizes), m_bits=10**6)
@@ -439,19 +401,46 @@ class TestStreamingMatchesPerPathLoop:
     def test_each_player_starts_with_a_first_chunk(self, monkeypatch):
         """Players that stop at once draw at most one first chunk each."""
         drawn = []
-        real = models.sample_children
+        real = models.block_collisions
 
-        def record(p, gen, starts, counts, at=0):
-            drawn.append(len(starts))
-            return real(p, gen, starts, counts, at)
+        def record(values, sizes):  # one call a chunk, one size a batch
+            drawn.append(len(sizes))
+            return real(values, sizes)
 
-        monkeypatch.setattr(models, "sample_children", record)
+        monkeypatch.setattr(models, "block_collisions", record)
         plan = plan_simultaneous_streaming(1024, 0.5, 8, 400)
         p, stream = point_mass(1024), Stream(2).child(0)
         got = simulate_simultaneous_streaming(plan, p, stream)
         assert_same_run(got, reference_simultaneous_streaming(plan, p, stream))
         assert got.ledger.early_terminated
         assert sum(drawn) <= plan.players * models.FIRST_CHUNK
+
+    def test_chunks_read_forward_only(self):
+        """No chunk advances backwards or reads a word twice: every advance
+        is forward, the reads are disjoint ascending ranges of whole
+        batches, and they hold every sample the ledger counts."""
+        base = plan_streaming(64, 1.0, 48)
+        mixed = replace(base, runs=as_runs(tuple([4, 70, 4, 4, 9] * 20)),
+                        m_bits=10_000)
+        stopping = plan_simultaneous_streaming(1024, 0.5, 8, 400)
+        for plan, simulate, p, skips in (
+                (stopping, simulate_simultaneous_streaming, point_mass(1024),
+                 True),
+                (mixed, simulate_streaming, make_uniform(64), False),
+                (mixed, simulate_streaming, make_heavy(64, 1.0), False)):
+            stream = RecordingStream(Stream(3).child(1))
+            got = simulate(plan, p, stream)
+            assert_same_run(got, simulate(plan, p, Stream(3).child(1)))
+            (gen,) = stream.gens
+            assert all(delta > 0 for delta in gen.deltas)
+            assert bool(gen.deltas) == skips
+            bounds = set(np.cumsum((0,) + plan.clique_sizes).tolist())
+            end = 0
+            for start, count in gen.reads:
+                assert count > 0 and start >= end
+                assert {start, start + count} <= bounds
+                end = start + count
+            assert sum(count for _, count in gen.reads) >= sum(got.ledger.samples)
 
     def test_simultaneous_streaming(self):
         covered = set()
@@ -460,9 +449,8 @@ class TestStreamingMatchesPerPathLoop:
                             ((1024, 0.5, 8, 400),
                              (make_uniform(1024), make_heavy(1024, 0.5)))):
             plan = plan_simultaneous_streaming(*args)
-            per_player = [sum(plan.clique_sizes[c]
-                              for c in plan.cliques_of_player(j))
-                          for j in range(plan.players)]
+            per_player = [sum(size * count for size, count, owner in plan.runs
+                              if owner == j) for j in range(plan.players)]
             for p in dists:
                 for trial in range(4):
                     stream = Stream(17).child(trial)
@@ -651,7 +639,8 @@ class TestFlatTable:
         Distribution([0.2] * 5)]
 
     def test_every_route_equals_per_path_draws(self):
-        """One call, one call a range, and ranges with gaps between them."""
+        """Slices of one call, and one forward read a range, with and
+        without gaps between the ranges."""
         for p in self.FLAT:
             assert p.flat
             for counts in ([20] * 32, [681, 4450], list(RAGGED_COUNTS)):
@@ -660,12 +649,11 @@ class TestFlatTable:
                 for gap in (0, 5):
                     starts = np.cumsum(counts + gap) - counts
                     want = reference_rows(p, stream, starts, counts)
-                    got = sample_children(p, stream.rng(), starts, counts)
+                    whole = p.sample(int(starts[-1] + counts[-1]), stream.rng())
+                    got = np.concatenate([whole[s:s + c]
+                                          for s, c in zip(starts, counts)])
                     assert got.dtype == want.dtype and np.array_equal(got, want)
-                    gen, at, rows = stream.rng(), 0, []
-                    for s, c in zip(starts, counts):
-                        rows.append(sample_children(p, gen, [s], [c], at))
-                        at = s + c
+                    rows = read_forward(p, stream.rng(), starts, counts)
                     assert np.array_equal(np.concatenate(rows), want)
 
     def test_indices_past_32_bits_fall_back(self):
@@ -674,7 +662,7 @@ class TestFlatTable:
         starts, counts = [3, 2**32, 2**40 + 3, 2**40 + 5], [681, 27, 2, 0]
         for p in self.FLAT:
             stream = Stream(9, (4,))
-            got = sample_children(p, stream.rng(), starts, counts)
+            got = np.concatenate(read_forward(p, stream.rng(), starts, counts))
             assert np.array_equal(got, reference_rows(p, stream, starts,
                                                       counts))
 
@@ -690,11 +678,11 @@ class TestFlatTable:
         stream = Stream(3, (1,))
         counts = [20, 681] * 16
         starts = np.cumsum(counts) - counts
-        got = sample_children(p, stream.rng(), starts, counts)
+        got = p.sample(sum(counts), stream.rng())
         assert np.array_equal(got, reference_rows(p, stream, starts, counts))
         # the same words read as a flat table give other samples, all of
         # them where column 0 moved to its alias
-        flat = sample_children(make_uniform(4), stream.rng(), starts, counts)
+        flat = make_uniform(4).sample(sum(counts), stream.rng())
         moved = got != flat
         assert moved.any()
         assert set(flat[moved].tolist()) == {1} and set(got[moved].tolist()) == {4}
@@ -712,7 +700,7 @@ class TestFlatTable:
         stream = Stream(4)
         for p in (tilted, torn):
             starts, counts = np.arange(0, 640, 20), [20] * 32
-            got = sample_children(p, stream.rng(), starts, counts)
+            got = p.sample(640, stream.rng())
             assert np.array_equal(got, reference_rows(p, stream, starts, counts))
 
 
@@ -794,10 +782,6 @@ class TestPlanArrays:
             assert plan.clique_players == tuple(
                 owner for _, count, owner in plan.runs for _ in range(count))
             assert plan.samples_total == sum(plan.clique_sizes)
-            for j in range(plan.players):
-                assert plan.cliques_of_player(j) == [
-                    c for c, o in enumerate(plan.clique_players) if o == j]
-        assert interleaved.cliques_of_player(3) == []
         assert len(interleaved.runs) == len(interleaved.clique_sizes)
 
     def test_streaming_equals_the_rebuilt_loop(self):

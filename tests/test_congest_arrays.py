@@ -372,6 +372,13 @@ def test_disconnected_topologies_raise():
         cg.Network(ComparisonGraph(130, [(v, v + 1) for v in range(128)]), 4)
 
 
+def test_networks_of_2_21_nodes_raise():
+    """`build_bfs_tree` ranks an offer exactly in int64 only below 2**21
+    nodes; a larger topology is refused before its adjacency is built."""
+    with pytest.raises(InvalidNetworkError, match=r"2\*\*21"):
+        cg.Network(ComparisonGraph(1 << 21, [(0, 1)]), 4)
+
+
 def test_flood_memory_on_a_dense_clique():
     tracemalloc.start()
     try:

@@ -293,6 +293,21 @@ class TestCli:
         assert code == 2
         assert "capacity" in capsys.readouterr().err
 
+    def test_plan_json_out_of_memory_exit_code(self, capsys, monkeypatch):
+        """A plan too large to list as JSON is an error naming `--table`,
+        which still prints it."""
+        def out_of_memory(self):
+            raise MemoryError
+
+        monkeypatch.setattr(Plan, "to_json", out_of_memory)
+        args = ["plan", "--model", "streaming", "--n", "1024", "--eps", "0.5",
+                "--m-bits", "400"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--table" in err
+        assert cli_main(args + ["--table"]) == 0
+        assert "certified" in capsys.readouterr().out
+
     def test_missing_model_parameter_exit_code(self, capsys):
         code = cli_main(["plan", "--model", "simultaneous", "--n", "16",
                          "--eps", "1.0"])

@@ -3,9 +3,10 @@
 The properties every draw route keeps (see `collitest.rng`):
 
 * raw words, and so samples, do not depend on how a word range is split
-  into calls, with ``bit_generator.advance`` across gaps;
+  into calls, and a forward ``bit_generator.advance`` skips a gap;
 * every simulator's samples of clique or batch ``c`` are the slice of
-  `tester.draw_labeling` from word ``S_c`` on, on the same trial stream;
+  `tester.draw_labeling` from word ``S_c`` on, on the same trial stream,
+  and a streaming chunk is one read from a batch's first word on;
 * CONGEST node ``v`` reads word ``v``;
 * the order in which trials run changes no byte of the suite output;
 * the word-to-sample map stays in [1, n] and is the documented formula.
@@ -22,7 +23,7 @@ from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
 from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
-                            sample_labeling, sample_children)
+                            sample_labeling)
 from collitest.graph import make_clique_union, make_star, random_connected_graph
 from collitest.harness import (load_scenarios, records_to_jsonl, run_scenario,
                                summaries_to_csv)
@@ -39,6 +40,27 @@ class Words:
     def random_raw(self, count):
         out, self.words = self.words[:count].copy(), self.words[count:]
         return out
+
+
+class Recording:
+    """A trial stream and its one generator, which records the word
+    offset and length of every read in `reads`."""
+
+    def __init__(self, stream):
+        self.bit_generator, self.at, self.reads = self, 0, []
+        self._bits = stream.rng().bit_generator
+
+    def rng(self):
+        return self
+
+    def advance(self, delta):
+        self._bits.advance(delta)
+        self.at += delta
+
+    def random_raw(self, count):
+        self.reads.append((self.at, count))
+        self.at += count
+        return self._bits.random_raw(count)
 
 
 def input_for(kind, n):
@@ -77,35 +99,35 @@ def test_any_split_of_a_word_range_gives_the_one_call_samples(seed, n, kind,
                        max_size=10))
 def test_ranges_read_across_gaps_equal_slices_of_one_call(seed, n, kind,
                                                           ranges):
-    """Each range is (gap before it, length); read in one `sample_children`
-    call, and one range a call from the last back to the first, which
-    advances backwards."""
+    """Each range is (gap before it, length); one generator advances
+    forward across each gap and reads the range in one
+    `Distribution.sample` call."""
     p, stream = input_for(kind, n), Stream(seed)
-    starts, counts, at = [], [], 0
-    for gap, count in ranges:
-        starts.append(at + gap)
-        counts.append(count)
-        at += gap + count
-    whole = one_call(p, stream, at)
-    want = [whole[s:s + c] for s, c in zip(starts, counts)]
-    got = sample_children(p, stream.rng(), starts, counts)
-    assert np.array_equal(got, np.concatenate(want or [np.empty(0, np.int64)]))
+    total = sum(gap + count for gap, count in ranges)
+    whole = one_call(p, stream, total)
     gen, at = stream.rng(), 0
-    for s, c, w in reversed(list(zip(starts, counts, want))):
-        assert np.array_equal(sample_children(p, gen, [s], [c], at), w)
-        at = s + c
+    for gap, count in ranges:
+        if gap:
+            gen.bit_generator.advance(gap)
+        at += gap
+        assert np.array_equal(p.sample(count, gen), whole[at:at + count])
+        at += count
 
 
 def test_ranges_past_32_bits_advance_like_one_generator():
     p, stream = make_heavy(1000, 0.5), Stream(9, (4,))
     starts, counts = [3, 2**32 + 5, 2**40 + 3], [27, 2, 681]
-    got = sample_children(p, stream.rng(), starts, counts)
+    gen, at, got = stream.rng(), 0, []
+    for s, c in zip(starts, counts):
+        gen.bit_generator.advance(s - at)
+        got.append(p.sample(c, gen))
+        at = s + c
     want = []
     for s, c in zip(starts, counts):
         gen = stream.rng()
         gen.bit_generator.advance(s)
         want.append(p.sample(c, gen))
-    assert np.array_equal(got, np.concatenate(want))
+    assert np.array_equal(np.concatenate(got), np.concatenate(want))
 
 
 # --- simulators against the monolithic labeling ----------------------------------
@@ -139,32 +161,28 @@ def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
     plan = data.draw(st.sampled_from(PLANS[family]))
     simulate = data.draw(st.sampled_from(SIMULATORS[family]))
     p, stream = input_for(kind, plan.n), Stream(seed).child(trial)
-    drawn, counted = [], []
-    real_ranges, real_count = models.sample_children, models.block_collisions
-
-    def ranges(p, gen, starts, counts, at=0):
-        values = real_ranges(p, gen, starts, counts, at)
-        drawn.append((np.asarray(starts), np.asarray(counts), values))
-        return values
+    recording, counted = Recording(stream), []
+    real_count = models.block_collisions
 
     def count(values, sizes):
         counted.append((values, tuple(np.asarray(sizes).tolist())))
         return real_count(values, sizes)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(models, "sample_children", ranges)
         m.setattr(models, "block_collisions", count)
-        run = simulate(plan, p, stream)
-    if drawn:  # streaming: each chunk is its batches' words
+        run = simulate(plan, p, recording)
+    if family.endswith("streaming"):  # each chunk is its batches' words
         labeling = tester.draw_labeling(plan.build_graph(), p, stream).values
-        offsets = np.cumsum(plan.clique_sizes) - plan.clique_sizes
-        for starts, counts, values in drawn:
-            assert set(starts.tolist()) <= set(offsets.tolist())
-            want = [labeling[s:s + c] for s, c in zip(starts, counts)]
-            assert np.array_equal(values, np.concatenate(want))
-        assert sum(v.size for _, _, v in drawn) >= sum(run.ledger.samples)
+        bounds = set(np.cumsum((0,) + plan.clique_sizes).tolist())
+        assert len(recording.reads) == len(counted)
+        for (start, length), (values, sizes) in zip(recording.reads, counted):
+            assert set((start + np.cumsum((0,) + sizes)).tolist()) <= bounds
+            assert length == sum(sizes)
+            assert np.array_equal(values, labeling[start:start + length])
+        assert sum(n for _, n in recording.reads) >= sum(run.ledger.samples)
     else:  # one call for all cliques, in plan order
         ((values, sizes),) = counted
+        assert recording.reads == [(0, sum(sizes))]
         graph = make_clique_union(sizes)
         labeling = tester.draw_labeling(graph, p, stream).values
         assert np.array_equal(values, labeling)

@@ -45,7 +45,7 @@ class Distribution:
     generator so there is no hidden shared state.
     """
 
-    __slots__ = ("probs", "_accept", "_alias", "_flat")
+    __slots__ = ("probs", "_accept", "_alias", "_flat", "_shift", "_lim")
 
     def __init__(self, probs) -> None:
         arr = np.array(probs, dtype=np.float64)
@@ -66,6 +66,11 @@ class Distribution:
         self._accept = None
         self._alias = None
         self._flat = None
+        self._lim = None
+        # 53 - k for n = 2**k with 1 <= k <= 52, where `sample` maps in
+        # integers (see `rng`); 0 for every other n
+        k = arr.size.bit_length() - 1
+        self._shift = 53 - k if arr.size == 1 << k and 1 <= k <= 52 else 0
 
     @property
     def n(self) -> int:
@@ -97,23 +102,48 @@ class Distribution:
         if count < 0:
             raise ValueError("count must be >= 0")
         words = gen.bit_generator.random_raw(count)
-        words >>= np.uint64(11)
-        x = words.view(np.int64) * (self.n * 2.0**-53)
-        idx = x.astype(np.int64)  # below n for every word, see `rng`
         accept, alias = self._table()
+        shift = self._shift
+        # n = 2**k maps in integers, other n by the float product (`rng`)
+        if shift and self._flat:
+            words >>= np.uint64(11 + shift)
+            idx = words.view(np.int64)
+        elif shift:
+            words >>= np.uint64(11)
+            w = words.view(np.int64)
+            idx = w >> shift
+            rej = np.flatnonzero(w >= self._lim.take(idx))
+        else:
+            words >>= np.uint64(11)
+            x = words.view(np.int64) * (self.n * 2.0**-53)
+            idx = x.astype(np.int64)  # below n for every word, see `rng`
+            if not self._flat:
+                x -= idx
+                rej = np.flatnonzero(x >= accept.take(idx))
         if not self._flat:
-            x -= idx
-            idx = np.where(x < accept[idx], idx, alias[idx])
+            # gather `alias` only where the accept test failed
+            idx[rej] = alias.take(idx[rej])
         idx += 1
         return idx
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (accept, alias) arrays, built on first use."""
+        """The (accept, alias) arrays, built on first use.
+
+        A non-flat table of n = 2**k also gets the int64 limits
+        ``lim[i] = (i << s) + ceil(accept[i] * 2**s)``, ``s = 53 - k``:
+        word ``w >> 11`` in column ``i`` is accepted iff it is below
+        ``lim[i]`` (see `rng`).
+        """
         if self._accept is None:
             # idempotent lazy build; concurrent builders compute identical
-            # tables, and `_accept` is set last so that it marks all three
+            # tables, and `_accept` is set last so that it marks the
+            # alias, flat and limit fields as built
             accept, self._alias = _build_alias_table(self.probs)
             self._flat = bool(accept.min() >= 1.0)
+            if self._shift and not self._flat:
+                s = self._shift
+                self._lim = ((np.arange(self.n, dtype=np.int64) << s)
+                             + np.ceil(accept * 2.0**s).astype(np.int64))
             self._accept = accept
         return self._accept, self._alias
 

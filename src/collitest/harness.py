@@ -282,13 +282,14 @@ def run_scenario(scenario: Scenario, master_seed: int,
             spec = tester.TesterSpec(plan.build_graph(), plan.tau,
                                      scenario.n, scenario.eps)
             for t_idx in order:
-                out = tester.run(spec, p, master.child(t_idx))
+                stream = master.child(t_idx)
+                out = tester.run(spec, p, stream)
                 slots[t_idx] = TrialRecord(
                     trial=t_idx, decision=out.decision, z=out.z,
                     threshold=out.t, samples_total=plan.samples_total,
                     max_message_bits=0, max_memory_bits=0, rounds=None,
                     early_terminated=False,
-                    seed_path=master.child(t_idx).label())
+                    seed_path=stream.label())
         else:
             simulate = {
                 "simultaneous": models.simulate_simultaneous,
@@ -297,7 +298,8 @@ def run_scenario(scenario: Scenario, master_seed: int,
                 "simultaneous_streaming": models.simulate_simultaneous_streaming,
             }[scenario.model]
             for t_idx in order:
-                run = simulate(plan, p, master.child(t_idx))
+                stream = master.child(t_idx)
+                run = simulate(plan, p, stream)
                 slots[t_idx] = TrialRecord(
                     trial=t_idx, decision=run.decision, z=run.z,
                     threshold=run.threshold,
@@ -306,7 +308,7 @@ def run_scenario(scenario: Scenario, master_seed: int,
                     max_memory_bits=max(run.ledger.memory_bits, default=0),
                     rounds=None,
                     early_terminated=run.ledger.early_terminated,
-                    seed_path=master.child(t_idx).label())
+                    seed_path=stream.label())
     else:
         if scenario.topology is None:
             raise ValueError("CONGEST scenarios need a topology")

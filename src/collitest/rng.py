@@ -44,6 +44,16 @@ more, so an index's probability is within ``2 * 2**-53`` of ``1/n``: a
 relative bias of at most ``n * 2**-52`` per value, below ``2.5e-10`` for
 every n up to 2**20.  ``frac`` is resolved to
 ``2**-(53 - ceil(log2 n))``, which is the resolution of the accept test.
+
+For ``n = 2**k`` with ``1 <= k <= 52`` the map is computed in integers,
+with the same result for every word.  With ``u = w >> 11`` and
+``s = 53 - k``, ``x = u * 2**-s`` is exact (a 53-bit integer scaled by a
+power of two), so ``idx = u >> s``, which is ``w >> (64 - k)``, and
+``frac = (u - (idx << s)) * 2**-s``, also exact.  ``accept[i] * 2**s``
+is exact too, and for an integer ``m``, ``m < a`` iff ``m < ceil(a)``,
+so ``frac < accept[idx]`` iff ``u < lim[idx]`` with the int64 table
+``lim[i] = (i << s) + ceil(accept[i] * 2**s)``.  For other n (and
+n = 1) the float product rounds, so the float map is kept there.
 Lemire's bounded integers would be exact but reject some draws; keeping
 later samples in place would then need a side stream keyed by (trial,
 sample) for the redraws, a second generator for a bias far below what

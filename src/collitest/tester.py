@@ -90,7 +90,8 @@ def within_clique_collisions(values: np.ndarray) -> int:
     if values.size < 2:
         return 0
     counts = np.bincount(values)
-    return int(np.sum(counts * (counts - 1)) // 2)
+    # sum c (c - 1) = sum c^2 - size
+    return int((counts @ counts - values.size) // 2)
 
 
 def row_collisions(rows: np.ndarray) -> np.ndarray:
@@ -114,7 +115,10 @@ def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     `SMALL_BLOCK` values by `row_collisions`.  Otherwise value ``v`` of
     block ``b`` is keyed ``v - min + b * span``, with ``span`` the range
     of the values, so equal keys are equal values of one block and a
-    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.  The
+    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.  Equal
+    blocks add their offsets ``b * span - min`` by broadcasting over the
+    values as a (blocks, size) matrix, other blocks by repeating each
+    offset ``sizes[b]`` times.  The
     counts come from one bincount while there are at most `DENSE_KEYS`
     keys per sample, and from runs of the sorted keys otherwise.
     """
@@ -124,12 +128,19 @@ def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     if sizes.size == 1:
         return np.array([within_clique_collisions(values)])
     size = int(sizes[0])
-    if size <= SMALL_BLOCK and sizes.min() == sizes.max():
+    # the sizes sum to values.size, so all are `size` iff that is their
+    # mean and none is smaller
+    equal = size * sizes.size == values.size and sizes.min() == size
+    if size <= SMALL_BLOCK and equal:
         return row_collisions(values.reshape(sizes.size, size))
-    low = values.min()
+    low = int(values.min())
     span = int(values.max() - low) + 1
-    keys = np.subtract(values, low, dtype=np.int64)
-    keys += np.repeat(np.arange(sizes.size) * span, sizes)
+    shifts = np.arange(sizes.size) * span - low
+    if equal:
+        keys = np.add(values.reshape(sizes.size, size), shifts[:, None],
+                      dtype=np.int64).ravel()
+    else:
+        keys = np.add(values, np.repeat(shifts, sizes), dtype=np.int64)
     if sizes.size * span <= DENSE_KEYS * values.size:
         counts = np.bincount(keys, minlength=sizes.size * span)
         counts = counts.reshape(sizes.size, span)

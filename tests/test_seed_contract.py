@@ -248,11 +248,11 @@ def reference_map(p, word):
     return int(alias[idx]) + 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**20 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 256, 1000, 1024, 2**20, 2**20 + 1])
 def test_map_stays_in_the_domain(n):
     words = EDGE_WORDS + np.random.default_rng(n).integers(
         0, 2**64, size=200, dtype=np.uint64).tolist()
-    for p in (make_uniform(n), input_for("heavy", n)):
+    for p in (make_uniform(n), input_for("heavy", n), input_for("bump", n)):
         got = p.sample(len(words), Words(words))
         assert got.dtype == np.int64
         assert got.min() >= 1 and got.max() <= n
@@ -269,6 +269,30 @@ def test_the_top_grid_point_stays_below_n(n):
     assert math.floor((2**53 - 1) * (n * 2.0**-53)) <= n - 1
 
 
+@pytest.mark.parametrize("p", [make_bump(256, 0.5), make_heavy(1024, 0.5)],
+                         ids=["bump-256", "heavy-1024"])
+def test_power_of_two_columns_split_at_the_ceiled_accept_level(p):
+    """For n = 2**k, column i accepts ``w >> 11`` up to
+    ``(i << s) + ceil(accept[i] * 2**s) - 1``, s = 53 - k: in every
+    column the last accepted and the first rejected word give what the
+    float formula gives, whatever the 11 dropped bits."""
+    accept, alias = p._table()
+    s = 53 - (p.n.bit_length() - 1)
+    words, split = [], 0
+    for i, a in enumerate(accept.tolist()):
+        c = math.ceil(a * 2**s)
+        for low, dropped in ((c - 1, 2**11 - 1), (c, 0)):
+            if 0 <= low < 2**s:
+                words.append((((i << s) + low) << 11) | dropped)
+        if 0 < c < 2**s:
+            split += 1
+            assert reference_map(p, words[-2]) == i + 1
+            assert reference_map(p, words[-1]) == int(alias[i]) + 1
+    assert split > 0 and not p.flat
+    got = p.sample(len(words), Words(words))
+    assert got.tolist() == [reference_map(p, w) for w in words]
+
+
 def test_a_column_below_one_splits_on_the_fraction():
     """Column 0 accepts 1 - 2**-6 and aliases to column 3: a word whose
     fraction lands past the accept level of column 0 gives value 4."""
@@ -281,6 +305,18 @@ def test_a_column_below_one_splits_on_the_fraction():
     at = int((1 - 4 * d) * 2**51) << 11
     assert p.sample(2, Words([below, at])).tolist() == [1, 4]
     assert make_uniform(4).sample(2, Words([below, at])).tolist() == [1, 1]
+
+
+def test_a_column_of_odd_n_splits_on_the_float_fraction():
+    """n = 3 keeps the float map: column 0 accepts 3/4 and aliases to
+    column 2, and ``u = 2**51`` lands exactly on ``x = 3/4``, which is
+    rejected (the test is ``frac < accept``)."""
+    p = Distribution([0.25, 0.375, 0.375])
+    accept, alias = p._table()
+    assert accept.tolist() == [0.75, 1.0, 0.875] and alias[0] == 2
+    words = [((2**51 - 1) << 11) | (2**11 - 1), 2**51 << 11]
+    assert p.sample(2, Words(words)).tolist() == [1, 3]
+    assert [reference_map(p, w) for w in words] == [1, 3]
 
 
 def test_sample_labeling_equals_the_unowned_labeling():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
                              make_star)
 from collitest.rng import Stream
 from collitest import tester
-from collitest.tester import (TesterSpec, count_collisions, draw_labeling,
-                              evaluate, exact_error_probability,
-                              expected_collisions, run, threshold,
-                              variance_collisions)
+from collitest.tester import (SMALL_BLOCK, TesterSpec, block_collisions,
+                              count_collisions, draw_labeling, evaluate,
+                              exact_error_probability, expected_collisions,
+                              run, threshold, variance_collisions,
+                              within_clique_collisions)
 
 
 def enum_error_oracle(spec, p):
@@ -64,6 +66,53 @@ class TestCountCollisions:
             for _ in range(25):
                 values = gen.integers(1, 5, size=g.vertex_count)
                 assert count_collisions(g, values) == count_collisions(plain, values)
+
+
+def equal_pairs(values):
+    """Independent pure-python count of the equal pairs among `values`."""
+    return sum(c * (c - 1) // 2 for c in Counter(values.tolist()).values())
+
+
+class TestCliqueKernels:
+    @pytest.mark.parametrize("values, want", [
+        (np.array([], dtype=np.int64), 0),
+        (np.array([5]), 0),
+        (np.array([0]), 0),
+        (np.full(2, 3), 1),
+        (np.zeros(3, dtype=np.int64), 3),
+        (np.full(1000, 7), 499_500),
+    ], ids=["empty", "one-value", "one-zero", "two-equal", "three-zeros",
+            "all-equal-1000"])
+    def test_within_clique_edge_cases(self, values, want):
+        got = within_clique_collisions(values)
+        assert type(got) is int and got == want
+
+    def test_within_clique_matches_pair_count(self):
+        gen = np.random.default_rng(23)
+        for high in (1, 2, 50, 10**6):
+            for size in (2, 65, 4450):
+                values = gen.integers(0, high, size=size)
+                assert within_clique_collisions(values) == equal_pairs(values)
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_equal_large_blocks_match_per_block_counts(self, base):
+        """Equal blocks above SMALL_BLOCK take the keyed route, dense and
+        sparse; each block's count is its lone-clique count."""
+        gen = np.random.default_rng(31 + base)
+        for blocks in (2, 3, 16, 64):
+            for size in (SMALL_BLOCK + 1, 681):
+                for high in (2, 1024, 10**6):
+                    values = gen.integers(base, base + high, size=blocks * size)
+                    # one block of one repeated value
+                    b = blocks // 2
+                    values[b * size:(b + 1) * size] = values[b * size]
+                    got = block_collisions(values, [size] * blocks)
+                    parts = values.reshape(blocks, size)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == [within_clique_collisions(r)
+                                            for r in parts]
+                    assert got.tolist() == [equal_pairs(r) for r in parts]
+                    assert got[b] == size * (size - 1) // 2
 
 
 class TestThreshold:

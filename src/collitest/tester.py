@@ -115,10 +115,7 @@ def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     `SMALL_BLOCK` values by `row_collisions`.  Otherwise value ``v`` of
     block ``b`` is keyed ``v - min + b * span``, with ``span`` the range
     of the values, so equal keys are equal values of one block and a
-    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.  Equal
-    blocks add their offsets ``b * span - min`` by broadcasting over the
-    values as a (blocks, size) matrix, other blocks by repeating each
-    offset ``sizes[b]`` times.  The
+    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.  The
     counts come from one bincount while there are at most `DENSE_KEYS`
     keys per sample, and from runs of the sorted keys otherwise.
     """
@@ -128,19 +125,12 @@ def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     if sizes.size == 1:
         return np.array([within_clique_collisions(values)])
     size = int(sizes[0])
-    # the sizes sum to values.size, so all are `size` iff that is their
-    # mean and none is smaller
-    equal = size * sizes.size == values.size and sizes.min() == size
-    if size <= SMALL_BLOCK and equal:
+    if size <= SMALL_BLOCK and sizes.min() == sizes.max():
         return row_collisions(values.reshape(sizes.size, size))
-    low = int(values.min())
+    low = values.min()
     span = int(values.max() - low) + 1
-    shifts = np.arange(sizes.size) * span - low
-    if equal:
-        keys = np.add(values.reshape(sizes.size, size), shifts[:, None],
-                      dtype=np.int64).ravel()
-    else:
-        keys = np.add(values, np.repeat(shifts, sizes), dtype=np.int64)
+    keys = np.subtract(values, low, dtype=np.int64)
+    keys += np.repeat(np.arange(sizes.size) * span, sizes)
     if sizes.size * span <= DENSE_KEYS * values.size:
         counts = np.bincount(keys, minlength=sizes.size * span)
         counts = counts.reshape(sizes.size, span)

@@ -13,8 +13,9 @@ of the trial's stream, so `draw_node_samples` is one generator and one
 Schedules are computed on arrays over the CSR adjacency that `Network`
 keeps, never by a Python loop over edges: a tree layer pass or a whole
 pipelining schedule is one `send` call, and the BFS flood one call per
-round.  `Network` checks connectivity with one BFS; its `diameter` is
-computed on first read, by a bit-parallel BFS from every node.
+block of rounds.  `Network` checks connectivity by min-label hooking
+and pointer jumping; its `diameter` is computed on first read, by a
+bit-parallel BFS from every node.
 
 A local or pipelined run splits into a `Schedule` and a trial.  Which
 message crosses which edge in which round depends only on the network,
@@ -27,8 +28,11 @@ and must not be mutated.
 
 Protocols:
 
-* `build_bfs_tree` floods (root-candidate, depth) pairs until quiescent;
-  the max-id node wins and every node learns its true BFS depth.
+* `build_bfs_tree` floods (root-candidate, depth) pairs until quiescent.
+  This is max propagation: after round r a node holds the largest id
+  within r hops and its distance to it, so the max-id node wins, every
+  node learns its true BFS depth, and the flood takes one round more
+  than that node's eccentricity.
 * `detect_topology` aggregates the degree sums |E| = sum(d)/2 and
   c = sum(d (d-1)) up the tree, certifies the topology itself as a
   comparison graph over a tau grid at the root, and floods the answer.
@@ -79,42 +83,44 @@ C_POW = 8                # power-t detection within C_POW * t * D + C0 when ball
 C0 = 10
 BALL_ROUND_CAP = 4       # a t-ball is "too large" if it cannot be sent in this many rounds
 REACH_WORDS = 1 << 20    # bit-parallel BFS: uint64 words per block (see _reach_levels)
+FLOOD_BLOCK = 1 << 14    # BFS flood: about this many messages per charged block of rounds
 
 
 class Network:
     """Connected topology plus the per-round channel budget.
 
-    The adjacency is kept twice: `adjacency[v]` is v's sorted neighbour
-    array, and `indptr`/`indices` are the same lists as one CSR array.
+    The adjacency is kept once, in CSR form: v's neighbours, ascending,
+    are `indices[indptr[v]:indptr[v + 1]]`.  `adjacency`, the same lists
+    split per node, is built on first read; no run path reads it.
     """
 
     def __init__(self, topology: ComparisonGraph, n: int):
         if topology.vertex_count < 1:
             raise InvalidNetworkError("a network needs at least one node")
-        if topology.vertex_count >= 1 << 21:  # see `build_bfs_tree`'s ranks
+        # `BitMeter` keys a message as u*k + v + offset*k*k: int64-exact
+        # for k below 2**21 (and offsets below 2**21)
+        if topology.vertex_count >= 1 << 21:
             raise InvalidNetworkError("a network needs fewer than 2**21 nodes")
         if n < 1:
             raise ValueError("domain size must be >= 1")
         self.topology = topology
         self.n = int(n)
-        self.k = topology.vertex_count
-        self.adjacency = topology.adjacency()
+        k = self.k = topology.vertex_count
+        e = topology.edges.astype(np.int64)
+        keys = np.concatenate((e[:, 0] * k + e[:, 1], e[:, 1] * k + e[:, 0]))
+        keys.sort()
         self.indptr = np.concatenate(([0], np.cumsum(topology.degrees)))
-        self.indices = np.concatenate(self.adjacency)
-        seen = np.zeros(self.k, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            _, heads = self.out_edges(frontier)
-            fresh = np.zeros(self.k, dtype=bool)
-            fresh[heads] = True
-            frontier = np.flatnonzero(fresh & ~seen)
-            seen[frontier] = True
-        if not seen.all():
+        self.indices = keys % k
+        if not _connected(self.indptr, self.indices):
             raise InvalidNetworkError("the topology is disconnected")
         self.channel_bits = math.ceil(
             CHANNEL_COEFF * (math.log2(max(self.n, 1)) + math.log2(max(self.k, 1))))
         self.id_bits = sample_bit_width(self.k)
+
+    @cached_property
+    def adjacency(self) -> list[np.ndarray]:
+        """`adjacency[v]` is v's sorted neighbour array (views of `indices`)."""
+        return np.split(self.indices, self.indptr[1:-1])
 
     @cached_property
     def diameter(self) -> int:
@@ -131,6 +137,30 @@ class Network:
         tails = np.repeat(nodes, counts)
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return tails, self.indices[np.arange(tails.size) + shift]
+
+
+def _connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether the CSR graph is connected, by min-label hook and shortcut.
+
+    Every label is a node of its own component, and a label that labels
+    itself is a root.  Each pass hooks every root to the smallest label
+    across its component's edges, then jumps pointers until every node
+    labels its root.  At the fixpoint every edge joins equal labels, so
+    the graph is connected when all labels are equal (to node 0).
+    """
+    label = np.arange(indptr.size - 1)
+    tails = np.repeat(label, np.diff(indptr))
+    while True:
+        low, high = label[indices], label[tails]
+        hook = low < high
+        if not hook.any():
+            return not label.any()
+        np.minimum.at(label, high[hook], low[hook])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def _reach_levels(net: Network, hops: int | None = None):
@@ -213,7 +243,8 @@ class BitMeter:
         if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= k:
             raise ValueError(f"node ids must lie in 0..{k - 1}")
         span = k * k
-        keys = u * k + v
+        keys = u * k
+        keys += v
         if last:
             keys += offset * span
         totals = bits
@@ -223,14 +254,15 @@ class BitMeter:
         if not np.all(keys[1:] > keys[:-1]):
             keys, where = np.unique(keys, return_inverse=True)
             totals = np.bincount(where, weights=totals).astype(np.int64)
-        over = np.flatnonzero(totals > self.net.channel_bits)
-        if over.size:
-            key, total = int(keys[over[0]]), int(totals[over[0]])
-            ahead, edge = divmod(key, span)
+        most = int(totals.max())
+        if most > self.net.channel_bits:
+            first = int(np.argmax(totals > self.net.channel_bits))
+            ahead, edge = divmod(int(keys[first]), span)
             raise ModelViolationError(
                 f"round {self.rounds + ahead}: edge {edge // k}->{edge % k} "
-                f"carries {total} bits, channel allows {self.net.channel_bits}")
-        self.max_edge_bits = max(self.max_edge_bits, int(totals.max()))
+                f"carries {int(totals[first])} bits, channel allows "
+                f"{self.net.channel_bits}")
+        self.max_edge_bits = max(self.max_edge_bits, most)
         if last:  # keep the totals of the round that is now current
             cut = np.searchsorted(keys, last * span)
             keys, totals = keys[cut:] - last * span, totals[cut:]
@@ -265,14 +297,38 @@ class BfsTree:
     rounds: int
 
 
+def _charge_rounds(meter: BitMeter, block: list, bits: int) -> None:
+    """Charge consecutive rounds of (tails, heads) messages in one `send`,
+    the first of them into the current round."""
+    if len(block) == 1:
+        meter.send(*block[0], bits)
+        return
+    tails, heads = (np.concatenate(x) for x in zip(*block))
+    sizes = [t.size for t, _ in block]
+    meter.send(tails, heads, bits, np.repeat(np.arange(len(block)), sizes))
+
+
 def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
     """Leader election and BFS in one flood, until globally quiescent.
 
     Every node repeatedly offers (best root id seen, its depth under that
     root); larger root ids win, then smaller depths, then smaller sender
-    ids pick the parent deterministically.  Each round, the nodes whose
-    state changed send one message per incident edge, charged in one
-    `send`.
+    ids pick the parent.  That is max propagation: after round r, node v
+    holds the largest id within r hops and its distance to it, and v
+    sends in round r + 1 iff that id grew in round r (every node sends
+    in round 1).  A neighbour that did not send holds an id v already
+    knows, so only the senders' ids matter.  Hence the largest id k - 1
+    wins, a node's depth is the round of its last change, its distance
+    to k - 1, and its parent is its smallest-id neighbour one layer up;
+    the flood takes ecc(k - 1) + 1 rounds, and in the last one no node
+    changes.
+
+    A round costs one `out_edges` of its senders, one `np.maximum.at`
+    over their messages and an O(k) copy and compare; no round passes
+    over all 2|E| directed edges (only the parent pass at the end does,
+    once).  The rounds are charged in blocks of about FLOOD_BLOCK
+    messages, one `begin_round` and one `send` (`_charge_rounds`) each,
+    so a long flood never holds all its messages at once.
     """
     k = net.k
     if k == 1:
@@ -280,26 +336,32 @@ def build_bfs_tree(net: Network, meter: BitMeter | None = None) -> BfsTree:
                        children=[[]], preorder=[0], rounds=0)
     meter = meter or BitMeter(net)
     msg_bits = 2 * net.id_bits  # root candidate + depth
-    root_of = np.arange(k)
+    top = np.arange(k)  # largest id heard of
     depth = np.zeros(k, dtype=np.int64)
-    parent = np.full(k, -1, dtype=np.int64)
     changed = np.arange(k)
-    rounds = 0
+    block: list[tuple[np.ndarray, np.ndarray]] = []
+    held = rounds = 0
     while changed.size:
-        meter.begin_round()
+        if not block:  # before building messages: frees the meter's last round
+            meter.begin_round()
         rounds += 1
-        senders, heads = net.out_edges(changed)
-        meter.send(senders, heads, msg_bits)
-        # (root r, depth d) ranks as (k - 1 - r) * (k + 1) + d, smaller is
-        # better (depths stay <= k); an offer through v adds 1 to v's rank,
-        # and v's id breaks ties (rank * k + v is exact for k < 2**21)
-        rank = (k - 1 - root_of) * (k + 1) + depth
-        best = np.full(k, np.iinfo(np.int64).max)
-        np.minimum.at(best, heads, ((rank + 1) * k + np.arange(k))[senders])
-        changed = np.flatnonzero(best < rank * k)
-        sender = best[changed] % k
-        root_of[changed], depth[changed] = root_of[sender], depth[sender] + 1
-        parent[changed] = sender
+        tails, heads = net.out_edges(changed)
+        block.append((tails, heads))
+        held += tails.size
+        heard = top.copy()
+        np.maximum.at(heard, heads, top[tails])
+        changed = np.flatnonzero(heard != top)
+        top = heard
+        depth[changed] = rounds
+        if held >= FLOOD_BLOCK or not changed.size:
+            _charge_rounds(meter, block, msg_bits)
+            block, held = [], 0
+    # a node's lowest (depth, id) neighbour is one layer up, except at the root
+    key = depth[net.indices]
+    key *= k
+    key += net.indices
+    parent = np.minimum.reduceat(key, net.indptr[:-1]) % k
+    parent[k - 1] = -1
     root = k - 1
     children: list[list[int]] = [[] for _ in range(k)]
     for v, par in enumerate(parent.tolist()):

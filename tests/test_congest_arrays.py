@@ -373,10 +373,154 @@ def test_disconnected_topologies_raise():
 
 
 def test_networks_of_2_21_nodes_raise():
-    """`build_bfs_tree` ranks an offer exactly in int64 only below 2**21
-    nodes; a larger topology is refused before its adjacency is built."""
+    """`BitMeter` keys a message as u*k + v + offset*k*k, exact in int64
+    only below 2**21 nodes; a larger topology is refused before its
+    adjacency is built."""
     with pytest.raises(InvalidNetworkError, match=r"2\*\*21"):
         cg.Network(ComparisonGraph(1 << 21, [(0, 1)]), 4)
+
+
+def _permuted(topology, gen):
+    """`topology` with its node ids shuffled by `gen`."""
+    perm = gen.permutation(topology.vertex_count)
+    return ComparisonGraph(topology.vertex_count, perm[topology.edges])
+
+
+def _random_permuted(seed):
+    gen = Stream(seed).rng()
+    k = int(gen.integers(2, 160))
+    topology = random_connected_graph(
+        k, gen, extra_edge_prob=float(gen.choice([0.0, 0.01, 0.05, 0.2])))
+    return _permuted(topology, gen)
+
+
+def _precharge(meter, gen):
+    """Charge a few random messages, two rounds deep, so that the meter
+    holds earlier rounds and running totals in its current round."""
+    tails, heads = meter.net.out_edges(np.arange(meter.net.k))
+    pick = gen.integers(0, tails.size, size=12)
+    meter.begin_round()
+    meter.send(tails[pick], heads[pick], 3, gen.integers(0, 3, size=12))
+    meter.send(tails[pick[:4]], heads[pick[:4]], 5)
+
+
+def assert_same_meter(got, want):
+    assert got.rounds == want.rounds
+    assert got.max_edge_bits == want.max_edge_bits
+    assert got.transcript == want.transcript
+    assert got._edges.tolist() == want._edges.tolist()
+    assert got._totals.tolist() == want._totals.tolist()
+
+
+@pytest.mark.parametrize("block", [None, 300])
+@pytest.mark.parametrize("precharged", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_flood_matches_oracle_on_permuted_topologies(monkeypatch, seed,
+                                                     precharged, block):
+    """The flood against the per-message oracle, charged into a second
+    `BitMeter`, on random topologies whose max id sits anywhere; with a
+    meter that already holds charges the flood must start a new round
+    and leave the earlier ones alone.  With blocks of 300 messages a
+    flood charges several blocks, of one round or of several."""
+    if block is not None:
+        monkeypatch.setattr(cg, "FLOOD_BLOCK", block)
+    net = cg.Network(_random_permuted(seed), 16)
+    meter = cg.BitMeter(net, record_transcript=True)
+    ref_meter = cg.BitMeter(net, record_transcript=True)
+    if precharged:
+        _precharge(meter, Stream(seed, (1,)).rng())
+        _precharge(ref_meter, Stream(seed, (1,)).rng())
+    tree = cg.build_bfs_tree(net, meter)
+    ref = oracle_bfs_tree(net, ref_meter)
+    assert_same_tree(tree, ref)
+    assert_same_meter(meter, ref_meter)
+    # a later charge adds to the flood's last round
+    tails, heads = net.out_edges(np.array([tree.root]))
+    meter.send(tails, heads, 1)
+    ref_meter.send(tails, heads, 1)
+    assert_same_meter(meter, ref_meter)
+
+    if not precharged:
+        return
+    plan = bundle_plan_or_threes(16, 1.0, net.k)
+    meter = cg.BitMeter(net, record_transcript=True)
+    ref_meter = cg.BitMeter(net, record_transcript=True)
+    _precharge(meter, Stream(seed, (2,)).rng())
+    _precharge(ref_meter, Stream(seed, (2,)).rng())
+    schedule = cg._pipelined_schedule(net, 16, 1.0, None, plan, meter)
+    ref = oracle_bfs_tree(net, ref_meter)
+    ref_schedule = cg._pipelined_schedule(net, 16, 1.0, ref, plan, ref_meter)
+    assert_same_tree(schedule.tree, ref)
+    assert schedule.rounds_breakdown == {**ref_schedule.rounds_breakdown,
+                                         "tree": ref.rounds}
+    assert_same_meter(meter, ref_meter)
+
+
+def oracle_components(topology):
+    """Connected components by a plain BFS from every unseen node."""
+    adjacency = topology.adjacency()
+    seen = [False] * topology.vertex_count
+    components = 0
+    for source in range(topology.vertex_count):
+        if seen[source]:
+            continue
+        components += 1
+        seen[source] = True
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u].tolist():
+                    if not seen[v]:
+                        seen[v] = True
+                        nxt.append(v)
+            frontier = nxt
+    return components
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_connectivity_matches_bfs_oracle(seed):
+    """One to four components (single nodes among them), ids shuffled."""
+    gen = Stream(seed, (3,)).rng()
+    parts, k = [], 0
+    for _ in range(int(gen.integers(1, 5))):
+        size = int(gen.choice([1, 2, int(gen.integers(3, 60))]))
+        part = random_connected_graph(
+            size, gen, extra_edge_prob=float(gen.choice([0.0, 0.05, 0.3])))
+        parts.append(part.edges.astype(np.int64) + k)
+        k += size
+    topology = _permuted(ComparisonGraph(k, np.concatenate(parts)), gen)
+    if oracle_components(topology) == 1:
+        net = cg.Network(topology, 4)
+        assert net.indices.tolist() == np.concatenate(
+            topology.adjacency()).tolist()
+    else:
+        with pytest.raises(InvalidNetworkError,
+                           match="^the topology is disconnected$"):
+            cg.Network(topology, 4)
+
+
+def test_connectivity_of_one_node_and_isolated_nodes():
+    assert cg.Network(make_clique_union([1]), 4).k == 1
+    for k in (2, 3, 65):
+        with pytest.raises(InvalidNetworkError, match="disconnected"):
+            cg.Network(ComparisonGraph(k, []), 4)
+    with pytest.raises(InvalidNetworkError, match="disconnected"):
+        cg.Network(ComparisonGraph(6, [(0, 5), (5, 1), (1, 3), (3, 2)]), 4)
+
+
+def test_flood_memory_on_a_long_path():
+    """About 4 M messages over 2000 rounds, charged in blocks of about
+    FLOOD_BLOCK messages: charging them at once would hold all of them."""
+    net = cg.Network(make_path(2000), 16)
+    tracemalloc.start()
+    try:
+        tree = cg.build_bfs_tree(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.rounds == 2000
+    assert peak < 4e6
 
 
 def test_flood_memory_on_a_dense_clique():

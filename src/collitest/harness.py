@@ -96,7 +96,8 @@ def build_topology(spec: dict) -> ComparisonGraph:
     if kind == "clique":
         return make_clique(int(spec["k"]))
     if kind == "random_connected":
-        gen = Stream(int(spec.get("seed", 0))).child(0).rng()
+        # the root of the seed, at jump 0: no trial of that seed reads it
+        gen = Stream(int(spec.get("seed", 0))).rng()
         return random_connected_graph(int(spec["k"]), gen,
                                       float(spec.get("extra_edge_prob", 0.1)))
     if kind == "explicit":

@@ -1,7 +1,7 @@
 """Word-range draws against one generator per range.
 
 Every sample of a trial owns one raw word of the trial's generator
-(seed-path contract v2, see `collitest.rng`).  Every reader draws the
+(seed-path contract v3, see `collitest.rng`).  Every reader draws the
 same way: one generator of the trial, at most one forward
 ``bit_generator.advance`` to a range, then `Distribution.sample`.  The
 streaming simulators read a chunk of batches so, `draw_labeling`, the
@@ -249,7 +249,7 @@ class TestChildRawKernel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**200),
            path=st.lists(st.one_of(st.integers(0, 2**32 - 1),
-                                   st.integers(2**32, 2**64)), max_size=3),
+                                   st.integers(2**32, 2**64 - 2)), max_size=3),
            gaps=st.lists(st.one_of(st.integers(0, 50),
                                    st.integers(2**32 - 50, 2**40)),
                          min_size=1, max_size=8),
@@ -274,23 +274,31 @@ class TestChildRawKernel:
 
     def test_post_seed_state_pins_numpy_seeding(self):
         """Trial t's generator is numpy's PCG64 seeded by
-        ``SeedSequence(master_seed, spawn_key=(t,))``.  A change in how
-        numpy seeds PCG64 fails here, not as drifted random values."""
-        master = Stream(2**70 + 3)
+        ``SeedSequence(master_seed)`` and jumped ``t + 1`` times, the
+        nested path ``prefix + (t,)`` the same from
+        ``SeedSequence(master_seed, spawn_key=prefix)``.  A change in how
+        numpy seeds or jumps PCG64 fails here, not as drifted random
+        values."""
+        seed = 2**70 + 3
+        master = Stream(seed)
+        inc = 0x3f0454be582236bce1ea5386a1a49a19  # one root, one increment
         pinned = {
-            0: (0xff4067af8897b60eadf9419f72fcc654,
-                0xf073a0224444378d25feae2bcb474bdb, 0xd4d6f7b3901152f0),
-            1: (0xdf0998dd06e81927865dd8488fd452c6,
-                0x23d0fd4c7bcc59f94a8a26f132253e57, 0x71c56ddfd42c2683),
-            2**32 - 1: (0xe6d4ff6afa4cfe9471e8a4e9d6b3d852,
-                        0xb6017aa0af2b5dd14b31409b9b99a49f,
-                        0xbcbaf0b093d02d1f),
+            0: (0x66d3b59c78e66b84635f99adf53ecaf5, 0x06fcaf53c20f2b3b),
+            1: (0x611da0c6a2fc64f0cf6320e0a620948e, 0xa0ef650379f75796),
+            2**32 - 1: (0xd8cae40772d48b39dd7c8640e147be20,
+                        0xeaf36f637caff75a),
         }
-        for t, (state, inc, word) in pinned.items():
+        for t, (state, word) in pinned.items():
             bits = master.child(t).rng().bit_generator
             assert bits.state["state"] == {"state": state, "inc": inc}, (
                 "numpy's PCG64 seeding no longer gives the pinned trial state")
             assert int(bits.random_raw()) == word
+        for prefix, t in [((), 0), ((), 1), ((), 2**32 - 1), ((2**32 + 1,), 7)]:
+            want = np.random.PCG64(
+                np.random.SeedSequence(seed, spawn_key=prefix)).jumped(t + 1)
+            got = Stream(seed, prefix + (t,)).rng().bit_generator
+            assert got.state == want.state
+            assert np.array_equal(got.random_raw(4), want.random_raw(4))
 
     @pytest.mark.parametrize("rows, words", [(2000, 40), (10**4, 2),
                                              (200, 300)])

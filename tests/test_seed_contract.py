@@ -1,7 +1,13 @@
-"""Seed-path contract v2: one generator per trial, sample j reads word j.
+"""Seed-path contract v3: one generator per trial, built from a cached
+root and numpy's golden-ratio jump, and sample j reads word j.
 
 The properties every draw route keeps (see `collitest.rng`):
 
+* path ``prefix + (t,)`` is numpy's
+  ``PCG64(SeedSequence(master, spawn_key=prefix)).jumped(t + 1)``, any
+  two jumps of one root start more than 2**62 words apart, and the first
+  samples of consecutive trials, and words 0 and 1 of a trial, show no
+  dependence that ``t * 2**64`` offsets show;
 * raw words, and so samples, do not depend on how a word range is split
   into calls, and a forward ``bit_generator.advance`` skips a gap;
 * every simulator's samples of clique or batch ``c`` are the slice of
@@ -12,12 +18,18 @@ The properties every draw route keeps (see `collitest.rng`):
 * the word-to-sample map stays in [1, n] and is the documented formula.
 """
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collitest
 from collitest import congest, models, tester
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
@@ -25,9 +37,10 @@ from collitest.conditions import (plan_asymmetric, plan_centralized,
 from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
                             sample_labeling)
 from collitest.graph import make_clique_union, make_star, random_connected_graph
-from collitest.harness import (load_scenarios, records_to_jsonl, run_scenario,
+from collitest.harness import (build_topology, load_scenarios,
+                               records_to_jsonl, run_scenario,
                                summaries_to_csv)
-from collitest.rng import Stream
+from collitest.rng import JUMP, MAX_INDEX, Stream
 
 
 class Words:
@@ -73,6 +86,150 @@ def input_for(kind, n):
 
 def one_call(p, stream, total):
     return p.sample(total, stream.rng())
+
+
+# --- the trial generator: a cached root and a golden-ratio jump ------------
+
+def numpy_jumped(master_seed, path):
+    """numpy's own generator state for `path`, with no cache."""
+    root = np.random.PCG64(np.random.SeedSequence(master_seed,
+                                                  spawn_key=path[:-1]))
+    return root.jumped(path[-1] + 1).state if path else root.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**130),
+       path=st.lists(st.integers(0, MAX_INDEX), max_size=3))
+def test_a_path_is_numpys_jumped_root(seed, path):
+    path, want = tuple(path), numpy_jumped(seed, tuple(path))
+    for _ in range(2):  # the second call starts from the cached root
+        assert Stream(seed, path).rng().bit_generator.state == want
+
+
+def test_the_empty_path_is_the_root_at_jump_0():
+    want = np.random.PCG64(np.random.SeedSequence(5)).random_raw(3)
+    assert np.array_equal(Stream(5).rng().bit_generator.random_raw(3), want)
+
+
+@pytest.mark.parametrize("path", [(-1,), (MAX_INDEX + 1,), (2**64,),
+                                  (MAX_INDEX + 1, 0), (3, -1)])
+def test_a_path_index_outside_the_separated_range_raises(path):
+    with pytest.raises(ValueError, match="outside"):
+        Stream(1, path).rng()
+
+
+def test_the_largest_index_is_accepted():
+    assert (Stream(1, (MAX_INDEX,)).rng().bit_generator.state
+            == numpy_jumped(1, (MAX_INDEX,)))
+
+
+def test_jumps_of_one_root_start_beyond_the_sample_cap():
+    """Jumps ``a != b`` in ``[0, 2**64 - 1]`` start ``||(a - b) JUMP||``
+    words apart (distance to the nearest multiple of 2**128).  For
+    ``0 < d < q'`` that distance is at least the one at ``q``, the last
+    convergent denominator of ``JUMP / 2**128`` below ``q'``; with
+    ``q < 2**64 <= q'`` it bounds every pair, and it exceeds the 2**62
+    samples a plan may draw, by more than 2**1.5."""
+    def apart(d):
+        r = d * JUMP % 2**128
+        return min(r, 2**128 - r)
+
+    denominators = [c.denominator
+                    for c in _convergents(Fraction(JUMP, 2**128))]
+    q = max(d for d in denominators if d < 2**64)
+    q_next = denominators[denominators.index(q) + 1]
+    assert q_next >= 2**64 > MAX_INDEX + 1  # every difference d < q'
+    assert apart(q) ** 2 >= 2**127  # at least 2**63.5 words apart
+    # best approximation: no smaller difference comes closer
+    gen = np.random.default_rng(7)
+    for d in [1, 2, 3, 2**32, 2**63, 2**64 - 1, *denominators[:60],
+              *(int(x) for x in gen.integers(1, 2**63, 200))]:
+        if 0 < d < 2**64:
+            assert apart(d) >= apart(q)
+
+
+def _convergents(x):
+    """The continued fraction convergents of a rational `x` in [0, 1)."""
+    h, h_prev, k, k_prev = 0, 1, 1, 0
+    x = 1 / x
+    while True:
+        a = math.floor(x)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        yield Fraction(h, k)
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
+CHI2_TRIALS, CHI2_SEED, CHI2_BOUND = 2**16, 2012, 400  # 255 degrees of freedom
+
+
+def _chi2_pairs(first, second):
+    """Pearson's chi-squared of the 16 x 16 table of sample pairs against
+    independent uniform samples."""
+    cells = np.bincount((first - 1) * 16 + (second - 1), minlength=256)
+    expected = first.size / 256
+    return float(((cells - expected) ** 2).sum() / expected)
+
+
+def _first_two_samples(gens):
+    p = make_uniform(16)
+    return np.array([p.sample(2, gen) for gen in gens])
+
+
+def _offset_by_2_64(seed, t):
+    """The rejected alternative: trial t at word ``t * 2**64`` of the root."""
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    bits.advance(t * 2**64)
+    return np.random.Generator(bits)
+
+
+def test_consecutive_trials_and_words_look_independent():
+    """Over 2**16 trials, the first samples of trials t and t + 1, and
+    samples 0 and 1 of each trial, pass a chi-squared test of the 256
+    pairs at a bound fixed in advance (p below 1e-7 on 255 degrees of
+    freedom).  Trials at offsets ``t * 2**64`` share their low 64 state
+    bits and fail it."""
+    master = Stream(CHI2_SEED)
+    s = _first_two_samples(master.child(t).rng() for t in range(CHI2_TRIALS))
+    assert _chi2_pairs(s[:-1, 0], s[1:, 0]) < CHI2_BOUND
+    assert _chi2_pairs(s[:, 0], s[:, 1]) < CHI2_BOUND
+    c = _first_two_samples(_offset_by_2_64(CHI2_SEED, t)
+                           for t in range(CHI2_TRIALS))
+    assert _chi2_pairs(c[:-1, 0], c[1:, 0]) > CHI2_BOUND
+
+
+def test_a_topology_seed_reads_the_root_not_trial_0():
+    """A random topology drawn with seed s and trial 0 under master seed s
+    read different words."""
+    spec = {"kind": "random_connected", "k": 60, "extra_edge_prob": 0.05,
+            "seed": 11}
+    graph = build_topology(spec)
+    root = random_connected_graph(60, Stream(11).rng(), 0.05)
+    trial_0 = random_connected_graph(60, Stream(11).child(0).rng(), 0.05)
+    assert np.array_equal(graph.edges, root.edges)
+    assert not np.array_equal(graph.edges, trial_0.edges)
+    words = [s.rng().bit_generator.random_raw(8)
+             for s in (Stream(11), Stream(11).child(0))]
+    assert not np.array_equal(*words)
+
+
+NUMPY_RANDOM_UNLOADED = """
+import sys
+import collitest.harness
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_importing_the_harness_leaves_numpy_random_unloaded():
+    """numpy 2.4 imports `numpy.random` lazily; `collitest` leaves it so,
+    and the first `Stream.rng` pays for it."""
+    src = str(Path(collitest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_UNLOADED],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False"]
 
 
 # --- splits and gaps -----------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Seed-path contract v2: pinned output bytes for a fixed master seed.
+"""Seed-path contract v3: pinned output bytes for a fixed master seed.
 
 Each suite below is a reduced copy of one benchmark workload (same
 models, sizes and inputs, 20 trials a scenario) at the seeds the
 benchmark derives from its workload seed 1.  The sha256 of the suite
-CSV followed by the trial JSONL was recorded when contract v2 (one
-generator per trial, sample j from raw word j, see `collitest.rng`)
-replaced one generator per clique, batch and node, so any change of a
-drawn value, a decision or a ledger field shows here.  A change that
+CSV followed by the trial JSONL was recorded when contract v3 (one
+generator per trial, built from a cached root and numpy's golden-ratio
+jump; sample j from raw word j; a random topology read from the root,
+see `collitest.rng`) replaced a SeedSequence per trial, so any change
+of a drawn value, a decision or a ledger field shows here.  A change that
 means to alter these bytes must say so and pin the new hashes.
 """
 import hashlib
@@ -59,11 +60,11 @@ SUITES = {
 
 GOLDEN = {
     "dense_cliques":
-        "f15cc672a76430cc7b7650c9517c497a8c639cafdc475c04d0fd5f5840bd0daf",
+        "5130d3c3e31bd3bad95d6c37347c5f4d0e2d4c1c33206be97902ef71b8b72708",
     "stream_batches":
-        "5d2ddb5eb9905143be149af9d702cbebe1206fc3bd98e8b08d59bbd021bee99d",
+        "e1750d580bf93c758264c75a3e46a07fee390474ca582866cfb688d478a1bb1f",
     "congest_mixed":
-        "20876da7d8c586f35a04db4446348ded75a852fac2064a18128c23ca20d54e05",
+        "ec11bf20b4b66eacf05064063296101b23f500714c7401e8532adcd1ca5f0ab0",
 }
 
 

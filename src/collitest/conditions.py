@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
 
 from .encoding import counter_bit_width, message_bit_width, sample_bit_width
 from .errors import CapacityError
@@ -375,10 +374,10 @@ class Plan:
 
     `runs` lists the cliques in order as maximal runs ``(size, count,
     owner)`` (`count` cliques of `size` vertices that player `owner`
-    executes), the plan's only stored layout; `clique_sizes` and
-    `clique_players` expand them clique by clique.  The plan's graph is
-    the disjoint union of the cliques with the clique index as the
-    vertex owner.
+    executes), the plan's only layout: the JSON stores them as they are,
+    and the simulators read them run by run.  The plan's graph is the
+    disjoint union of the cliques with the clique index as the vertex
+    owner.
     """
 
     family: str  # clique | disjoint_cliques | rate_cliques | batched_cliques
@@ -402,26 +401,18 @@ class Plan:
         return collision_threshold(self.edge_count, self.tau, self.n, self.eps)
 
     @property
-    def clique_sizes(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable([(s,) * c for s, c, _ in self.runs]))
-
-    @property
-    def clique_players(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable([(o,) * c for _, c, o in self.runs]))
-
-    @property
     def samples_total(self) -> int:
         return sum(size * count for size, count, _ in self.runs)
 
     def build_graph(self) -> ComparisonGraph:
-        return make_clique_union(self.clique_sizes)
+        return make_clique_union(
+            [size for size, count, _ in self.runs for _ in range(count)])
 
     def to_json(self) -> dict:
         return {
             "family": self.family, "n": self.n, "eps": self.eps,
             "tau": self.tau, "threshold": self.threshold,
-            "clique_sizes": list(self.clique_sizes),
-            "clique_players": list(self.clique_players),
+            "runs": [list(run) for run in self.runs],
             "players": self.players,
             "edge_count": self.edge_count,
             "two_path_count": self.two_path_count,
@@ -436,12 +427,10 @@ class Plan:
     @classmethod
     def from_json(cls, obj: dict) -> "Plan":
         """Rebuild through `_plan`: statistics, certificate and resources
-        are derived again from the cliques, not read from the JSON."""
-        runs = groupby(zip(map(int, obj["clique_sizes"]),
-                           map(int, obj["clique_players"])))
+        are derived again from the runs, not read from the JSON."""
         return _plan(
             int(obj["n"]), float(obj["eps"]),
-            [(size, len(list(run)), owner) for (size, owner), run in runs],
+            [tuple(map(int, run)) for run in obj["runs"]],
             int(obj["players"]), tau=float(obj["tau"]),
             referee=obj["resources"]["message_bits"] is not None,
             m_bits=obj["m_bits"],

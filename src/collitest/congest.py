@@ -43,7 +43,7 @@ Protocols:
   subtree sizes and pipelines leftover samples upward so whole bundles of
   s samples gather at single nodes.  The bundles are the players of a
   simultaneous `Plan` (family `disjoint_cliques`, one s-clique each),
-  and the models referee decides from their messages.
+  and the models referee decides from their collision counts.
 * `combined_protocol` runs detection and picks whichever path applies.
 * `graph_power_detection` certifies the distance-<=t power of the
   topology, flagging nodes whose t-ball is too large to exchange within
@@ -68,7 +68,7 @@ from .conditions import (COARSE_TAU_GRID, Plan, _feasible_tau, _plan,
                          equal_cliques_stats, first_certified_tau)
 from .dist import Distribution
 from .encoding import sample_bit_width
-from .models import _referee
+from .models import Message, Reports, _referee
 from .errors import (CapacityError, InvalidNetworkError,
                      ModelViolationError, ProtocolRefusedError)
 from .graph import ComparisonGraph
@@ -512,7 +512,7 @@ class Schedule:
 
 @dataclass
 class CongestRun:
-    """One trial; plan, assignment and messages are None on the local path."""
+    """One trial; plan, assignment and reports are None on the local path."""
 
     decision: str
     rounds: int
@@ -523,7 +523,11 @@ class CongestRun:
     schedule: Schedule
     plan: Plan | None = None
     assignment: BundleAssignment | None = None
-    messages: list | None = None
+    reports: Reports | None = None
+
+    @property
+    def messages(self) -> list[Message] | None:
+        return None if self.reports is None else self.reports.messages
 
 
 def _run(schedule: Schedule, p: Distribution, stream: Stream) -> CongestRun:
@@ -534,16 +538,16 @@ def _run(schedule: Schedule, p: Distribution, stream: Stream) -> CongestRun:
     t = schedule.threshold
     if schedule.plan is None:
         z = tester.count_collisions(schedule.net.topology, values)
-        decision, messages = ("YES" if z < t else "NO"), None
+        decision, reports = ("YES" if z < t else "NO"), None
     else:
-        decision, messages, z = _referee(
-            tester.row_collisions(values[schedule.bundles]).tolist(), t,
+        decision, reports, z = _referee(
+            tester.row_collisions(values[schedule.bundles]), t,
             schedule.bits["message"])
     return CongestRun(decision=decision, rounds=schedule.rounds, z=z,
                       threshold=t, values=values,
                       rounds_breakdown=dict(schedule.rounds_breakdown),
                       schedule=schedule, plan=schedule.plan,
-                      assignment=schedule.assignment, messages=messages)
+                      assignment=schedule.assignment, reports=reports)
 
 
 def _local_schedule(net: Network, n: int, eps: float, tau_star: float,

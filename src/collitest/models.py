@@ -16,15 +16,17 @@ streaming models, which can only ever turn into a NO that the
 monolithic tester also reaches.
 
 The simultaneous and asymmetric simulators read all cliques of a trial
-in one `Distribution.sample` call and count them with one
-`tester.block_collisions` call.  The streaming simulators walk the
-plan's runs of equal batches (`Plan.runs`) once, a chunk at a time.  A
-chunk is one word range, read forward: an advance to the chunk's first
-batch, then one read, and one `block_collisions` call counts it, so no
-per-batch array of the plan is ever built.  A chunk may run past the
-batch at which the player's counter reaches T; those samples are drawn
-and discarded, which no other batch can notice since each owns its own
-words.
+in one `Distribution.sample` call, count them with one
+`tester.block_collisions` call and sum the counts per owner of
+`Plan.runs`.  The referee decides from the int64 count per player
+(`_referee`); a run builds its `Message` list only when it is read.  The
+streaming simulators walk the plan's runs of equal batches (`Plan.runs`)
+once, a chunk at a time.  A chunk is one word range, read forward: an
+advance to the chunk's first batch, then one read, and one
+`block_collisions` call counts it, so no per-batch array of the plan is
+ever built.  A chunk may run past the batch at which the player's
+counter reaches T; those samples are drawn and discarded, which no other
+batch can notice since each owns its own words.
 """
 from __future__ import annotations
 
@@ -94,32 +96,44 @@ class ResourceLedger:
                 "violations": self.violations}
 
 
+@dataclass(frozen=True, eq=False)
+class Reports:
+    """The players' int64 collision counts as the referee receives them;
+    `messages` encodes them, `bits` bits each, when it is read."""
+
+    z: np.ndarray
+    threshold: float
+    bits: int
+    exponents: tuple[int, ...] | None = None
+
+    @property
+    def messages(self) -> list[Message]:
+        exponents = self.exponents or (None,) * len(self.z)
+        return [Message(None if z >= self.threshold else z, self.bits, e)
+                for z, e in zip(self.z.tolist(), exponents)]
+
+
 @dataclass(frozen=True)
 class SimulationRun:
     decision: str  # "YES" | "NO"
     ledger: ResourceLedger
-    messages: list[Message] | None
+    reports: Reports | None  # None for a single player without a referee
     z: int | None  # referee's collision total; None when a sentinel arrived
     threshold: float
 
+    @property
+    def messages(self) -> list[Message] | None:
+        return None if self.reports is None else self.reports.messages
 
-def _referee(z_per_player, t: float, base_bits: int, exponents=None,
-             exponent_bits: int = 0):
-    """Encode per-player messages and decide like the referee would."""
-    messages = []
-    total = 0
-    saw_sentinel = False
-    for i, z_i in enumerate(z_per_player):
-        exp = None if exponents is None else exponents[i]
-        if z_i >= t:
-            messages.append(Message(None, base_bits + exponent_bits, exp))
-            saw_sentinel = True
-        else:
-            messages.append(Message(int(z_i), base_bits + exponent_bits, exp))
-            total += int(z_i)
-    if saw_sentinel:
-        return "NO", messages, None
-    return ("YES" if total < t else "NO"), messages, total
+
+def _referee(z: np.ndarray, t: float, bits: int, exponents=None):
+    """YES exactly when no count in `z` is a sentinel (at least t) and
+    their total is below t; the total is None when a sentinel arrived."""
+    reports = Reports(z, t, bits, exponents)
+    total = int(z.sum())
+    if total < t:  # counts are non-negative, so none reached t
+        return "YES", reports, total
+    return "NO", reports, None if (z >= t).any() else total
 
 
 def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
@@ -135,17 +149,17 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
     """
     if plan.family not in ("clique", "disjoint_cliques", "rate_cliques"):
         raise ValueError(f"not a simultaneous-style plan: {plan.family}")
-    sizes = plan.clique_sizes
+    sizes, counts, owners = np.array(plan.runs, dtype=np.int64).T
     exponents = None
     exponent_bits = 0
     if oblivious:
         if plan.family != "disjoint_cliques":
             raise ValueError("oblivious mode applies to equal-clique plans")
-        exponents = tuple(math.ceil(math.log2(s)) for s in sizes)
-        sizes = tuple(1 << e for e in exponents)
+        exponents = tuple(math.ceil(math.log2(s)) for s in sizes.tolist())
+        sizes = np.left_shift(1, exponents)
         max_exp = max(exponents)
         exponent_bits = math.ceil(math.log2(max_exp)) if max_exp > 1 else 0
-        edge_count, _ = clique_union_stats(sizes)
+        edge_count, _ = clique_union_stats(np.repeat(sizes, counts).tolist())
         t = collision_threshold(edge_count, plan.tau, plan.n, plan.eps)
         # the referee must be able to recover |E| from the exponents alone
         recovered = sum((1 << e) * ((1 << e) - 1) // 2 for e in exponents)
@@ -153,30 +167,27 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
             raise ModelViolationError("referee reconstruction mismatch")
     else:
         t = plan.threshold
-    base_bits = message_bit_width(t)
-
-    per_clique = block_collisions(p.sample(sum(sizes), stream.rng()), sizes)
-    z_per_player = [0] * plan.players
-    samples = [0] * plan.players
-    # Python ints: numpy scalars slow `_referee`
-    for player, z, size in zip(plan.clique_players, per_clique.tolist(), sizes):
-        z_per_player[player] += z
-        samples[player] += size
-    decision, messages, total = _referee(z_per_player, t, base_bits,
-                                         exponents, exponent_bits)
+    per_clique = block_collisions(p.sample(int(sizes @ counts), stream.rng()),
+                                  np.repeat(sizes, counts))
+    z = np.zeros(plan.players, dtype=np.int64)
+    samples = np.zeros(plan.players, dtype=np.int64)
+    np.add.at(z, np.repeat(owners, counts), per_clique)
+    np.add.at(samples, owners, sizes * counts)
+    decision, reports, total = _referee(
+        z, t, message_bit_width(t) + exponent_bits, exponents)
     ledger = ResourceLedger(
-        samples=samples,
-        message_bits=[m.encoded_bits for m in messages],
+        samples=samples.tolist(),
+        message_bits=[reports.bits] * plan.players,
         memory_bits=[0] * plan.players,
     )
-    return SimulationRun(decision, ledger, messages, total, t)
+    return SimulationRun(decision, ledger, reports, total, t)
 
 
 def simulate_asymmetric(plan: Plan, p: Distribution, stream: Stream) -> SimulationRun:
     """Rate-proportional sampling: player i draws floor(R_i t) samples."""
     if plan.family != "rate_cliques" or plan.rates is None:
         raise ValueError("not an asymmetric-rate plan")
-    for size, rate in zip(plan.clique_sizes, plan.rates):
+    for (size, _, _), rate in zip(plan.runs, plan.rates):
         scheduled = int(math.floor(rate * plan.sampling_time))
         if scheduled != size:
             raise ModelViolationError(
@@ -269,11 +280,11 @@ def simulate_simultaneous_streaming(plan: Plan, p: Distribution,
         raise ModelViolationError(
             f"message needs {base_bits} bits; half the memory is {plan.m_bits / 2:g}")
     z_per_player, samples, early = _stream_counters(plan, p, stream, t)
-    decision, messages, total = _referee(z_per_player.tolist(), t, base_bits)
+    decision, reports, total = _referee(z_per_player, t, base_bits)
     ledger = ResourceLedger(
         samples=samples.tolist(),
-        message_bits=[m.encoded_bits for m in messages],
+        message_bits=[base_bits] * plan.players,
         memory_bits=[peak] * plan.players,
         early_terminated=bool(early.any()),
     )
-    return SimulationRun(decision, ledger, messages, total, t)
+    return SimulationRun(decision, ledger, reports, total, t)

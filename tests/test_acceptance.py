@@ -203,7 +203,8 @@ def test_criterion_5_model_simulators():
                 mono = tester.run(spec, p, stream)
                 assert sim.decision == mono.decision
                 assert sim.ledger.message_bits == [width] * k
-                assert sim.ledger.samples == list(plan.clique_sizes)
+                assert sim.ledger.samples == [size * count for size, count, _
+                                              in plan.runs]
 
         # asymmetric, R in {(1,1,1,1), (4,2,1)}
         for rates in ((1.0, 1.0, 1.0, 1.0), (4.0, 2.0, 1.0)):
@@ -285,7 +286,7 @@ def test_criterion_7_congest():
     with criterion(7, "CONGEST: certified local path, pipelined fallback, exact aggregates"):
         # certified clique: round budget, bit meter, criterion-3 error rates
         n, eps = 16, 1.0
-        k = plan_centralized(n, eps).clique_sizes[0]
+        k = plan_centralized(n, eps).runs[0][0]
         net = cg.Network(make_clique(k), n)
         tree = cg.build_bfs_tree(net)
         grid = list(COARSE_TAU_GRID)
@@ -324,7 +325,7 @@ def test_criterion_7_congest():
                                        Stream(902).child(trial),
                                        detection=path_det)
             assert run.path == "pipelined"
-            s = run.pipelined.plan.clique_sizes[0]
+            s = run.pipelined.plan.runs[0][0]
             assert run.rounds <= cg.C_PIPE * (path_net.diameter + s) + cg.C0
 
         # a path where no tau whatsoever certifies the topology (|E| = 399
@@ -335,7 +336,7 @@ def test_criterion_7_congest():
         long_run = cg.combined_protocol(long_net, 16, 1.0, make_uniform(16),
                                         Stream(903).child(0))
         assert long_run.path == "pipelined"
-        long_s = long_run.pipelined.plan.clique_sizes[0]
+        long_s = long_run.pipelined.plan.runs[0][0]
         assert long_run.rounds <= cg.C_PIPE * (
             long_net.diameter + long_s) + cg.C0
 

@@ -19,6 +19,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
 from collitest.graph import (ComparisonGraph, make_clique, make_clique_union,
                              make_star, random_connected_graph)
 from collitest.harness import moment_audit
-from collitest.models import (ResourceLedger, SimulationRun,
+from collitest.models import (Message, ResourceLedger, SimulationRun,
                               simulate_simultaneous_streaming,
                               simulate_streaming)
 from collitest.rng import Stream
@@ -60,22 +61,47 @@ def as_runs(sizes, owners=None):
                  for (size, owner), run in groupby(pairs))
 
 
+def cliques(plan):
+    """The plan's cliques one by one: their sizes and their owners."""
+    return (tuple(size for size, count, _ in plan.runs for _ in range(count)),
+            tuple(owner for _, count, owner in plan.runs for _ in range(count)))
+
+
 def batch_starts(plan):
-    return np.cumsum(plan.clique_sizes) - plan.clique_sizes
+    sizes, _ = cliques(plan)
+    return np.cumsum(sizes) - sizes
+
+
+def reference_referee(z_per_player, t, base_bits, exponents=None,
+                      exponent_bits=0):
+    """The referee player by player: one `Message` each, then the sum."""
+    messages = []
+    total = 0
+    saw_sentinel = False
+    for i, z_i in enumerate(z_per_player):
+        exp = None if exponents is None else exponents[i]
+        if z_i >= t:
+            messages.append(Message(None, base_bits + exponent_bits, exp))
+            saw_sentinel = True
+        else:
+            messages.append(Message(int(z_i), base_bits + exponent_bits, exp))
+            total += int(z_i)
+    if saw_sentinel:
+        return "NO", messages, None
+    return ("YES" if total < t else "NO"), messages, total
 
 
 def reference_streaming(plan, p, stream):
     t = plan.threshold
-    peak = (max(plan.clique_sizes) * plan.bits_per_sample
-            + models.counter_bit_width(t))
+    sizes, _ = cliques(plan)
+    peak = max(sizes) * plan.bits_per_sample + models.counter_bit_width(t)
     counter = drawn = 0
     early = False
-    for c, (size, start) in enumerate(zip(plan.clique_sizes,
-                                          batch_starts(plan))):
+    for c, (size, start) in enumerate(zip(sizes, batch_starts(plan))):
         counter += within_clique_collisions(word_range(p, stream, start, size))
         drawn += size
         if counter >= t:
-            early = c + 1 < len(plan.clique_sizes)
+            early = c + 1 < len(sizes)
             break
     ledger = ResourceLedger(samples=[drawn], message_bits=[],
                             memory_bits=[peak], early_terminated=early)
@@ -85,28 +111,28 @@ def reference_streaming(plan, p, stream):
 
 def reference_simultaneous_streaming(plan, p, stream):
     t = plan.threshold
-    peak = (max(plan.clique_sizes) * plan.bits_per_sample
-            + models.counter_bit_width(t))
+    sizes, owners = cliques(plan)
+    peak = max(sizes) * plan.bits_per_sample + models.counter_bit_width(t)
     base_bits = models.message_bit_width(t)
     z = [0] * plan.players
     samples = [0] * plan.players
     stopped = [False] * plan.players
     early = False
-    for c, (size, start) in enumerate(zip(plan.clique_sizes,
-                                          batch_starts(plan))):
-        player = plan.clique_players[c]
+    for c, (size, start) in enumerate(zip(sizes, batch_starts(plan))):
+        player = owners[c]
         if stopped[player]:
             early = True
             continue
         samples[player] += size
         z[player] += within_clique_collisions(word_range(p, stream, start, size))
         stopped[player] = z[player] >= t
-    decision, messages, total = models._referee(z, t, base_bits)
+    decision, messages, total = reference_referee(z, t, base_bits)
     ledger = ResourceLedger(samples=samples,
                             message_bits=[m.encoded_bits for m in messages],
                             memory_bits=[peak] * plan.players,
                             early_terminated=early)
-    return SimulationRun(decision, ledger, messages, total, t)
+    return SimpleNamespace(decision=decision, ledger=ledger, messages=messages,
+                           z=total, threshold=t)
 
 
 def reference_node_samples(net, p, stream):
@@ -365,7 +391,7 @@ class TestStreamingMatchesPerPathLoop:
 
     def test_one_large_batch(self):
         plan = plan_streaming(256, 0.5, 10**6)
-        assert plan.clique_sizes == (4450,)
+        assert plan.runs == ((4450, 1, 0),)
         for p in (make_uniform(256), make_heavy(256, 0.5)):
             stream = Stream(6).child(2)
             assert_same_run(simulate_streaming(plan, p, stream),
@@ -442,7 +468,7 @@ class TestStreamingMatchesPerPathLoop:
             (gen,) = stream.gens
             assert all(delta > 0 for delta in gen.deltas)
             assert bool(gen.deltas) == skips
-            bounds = set(np.cumsum((0,) + plan.clique_sizes).tolist())
+            bounds = set(np.cumsum((0,) + cliques(plan)[0]).tolist())
             end = 0
             for start, count in gen.reads:
                 assert count > 0 and start >= end
@@ -712,6 +738,69 @@ class TestFlatTable:
             assert np.array_equal(got, reference_rows(p, stream, starts, counts))
 
 
+# --- the array referee against the per-player reference ---------------------
+
+def assert_referee_agrees(z, t, base_bits, exponents=None, exponent_bits=0):
+    """`models._referee` on an int64 array decides, sums and encodes as
+    `reference_referee` does on Python ints; returns the decision."""
+    decision, reports, total = models._referee(
+        np.array(z, dtype=np.int64), t, base_bits + exponent_bits, exponents)
+    want = reference_referee(z, t, base_bits, exponents, exponent_bits)
+    assert (decision, reports.messages, total) == want
+    assert [type(m.collisions) for m in reports.messages] == [
+        type(m.collisions) for m in want[1]]
+    assert type(total) is type(want[2])
+    return decision
+
+
+class TestArrayReferee:
+    def test_edges_of_the_threshold(self):
+        # z equal to an integer t is a sentinel
+        assert assert_referee_agrees([3, 5], 5.0, 4) == "NO"
+        # around a non-integer t: floor(t) reports, ceil(t) is a sentinel
+        assert assert_referee_agrees([5, 0], 5.5, 4) == "YES"
+        assert assert_referee_agrees([6, 0], 5.5, 4) == "NO"
+        # no sentinel, one sentinel, all sentinels
+        assert assert_referee_agrees([1, 2, 0], 9.0, 5) == "YES"
+        assert assert_referee_agrees([1, 9, 0], 9.0, 5) == "NO"
+        assert assert_referee_agrees([9, 12, 10], 9.0, 5) == "NO"
+        # a total equal to t, for an integer t and just above a real one
+        assert assert_referee_agrees([2, 3], 5.0, 3) == "NO"
+        assert assert_referee_agrees([2, 3], 4.75, 3) == "NO"
+        assert assert_referee_agrees([2, 2], 4.25, 3) == "YES"
+        # oblivious exponents ride on every message, sentinel or not
+        assert assert_referee_agrees([1, 7], 6.0, 3, (5, 6), 2) == "NO"
+        assert assert_referee_agrees([1, 2], 6.0, 3, (5, 6), 2) == "YES"
+
+    def test_seeded_counts(self):
+        rng = np.random.default_rng(2012)
+        decisions = set()
+        for _ in range(400):
+            players = int(rng.integers(1, 20))
+            t = float(rng.integers(1, 40)) + rng.choice([0.0, 0.5, rng.random()])
+            z = rng.integers(0, int(t) + 3, players).tolist()
+            exponents = (tuple(rng.integers(2, 12, players).tolist())
+                         if rng.random() < 0.5 else None)
+            decisions.add(assert_referee_agrees(
+                z, t, int(rng.integers(1, 30)), exponents,
+                0 if exponents is None else 4))
+        assert decisions == {"YES", "NO"}
+
+    def test_messages_are_built_when_read(self, monkeypatch):
+        built = []
+
+        def record(*args):
+            built.append(args)
+            return Message(*args)
+
+        monkeypatch.setattr(models, "Message", record)
+        plan = plan_simultaneous(64, 1.0, 4)
+        run = models.simulate_simultaneous(plan, make_uniform(64),
+                                           Stream(1).child(0))
+        assert built == []
+        assert len(run.messages) == 4 and len(built) == 4
+
+
 # --- plan runs, and the chunked streaming loop ------------------------------
 
 def reference_batch_collisions(sizes, batches, p, stream):
@@ -724,8 +813,7 @@ def reference_batch_collisions(sizes, batches, p, stream):
 def reference_stream_counters(plan, p, stream, t):
     """The chunked loop as it ran on per-clique arrays, player by player,
     its chunks spanning batches of any size."""
-    sizes = np.asarray(plan.clique_sizes, dtype=np.int64)
-    players = np.asarray(plan.clique_players, dtype=np.int64)
+    sizes, players = (np.asarray(a, dtype=np.int64) for a in cliques(plan))
     counter = np.zeros(plan.players, dtype=np.int64)
     drawn = np.zeros(plan.players, dtype=np.int64)
     early = np.zeros(plan.players, dtype=bool)
@@ -752,7 +840,7 @@ def reference_stream_counters(plan, p, stream, t):
 
 def reference_chunked_streaming(plan, p, stream):
     t = plan.threshold
-    peak = (max(plan.clique_sizes) * plan.bits_per_sample
+    peak = (max(cliques(plan)[0]) * plan.bits_per_sample
             + models.counter_bit_width(t))
     counter, drawn, early = reference_stream_counters(plan, p, stream, t)
     ledger = ResourceLedger(samples=[int(drawn[0])], message_bits=[],
@@ -763,38 +851,39 @@ def reference_chunked_streaming(plan, p, stream):
 
 def reference_chunked_simultaneous_streaming(plan, p, stream):
     t = plan.threshold
-    peak = (max(plan.clique_sizes) * plan.bits_per_sample
+    peak = (max(cliques(plan)[0]) * plan.bits_per_sample
             + models.counter_bit_width(t))
     base_bits = models.message_bit_width(t)
     z, samples, early = reference_stream_counters(plan, p, stream, t)
-    decision, messages, total = models._referee(z.tolist(), t, base_bits)
+    decision, messages, total = reference_referee(z.tolist(), t, base_bits)
     ledger = ResourceLedger(samples=samples.tolist(),
                             message_bits=[m.encoded_bits for m in messages],
                             memory_bits=[peak] * plan.players,
                             early_terminated=bool(early.any()))
-    return SimulationRun(decision, ledger, messages, total, t)
+    return SimpleNamespace(decision=decision, ledger=ledger, messages=messages,
+                           z=total, threshold=t)
 
 
 class TestPlanArrays:
     def test_runs_are_maximal_and_expand_to_the_cliques(self):
         base = plan_simultaneous_streaming(64, 1.0, 2, 48)
-        interleaved = replace(base, runs=as_runs(base.clique_sizes, tuple(
-            c % 3 for c in range(len(base.clique_sizes)))), players=4)
+        base_sizes, _ = cliques(base)
+        interleaved = replace(base, runs=as_runs(base_sizes, tuple(
+            c % 3 for c in range(len(base_sizes)))), players=4)
         for plan in (plan_streaming(1024, 0.5, 4000),
                      plan_simultaneous_streaming(1024, 0.5, 8, 400),
                      plan_asymmetric(64, 1.0, (4.0, 2.0, 1.0)), interleaved):
             assert all(count >= 1 for _, count, _ in plan.runs)
             assert all(a[::2] != b[::2] for a, b in zip(plan.runs, plan.runs[1:]))
-            assert plan.clique_sizes == tuple(
-                size for size, count, _ in plan.runs for _ in range(count))
-            assert plan.clique_players == tuple(
-                owner for _, count, owner in plan.runs for _ in range(count))
-            assert plan.samples_total == sum(plan.clique_sizes)
-        assert len(interleaved.runs) == len(interleaved.clique_sizes)
+            sizes, owners = cliques(plan)
+            assert as_runs(sizes, owners) == plan.runs
+            assert plan.build_graph().block_sizes.tolist() == list(sizes)
+            assert plan.samples_total == sum(sizes)
+        assert len(interleaved.runs) == len(cliques(interleaved)[0])
 
     def test_streaming_equals_the_rebuilt_loop(self):
         base = plan_streaming(1024, 0.5, 4000)
-        ragged = replace(base, runs=as_runs(base.clique_sizes[:-1] + (7,)))
+        ragged = replace(base, runs=as_runs(cliques(base)[0][:-1] + (7,)))
         early = 0
         for plan in (base, ragged, plan_streaming(1024, 0.5, 400)):
             for p in (make_uniform(1024), make_heavy(1024, 0.5),
@@ -809,10 +898,10 @@ class TestPlanArrays:
 
     def test_simultaneous_streaming_equals_the_rebuilt_loop(self):
         base = plan_simultaneous_streaming(1024, 0.5, 8, 400)
-        interleaved = replace(base, runs=as_runs(base.clique_sizes, tuple(
-            c % 8 for c in range(len(base.clique_sizes)))))
-        ragged = replace(base, runs=as_runs(base.clique_sizes[:-1] + (7,),
-                                            base.clique_players))
+        sizes, owners = cliques(base)
+        interleaved = replace(base, runs=as_runs(sizes, tuple(
+            c % 8 for c in range(len(sizes)))))
+        ragged = replace(base, runs=as_runs(sizes[:-1] + (7,), owners))
         for plan in (base, interleaved, ragged):
             for p in (make_uniform(1024), make_bump(1024, 0.5),
                       make_heavy(1024, 0.5)):

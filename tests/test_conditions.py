@@ -124,7 +124,7 @@ class TestDisjointCliques:
 class TestPlanCentralized:
     def test_beats_the_historical_constant(self):
         plan = plan_centralized(100, 0.5)
-        assert plan.clique_sizes[0] <= math.ceil(100 * 10 / 0.25)
+        assert plan.runs[0][0] <= math.ceil(100 * 10 / 0.25)
         assert plan.report.overall
         assert certify_graph(plan.build_graph(), plan.tau, 100, 0.5).overall
 
@@ -135,11 +135,11 @@ class TestPlanCentralized:
     def test_trivial_domain(self):
         plan = plan_centralized(1, 1.0)
         assert plan.report.overall
-        assert plan.clique_sizes[0] >= 2
+        assert plan.runs[0][0] >= 2
 
     def test_result_is_minimal(self):
         plan = plan_centralized(16, 1.0)
-        q = plan.clique_sizes[0]
+        q = plan.runs[0][0]
         # no smaller clique passes for any tau (exact feasibility interval)
         for smaller in range(2, q):
             assert _feasible_tau(*equal_cliques_stats(smaller, 1), 16, 1.0) is None
@@ -155,11 +155,11 @@ class TestPlanSimultaneous:
     def test_single_player_reduces_to_centralized(self):
         one = plan_simultaneous(64, 1.0, 1)
         central = plan_centralized(64, 1.0)
-        assert one.clique_sizes == central.clique_sizes
+        assert one.runs == central.runs
         assert one.tau == central.tau
 
     def test_players_shrink_per_player_load(self):
-        q_by_k = [plan_simultaneous(100, 0.5, k).clique_sizes[0]
+        q_by_k = [plan_simultaneous(100, 0.5, k).runs[0][0]
                   for k in (1, 4, 16, 64)]
         assert q_by_k == sorted(q_by_k, reverse=True)
 
@@ -170,7 +170,7 @@ class TestPlanSimultaneous:
         n, eps, k = 100, 0.5, 256
         footnote = math.ceil(math.sqrt(108 * n / k) / eps**2)
         assert certify_stats(*equal_cliques_stats(footnote, k), 1 / 3, n, eps).overall
-        assert plan_simultaneous(n, eps, k).clique_sizes[0] <= footnote
+        assert plan_simultaneous(n, eps, k).runs[0][0] <= footnote
 
     def test_footnote_value_not_certified_for_few_players(self):
         # with k = 16 the directed dependency condition rejects the footnote
@@ -180,7 +180,7 @@ class TestPlanSimultaneous:
         assert not certify_stats(*equal_cliques_stats(footnote, k), 1 / 3, n, eps).overall
         plan = plan_simultaneous(n, eps, k)
         assert plan.report.overall
-        assert plan.clique_sizes[0] > footnote
+        assert plan.runs[0][0] > footnote
 
     def test_message_width_formula(self):
         plan = plan_simultaneous(64, 1.0, 4)
@@ -196,18 +196,18 @@ class TestPlanAsymmetric:
     def test_one_active_player_reduces_to_centralized(self):
         plan = plan_asymmetric(64, 1.0, (1.0, 0.0, 0.0))
         central = plan_centralized(64, 1.0)
-        assert plan.clique_sizes[0] == central.clique_sizes[0]
-        assert plan.clique_sizes[1:] == (0, 0)
-        assert plan.sampling_time * 1.0 == pytest.approx(plan.clique_sizes[0])
+        assert plan.runs[0][0] == central.runs[0][0]
+        assert plan.runs[1:] == ((0, 1, 1), (0, 1, 2))
+        assert plan.sampling_time * 1.0 == pytest.approx(plan.runs[0][0])
 
     def test_equal_rates_split_evenly(self):
         plan = plan_asymmetric(64, 1.0, (1.0, 1.0, 1.0, 1.0))
-        assert len(set(plan.clique_sizes)) == 1
+        assert len({size for size, _, _ in plan.runs}) == 1
         assert plan.report.overall
 
     def test_two_to_one_rates(self):
         plan = plan_asymmetric(64, 1.0, (2.0, 1.0))
-        q1, q2 = plan.clique_sizes
+        (q1, _, _), (q2, _, _) = plan.runs
         assert q1 == int(2 * plan.sampling_time)
         assert q2 == int(plan.sampling_time)
         assert plan.report.overall
@@ -243,11 +243,11 @@ class TestPlanAsymmetric:
 class TestPlanStreaming:
     def test_huge_memory_returns_centralized_plan(self):
         central = plan_centralized(16, 1.0)
-        bits_needed = central.clique_sizes[0] * 2 * 4  # m' >= q at 4 bits/sample
+        bits_needed = central.runs[0][0] * 2 * 4  # m' >= q at 4 bits/sample
         plan = plan_streaming(16, 1.0, bits_needed)
         assert plan.family == "clique"
-        assert plan.clique_sizes == central.clique_sizes
-        assert plan.m_prime >= central.clique_sizes[0]
+        assert plan.runs == central.runs
+        assert plan.m_prime >= central.runs[0][0]
         assert plan.resources.memory_bits <= bits_needed
 
     def test_tiny_memory_rejected(self):
@@ -258,14 +258,14 @@ class TestPlanStreaming:
         plan = plan_streaming(256, 1.0, 64)
         assert plan.m_prime == 4
         assert plan.bits_per_sample == 8
-        assert set(plan.clique_sizes) == {4}
+        assert {size for size, _, _ in plan.runs} == {4}
         assert plan.report.overall
         assert plan.resources.memory_bits <= 64
         assert message_bit_width(plan.threshold) <= 32
 
     def test_batch_count_is_minimal(self):
         plan = plan_streaming(256, 1.0, 64)
-        ell = len(plan.clique_sizes)
+        ell = sum(count for _, count, _ in plan.runs)
         for smaller in range(max(1, ell - 40), ell):
             assert _feasible_tau(*equal_cliques_stats(4, smaller), 256, 1.0) is None
 
@@ -285,23 +285,23 @@ class TestPlanSimultaneousStreaming:
     def test_single_player_matches_streaming(self):
         a = plan_simultaneous_streaming(256, 1.0, 1, 64)
         b = plan_streaming(256, 1.0, 64)
-        assert a.clique_sizes == b.clique_sizes
+        assert a.runs == b.runs
         assert a.tau == b.tau
 
     def test_huge_memory_matches_simultaneous(self):
         sim = plan_simultaneous(64, 1.0, 4)
-        m_bits = sim.clique_sizes[0] * 2 * 6
+        m_bits = sim.runs[0][0] * 2 * 6
         plan = plan_simultaneous_streaming(64, 1.0, 4, m_bits)
         assert plan.family == "disjoint_cliques"
-        assert plan.clique_sizes == sim.clique_sizes
+        assert plan.runs == sim.runs
 
     def test_players_split_batches(self):
         k = 4
         plan = plan_simultaneous_streaming(256, 1.0, k, 64)
         single = plan_streaming(256, 1.0, 64)
         assert plan.players == k
-        batches = len(plan.clique_sizes) // k
-        assert batches == math.ceil(len(single.clique_sizes) / k)
+        batches = sum(count for _, count, _ in plan.runs) // k
+        assert batches == math.ceil(sum(count for _, count, _ in single.runs) / k)
         per_player = plan.resources.samples_per_player
         assert per_player == 4 * batches
         # symmetric split: within one batch of the even split
@@ -317,7 +317,7 @@ class TestPlanSimultaneousStreaming:
                              [(256, 1.0, 4, 64), (1024, 0.5, 8, 400)])
     def test_fewest_batches(self, n, eps, k, m_bits):
         plan = plan_simultaneous_streaming(n, eps, k, m_bits)
-        batches = len(plan.clique_sizes) // k
+        batches = sum(count for _, count, _ in plan.runs) // k
         assert batches > 1 and plan.report.overall
         # one batch fewer per player certifies for no tau at all
         fewer = equal_cliques_stats(plan.m_prime, (batches - 1) * k)
@@ -439,16 +439,19 @@ class TestPlanJson:
                      plan_asymmetric(16, 1.0, (2.0, 1.0)),
                      plan_streaming(64, 1.0, 48)):
             loaded = Plan.from_json(plan.to_json())
-            assert loaded.clique_sizes == plan.clique_sizes
+            assert loaded.runs == plan.runs
             assert loaded.tau == plan.tau
             assert loaded.report.overall
             assert loaded.threshold == pytest.approx(plan.threshold)
 
 
 # every planner on a fixed grid: 276 problems, 220 plans and 56
-# CapacityErrors (m' < 3 or the counter budget)
+# CapacityErrors (m' < 3 or the counter budget).  Plan JSON stores the
+# runs; every plan's runs, tau, threshold, statistics, resources and
+# report, and every CapacityError text, equal those of the per-clique
+# format this hash replaced.
 PLAN_GRID_SHA256 = (
-    "dcb9a556038d15eb13c6e421e770779bab9fb2c87bed4915277f9d3d3b2d35ea")
+    "ad56dc40cc247775a8ccb36fc0b33dbd80f42b9b4d7201fdc679b9fcba9cfeba")
 
 
 def _plan_grid():

@@ -150,7 +150,7 @@ class TestDetection:
 
     def test_clique_certifies_when_large_enough(self):
         plan = plan_centralized(4, 1.0)
-        k = plan.clique_sizes[0]
+        k = plan.runs[0][0]
         net = cg.Network(make_clique(k), 4)
         det = cg.detect_topology(net, 4, 1.0,
                                  tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau])
@@ -177,7 +177,7 @@ class TestDetection:
 class TestLocalProtocol:
     def setup_method(self):
         plan = plan_centralized(4, 1.0)
-        self.k = plan.clique_sizes[0]
+        self.k = plan.runs[0][0]
         self.net = cg.Network(make_clique(self.k), 4)
         self.tree = cg.build_bfs_tree(self.net)
         self.det = cg.detect_topology(
@@ -227,7 +227,7 @@ class TestLocalProtocol:
     def test_rounds_do_not_depend_on_domain_size(self):
         # same topology, two domain sizes that both certify
         plan = plan_centralized(2, 1.0)
-        net = cg.Network(make_clique(max(self.k, plan.clique_sizes[0])), 4)
+        net = cg.Network(make_clique(max(self.k, plan.runs[0][0])), 4)
         tree = cg.build_bfs_tree(net)
         rounds = []
         for n in (2, 4):
@@ -336,7 +336,7 @@ class TestPipelined:
             plan = cg.choose_bundle_plan(n, eps, k)
             assert plan.report.overall
             assert plan.family == "disjoint_cliques"
-            assert plan.players == len(plan.clique_sizes)
+            assert [count for _, count, _ in plan.runs] == [1] * plan.players
             assert Plan.from_json(plan.to_json()) == plan
         for n, k in ((4, 150), (2, 300)):
             net = cg.Network(make_path(k), n)
@@ -352,7 +352,7 @@ class TestPipelined:
         net = cg.Network(make_path(150), 4)
         tree = cg.build_bfs_tree(net)
         plan = cg.choose_bundle_plan(4, 1.0, 150)
-        s, ell = plan.clique_sizes[0], plan.players
+        s, ell = plan.runs[0][0], plan.players
         assert s == 3
         p = make_uniform(4)
         for trial in range(30):
@@ -396,7 +396,7 @@ class TestPipelined:
 class TestCombined:
     def test_certified_clique_takes_local_path(self):
         plan = plan_centralized(4, 1.0)
-        net = cg.Network(make_clique(plan.clique_sizes[0]), 4)
+        net = cg.Network(make_clique(plan.runs[0][0]), 4)
         run = cg.combined_protocol(
             net, 4, 1.0, make_uniform(4), Stream(12).child(0),
             tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau])
@@ -418,12 +418,12 @@ class TestCombined:
                                        detection=detection)
             detection = run.detection
             assert run.path == "pipelined"
-            s = run.pipelined.plan.clique_sizes[0]
+            s = run.pipelined.plan.runs[0][0]
             assert run.rounds <= cg.C_PIPE * (net.diameter + s) + cg.C0
 
     def test_local_path_is_cheaper_when_both_apply(self):
         plan = plan_centralized(4, 1.0)
-        net = cg.Network(make_clique(plan.clique_sizes[0]), 4)
+        net = cg.Network(make_clique(plan.runs[0][0]), 4)
         tree = cg.build_bfs_tree(net)
         det = cg.detect_topology(net, 4, 1.0,
                                  tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau],
@@ -440,7 +440,7 @@ class TestRoundsBreakdown:
     def test_breakdowns_sum_to_rounds(self):
         plan = plan_centralized(4, 1.0)
         grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
-        clique = cg.Network(make_clique(plan.clique_sizes[0]), 4)
+        clique = cg.Network(make_clique(plan.runs[0][0]), 4)
         local = cg.combined_protocol(clique, 4, 1.0, make_uniform(4),
                                      Stream(16).child(0), tau_grid=grid)
         star = cg.Network(make_star(149), 4)

@@ -274,7 +274,7 @@ def test_schedules_match_per_message_oracles(topologies, name, n, eps):
         assert meter.rounds == rounds
 
     try:
-        s = cg.choose_bundle_plan(n, eps, net.k).clique_sizes[0]
+        s = cg.choose_bundle_plan(n, eps, net.k).runs[0][0]
     except CapacityError:
         s = 3
     assignment = cg.bundle_assignment(tree, s)
@@ -624,7 +624,7 @@ def test_local_z_equals_the_per_node_count(topologies, name):
         values = cg.draw_node_samples(net, make_uniform(4), Stream(92).child(trial))
         assert count_collisions(net.topology, values) == per_node_z(net, values)
     # and on a certified topology, through the protocol
-    q = plan_centralized(4, 1.0).clique_sizes[0]
+    q = plan_centralized(4, 1.0).runs[0][0]
     net = cg.Network(make_clique(q), 4)
     tau = _feasible_tau(net.topology.edge_count, net.topology.two_path_count,
                         4, 1.0)
@@ -644,7 +644,7 @@ def test_schedules_refuse_a_meter_and_foreign_arguments():
     other_plan = _plan(4, 1.0, [(5, 1, j) for j in range(6)], 6, tau=0.5,
                        referee=True)
     twin = cg.Network(make_path(30), 4)
-    q = plan_centralized(4, 1.0).clique_sizes[0]
+    q = plan_centralized(4, 1.0).runs[0][0]
     clique = cg.Network(make_clique(q), 4)
     tau = _feasible_tau(clique.topology.edge_count,
                         clique.topology.two_path_count, 4, 1.0)

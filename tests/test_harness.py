@@ -127,7 +127,7 @@ class TestRunScenario:
         assert result.summary.max_memory_bits <= 48
 
     def test_congest_local_scenario(self):
-        k = plan_centralized(4, 1.0).clique_sizes[0]
+        k = plan_centralized(4, 1.0).runs[0][0]
         sc = scenario(model="congest_local", n=4,
                       topology={"kind": "clique", "k": k}, trials=10)
         result = run_scenario(sc, master_seed=13)
@@ -167,7 +167,7 @@ class TestCongestSchedules:
         ("congest_combined", {"kind": "star", "k": 150}),
     ])
     def test_schedule_is_built_once(self, monkeypatch, model, topology):
-        assert plan_centralized(4, 1.0).clique_sizes[0] == 139
+        assert plan_centralized(4, 1.0).runs[0][0] == 139
         sc = scenario(model=model, n=4, topology=topology, trials=20)
         many, result = self.schedule_calls(monkeypatch, sc)
         one, _ = self.schedule_calls(
@@ -193,7 +193,7 @@ class TestSuite:
         assert lines[1] == lines[2]
 
     def test_all_eight_models_complete_quickly(self):
-        q_local = plan_centralized(4, 1.0).clique_sizes[0]
+        q_local = plan_centralized(4, 1.0).runs[0][0]
         scenarios = [
             scenario(scenario_id="central", trials=20),
             scenario(scenario_id="simul", model="simultaneous", k=4, trials=20),
@@ -293,20 +293,19 @@ class TestCli:
         assert code == 2
         assert "capacity" in capsys.readouterr().err
 
-    def test_plan_json_out_of_memory_exit_code(self, capsys, monkeypatch):
-        """A plan too large to list as JSON is an error naming `--table`,
-        which still prints it."""
-        def out_of_memory(self):
-            raise MemoryError
-
-        monkeypatch.setattr(Plan, "to_json", out_of_memory)
-        args = ["plan", "--model", "streaming", "--n", "1024", "--eps", "0.5",
-                "--m-bits", "400"]
-        assert cli_main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--table" in err
-        assert cli_main(args + ["--table"]) == 0
-        assert "certified" in capsys.readouterr().out
+    def test_plan_of_billions_of_batches_prints_its_runs(self, capsys):
+        """The 6e9-batch streaming plan prints as its one run, in a size
+        that does not grow with the batch count, and reads back."""
+        assert cli_main(["plan", "--model", "streaming", "--n", "100000",
+                         "--eps", "0.1", "--m-bits", "136"]) == 0
+        out = capsys.readouterr().out
+        obj = json.loads(out)
+        assert obj["runs"] == [[4, 6_000_000_000, 0]]
+        # the JSON is under 1 kB; the printed text adds its indentation
+        assert len(json.dumps(obj)) < 1000
+        assert len(out.encode()) < 1280
+        assert Plan.from_json(obj) == plan_for("streaming", 10**5, 0.1,
+                                               m_bits=136)
 
     def test_missing_model_parameter_exit_code(self, capsys):
         code = cli_main(["plan", "--model", "simultaneous", "--n", "16",

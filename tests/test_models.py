@@ -15,6 +15,7 @@ from collitest.models import (simulate_asymmetric, simulate_simultaneous,
 from collitest.rng import Stream
 from collitest.tester import within_clique_collisions
 from collitest import models, tester
+from test_batched_draws import cliques
 
 
 def monolithic(plan, p, stream):
@@ -75,7 +76,7 @@ class TestSimultaneous:
     def test_samples_match_plan_exactly(self):
         plan = plan_simultaneous(64, 1.0, 4)
         sim = simulate_simultaneous(plan, make_uniform(64), Stream(2).child(0))
-        assert sim.ledger.samples == list(plan.clique_sizes)
+        assert sim.ledger.samples == [size * count for size, count, _ in plan.runs]
         assert not sim.ledger.violations
 
     def test_rejects_streaming_plans(self):
@@ -89,7 +90,7 @@ class TestObliviousMode:
         plan = plan_simultaneous(64, 1.0, 4)
         sim = simulate_simultaneous(plan, make_uniform(64), Stream(5).child(0),
                                     oblivious=True)
-        q = plan.clique_sizes[0]
+        q = plan.runs[0][0]
         rounded = 1 << math.ceil(math.log2(q))
         assert sim.ledger.samples == [rounded] * 4
         assert all(m.sample_count_exponent == math.ceil(math.log2(q))
@@ -97,7 +98,7 @@ class TestObliviousMode:
 
     def test_decision_matches_monolithic_on_rounded_graph(self):
         plan = plan_simultaneous(64, 1.0, 4)
-        q = plan.clique_sizes[0]
+        q = plan.runs[0][0]
         rounded = 1 << math.ceil(math.log2(q))
         rounded_plan = replace(
             plan, runs=tuple((rounded, 1, j) for j in range(4)),
@@ -123,7 +124,7 @@ class TestObliviousMode:
         plan = plan_simultaneous(100, 0.5, 8)
         obl = simulate_simultaneous(plan, make_uniform(100), Stream(6).child(0),
                                     oblivious=True)
-        assert max(obl.ledger.samples) < 2 * plan.clique_sizes[0]
+        assert max(obl.ledger.samples) < 2 * plan.runs[0][0]
 
 
 class TestAsymmetric:
@@ -156,8 +157,8 @@ class TestAsymmetric:
 
     def test_schedule_drift_raises(self):
         plan = plan_asymmetric(16, 1.0, (2.0, 1.0))
-        broken = replace(plan, runs=((plan.clique_sizes[0] + 1, 1, 0),
-                                     (plan.clique_sizes[1], 1, 1)))
+        broken = replace(plan, runs=((plan.runs[0][0] + 1, 1, 0),
+                                     (plan.runs[1][0], 1, 1)))
         with pytest.raises(ModelViolationError):
             simulate_asymmetric(broken, make_uniform(16), Stream(0))
 
@@ -186,7 +187,7 @@ class TestStreaming:
 
     def test_single_batch_acts_centralized(self):
         central = plan_centralized(16, 1.0)
-        m_bits = central.clique_sizes[0] * 2 * 4
+        m_bits = central.runs[0][0] * 2 * 4
         plan = plan_streaming(16, 1.0, m_bits)
         for trial in range(10):
             stream = Stream(9).child(trial)
@@ -224,7 +225,7 @@ class TestSimultaneousStreaming:
     def test_single_player_equals_streaming(self):
         splan = plan_streaming(64, 1.0, 48)
         cplan = plan_simultaneous_streaming(64, 1.0, 1, 48)
-        assert cplan.clique_sizes == splan.clique_sizes
+        assert cplan.runs == splan.runs
         for trial in range(15):
             a = simulate_streaming(splan, make_bump(64, 1.0), Stream(6).child(trial))
             b = simulate_simultaneous_streaming(cplan, make_bump(64, 1.0),
@@ -240,7 +241,7 @@ class TestSimultaneousStreaming:
 
     def test_big_memory_matches_simultaneous_semantics(self):
         sim_plan = plan_simultaneous(64, 1.0, 4)
-        m_bits = sim_plan.clique_sizes[0] * 2 * 6
+        m_bits = sim_plan.runs[0][0] * 2 * 6
         plan = plan_simultaneous_streaming(64, 1.0, 4, m_bits)
         for trial in range(10):
             stream = Stream(3).child(trial)
@@ -270,10 +271,10 @@ def reference_player_counts(plan, p, stream, sizes):
     path, advanced past the cliques before it."""
     z = [0] * plan.players
     start = 0
-    for c, size in enumerate(sizes):
+    for size, owner in zip(sizes, cliques(plan)[1]):
         gen = stream.rng()
         gen.bit_generator.advance(start)
-        z[plan.clique_players[c]] += within_clique_collisions(p.sample(size, gen))
+        z[owner] += within_clique_collisions(p.sample(size, gen))
         start += size
     return z
 
@@ -294,7 +295,7 @@ class TestCliqueSimulatorsMatchPerCliqueLoop:
                      plan_simultaneous(1024, 0.5, 16),
                      plan_simultaneous(256, 0.5, 40)):
             n = plan.n
-            sizes = plan.clique_sizes
+            sizes, _ = cliques(plan)
             if oblivious:
                 sizes = tuple(1 << math.ceil(math.log2(s)) for s in sizes)
             for p in (make_uniform(n), make_bump(n, 0.5), make_heavy(n, 0.5),
@@ -316,7 +317,7 @@ class TestCliqueSimulatorsMatchPerCliqueLoop:
                     stream = Stream(9).child(trial)
                     run = simulate_asymmetric(plan, p, stream)
                     assert_referee_saw(run, reference_player_counts(
-                        plan, p, stream, plan.clique_sizes))
+                        plan, p, stream, cliques(plan)[0]))
 
 
 class TestPlanStatsServeTheSimulator:
@@ -334,7 +335,7 @@ class TestPlanStatsServeTheSimulator:
     def test_plan_stats_equal_a_recount(self):
         families = set()
         for plan in self.PLANS:
-            edge_count, _ = clique_union_stats(plan.clique_sizes)
+            edge_count, _ = clique_union_stats(cliques(plan)[0])
             t = edge_count * (1.0 + plan.tau * plan.eps**2) / plan.n
             assert plan.edge_count == edge_count
             assert plan.threshold.hex() == t.hex()

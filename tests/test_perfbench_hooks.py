@@ -23,7 +23,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def _all_models(trials=2):
     """One small scenario of each of the eight harness models."""
-    q = plan_centralized(4, 1.0).clique_sizes[0]
+    q = plan_centralized(4, 1.0).runs[0][0]
     base = {"n": 16, "eps": 1.0, "dist": {"kind": "uniform"}, "trials": trials}
     scenarios = [
         {"model": "centralized"}, {"model": "simultaneous", "k": 3},
@@ -104,7 +104,7 @@ def test_a_streaming_trial_counts_one_generator_and_its_samples(
     assert not run.ledger.early_terminated
     assert totals["rng.generator"][0] == 1
     assert totals["dist.sample"][0] >= 1
-    assert tr.counters["dist.samples_drawn"] == sum(plan.clique_sizes)
+    assert tr.counters["dist.samples_drawn"] == plan.samples_total
 
 
 def test_setup_pass_runs_every_model(perfbench_modules):

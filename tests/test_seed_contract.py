@@ -330,7 +330,8 @@ def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
         run = simulate(plan, p, recording)
     if family.endswith("streaming"):  # each chunk is its batches' words
         labeling = tester.draw_labeling(plan.build_graph(), p, stream).values
-        bounds = set(np.cumsum((0,) + plan.clique_sizes).tolist())
+        sizes, counts, _ = np.array(plan.runs).T
+        bounds = set(np.cumsum(np.repeat(sizes, counts)).tolist()) | {0}
         assert len(recording.reads) == len(counted)
         for (start, length), (values, sizes) in zip(recording.reads, counted):
             assert set((start + np.cumsum((0,) + sizes)).tolist()) <= bounds

@@ -109,7 +109,7 @@ def _cmd_run(args) -> int:
     obj = json.loads(Path(args.scenario).read_text())
     scenarios = load_scenarios(obj)
     if len(scenarios) != 1:
-        raise SystemExit("`run` expects exactly one scenario; use `suite`")
+        raise ValueError("`run` expects exactly one scenario; use `suite`")
     result = run_scenario(scenarios[0], args.seed)
     csv_text = summaries_to_csv([result.summary], args.timings)
     Path(f"{args.out_prefix}.csv").write_text(csv_text)

@@ -166,12 +166,6 @@ class CliqueFamilyReport:
     closed_form_directed: ConditionReport
     direct: ConditionReport
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "ell": self.ell,
-                "closed_form": self.closed_form.to_json(),
-                "closed_form_directed": self.closed_form_directed.to_json(),
-                "direct": self.direct.to_json()}
-
 
 def equal_cliques_stats(q: int, ell: int) -> tuple[int, int]:
     """(|E|, c) for `ell` disjoint q-cliques, c directed."""
@@ -585,11 +579,6 @@ class ConjecturedFloor:
     value: float
     edge_floor: float
     assumes_conjecture: bool = True
-
-    def to_json(self) -> dict:
-        return {"model": self.model, "value": self.value,
-                "edge_floor": self.edge_floor,
-                "assumes_conjecture": self.assumes_conjecture}
 
 
 def conjectured_floor(model: str, n: int, eps: float, *, k: int | None = None,

@@ -44,10 +44,13 @@ Protocols:
   s samples gather at single nodes.  The bundles are the players of a
   simultaneous `Plan` (family `disjoint_cliques`, one s-clique each),
   and the models referee decides from their collision counts.
-* `combined_protocol` runs detection and picks whichever path applies.
+* `combined_protocol` runs detection and picks whichever path applies;
+  it returns the `CongestRun` of that path, with the detection attached
+  and the tree and detection rounds added.
 * `graph_power_detection` certifies the distance-<=t power of the
   topology, flagging nodes whose t-ball is too large to exchange within
-  the documented round cap.
+  the documented round cap.  It returns a `DetectionResult` like plain
+  detection, with `congestion_ok` set.
 
 Round budgets are asserted against the documented constants below; the
 reference texts only promise orders of magnitude, so the concrete
@@ -401,6 +404,9 @@ def _tree_rounds(tree: BfsTree, meter: BitMeter, bits_per_message: int,
 
 @dataclass
 class DetectionResult:
+    """A topology (or its power) certified at the root; `report` is None
+    unless certified, and `congestion_ok` is None for plain detection."""
+
     certified: bool
     tau_star: float | None
     edge_count: int
@@ -408,18 +414,14 @@ class DetectionResult:
     rounds: int
     tree: BfsTree
     report: object | None = None
-
-    def to_json(self) -> dict:
-        return {"certified": self.certified, "tau_star": self.tau_star,
-                "edge_count": self.edge_count,
-                "two_path_count": self.two_path_count, "rounds": self.rounds}
+    congestion_ok: bool | None = None
 
 
 def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
-                     tau_grid, n: int, eps: float):
+                     tau_grid, n: int, eps: float) -> DetectionResult:
     """Sum |E| and c(G) from node degrees up the tree, certify at the root
     on the tau grid (`COARSE_TAU_GRID` by default) and flood the verdict
-    down.  Returns (|E|, c, tau_star or None, rounds)."""
+    down."""
     tau_grid = tuple(tau_grid) if tau_grid is not None else COARSE_TAU_GRID
     k = degrees.size
     degree_sum = int(degrees.sum())
@@ -431,7 +433,12 @@ def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
     tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
     rounds += _tree_rounds(tree, meter, 1 + sample_bit_width(len(tau_grid) + 1),
                            toward_root=False)
-    return edge_count, two_path, tau_star, rounds
+    certified = tau_star is not None
+    report = (certify_stats(edge_count, two_path, tau_star, n, eps)
+              if certified else None)
+    return DetectionResult(certified=certified, tau_star=tau_star,
+                           edge_count=edge_count, two_path_count=two_path,
+                           rounds=rounds, tree=tree, report=report)
 
 
 def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
@@ -447,14 +454,7 @@ def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
     """
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
-    edge_count, two_path, tau_star, rounds = _certify_at_root(
-        tree, meter, net.topology.degrees, tau_grid, n, eps)
-    certified = tau_star is not None
-    report = (certify_stats(edge_count, two_path, tau_star, n, eps)
-              if certified else None)
-    return DetectionResult(certified=certified, tau_star=tau_star,
-                           edge_count=edge_count, two_path_count=two_path,
-                           rounds=rounds, tree=tree, report=report)
+    return _certify_at_root(tree, meter, net.topology.degrees, tau_grid, n, eps)
 
 
 def draw_node_samples(net: Network, p: Distribution, stream: Stream) -> np.ndarray:
@@ -512,18 +512,22 @@ class Schedule:
 
 @dataclass
 class CongestRun:
-    """One trial; plan, assignment and reports are None on the local path."""
+    """One trial of a local, pipelined or combined run.
+
+    The threshold, path, plan and assignment are read from `schedule`.
+    `reports` (the bundles' messages) is None on the local path, and
+    `detection` is set only by `combined_protocol`, whose `rounds` and
+    `rounds_breakdown` also count the tree build and the detection.
+    """
 
     decision: str
     rounds: int
     z: int | None  # None when a bundle sent the sentinel
-    threshold: float
     values: np.ndarray
     rounds_breakdown: dict
     schedule: Schedule
-    plan: Plan | None = None
-    assignment: BundleAssignment | None = None
     reports: Reports | None = None
+    detection: DetectionResult | None = None
 
     @property
     def messages(self) -> list[Message] | None:
@@ -544,10 +548,9 @@ def _run(schedule: Schedule, p: Distribution, stream: Stream) -> CongestRun:
             tester.row_collisions(values[schedule.bundles]), t,
             schedule.bits["message"])
     return CongestRun(decision=decision, rounds=schedule.rounds, z=z,
-                      threshold=t, values=values,
+                      values=values,
                       rounds_breakdown=dict(schedule.rounds_breakdown),
-                      schedule=schedule, plan=schedule.plan,
-                      assignment=schedule.assignment, reports=reports)
+                      schedule=schedule, reports=reports)
 
 
 def _local_schedule(net: Network, n: int, eps: float, tau_star: float,
@@ -782,22 +785,10 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
     return _run(schedule, p, stream)
 
 
-@dataclass
-class CombinedRun:
-    decision: str
-    rounds: int
-    path: str  # "local" | "pipelined"
-    detection: DetectionResult
-    rounds_breakdown: dict
-    local: CongestRun | None = None
-    pipelined: CongestRun | None = None
-    schedule: Schedule | None = None
-
-
 def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
                       stream: Stream, tau_grid=None,
                       detection: DetectionResult | None = None,
-                      schedule: Schedule | None = None) -> CombinedRun:
+                      schedule: Schedule | None = None) -> CongestRun:
     """Detect first, then test locally in O(D) rounds or fall back to bundles.
 
     Detection and the schedule of the chosen path are sample-independent
@@ -813,7 +804,6 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
                 else build_bfs_tree(net, BitMeter(net)))
         detection = detect_topology(net, n, eps, tau_grid, tree=tree)
     tree = detection.tree
-    base_rounds = tree.rounds + detection.rounds
     if detection.certified:
         run = local_collision_protocol(net, n, eps, detection.tau_star, p,
                                        stream, tree=tree, schedule=schedule)
@@ -821,35 +811,19 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
         run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree,
                                         schedule=schedule)
     # the pipelined run was handed the tree, so its own "tree" entry is 0
-    breakdown = {**run.rounds_breakdown, "tree": tree.rounds,
-                 "detect": detection.rounds}
-    local = run if detection.certified else None
-    return CombinedRun(decision=run.decision, rounds=base_rounds + run.rounds,
-                       path=run.schedule.path, detection=detection,
-                       rounds_breakdown=breakdown, local=local,
-                       pipelined=run if local is None else None,
-                       schedule=run.schedule)
-
-
-@dataclass
-class PowerDetectionResult:
-    certified: bool
-    tau_star: float | None
-    congestion_ok: bool
-    edge_count: int
-    two_path_count: int
-    rounds: int
-
-    def to_json(self) -> dict:
-        return {"certified": self.certified, "tau_star": self.tau_star,
-                "congestion_ok": self.congestion_ok,
-                "edge_count": self.edge_count,
-                "two_path_count": self.two_path_count, "rounds": self.rounds}
+    return CongestRun(decision=run.decision,
+                      rounds=tree.rounds + detection.rounds + run.rounds,
+                      z=run.z, values=run.values,
+                      rounds_breakdown={**run.rounds_breakdown,
+                                        "tree": tree.rounds,
+                                        "detect": detection.rounds},
+                      schedule=run.schedule, reports=run.reports,
+                      detection=detection)
 
 
 def graph_power_detection(net: Network, n: int, eps: float, t: int,
                           tau_grid=None, tree: BfsTree | None = None,
-                          meter: BitMeter | None = None) -> PowerDetectionResult:
+                          meter: BitMeter | None = None) -> DetectionResult:
     """Certify the distance-<=t power of the topology as a comparison graph.
 
     Nodes exchange their known balls hop by hop (a ball of b ids costs
@@ -886,11 +860,7 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
             meter.send(tails[live], heads[live],
                        np.minimum(net.channel_bits, remaining[live]))
         rounds += hop_rounds
-    edge_count, two_path, tau_star, root_rounds = _certify_at_root(
-        tree, meter, ball_sizes[t] - 1, tau_grid, n, eps)
-    return PowerDetectionResult(certified=tau_star is not None,
-                                tau_star=tau_star,
-                                congestion_ok=congestion_ok,
-                                edge_count=edge_count,
-                                two_path_count=two_path,
-                                rounds=rounds + root_rounds)
+    detection = _certify_at_root(tree, meter, ball_sizes[t] - 1, tau_grid, n, eps)
+    detection.rounds += rounds
+    detection.congestion_ok = congestion_ok
+    return detection

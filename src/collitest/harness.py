@@ -329,16 +329,15 @@ def run_scenario(scenario: Scenario, master_seed: int,
                 run = cg.pipelined_bundle_protocol(
                     net, scenario.n, scenario.eps, p, stream, tree=tree,
                     schedule=schedule)
-                z, rounds = run.z, tree.rounds + run.rounds
+                rounds = tree.rounds + run.rounds
             else:
                 run = cg.combined_protocol(net, scenario.n, scenario.eps, p,
                                            stream, detection=detection,
                                            schedule=schedule)
                 rounds = run.rounds
-                z = run.local.z if run.local is not None else run.pipelined.z
             schedule = run.schedule
             slots[t_idx] = TrialRecord(
-                trial=t_idx, decision=run.decision, z=z,
+                trial=t_idx, decision=run.decision, z=run.z,
                 threshold=schedule.threshold, samples_total=net.k,
                 max_message_bits=0, max_memory_bits=0, rounds=rounds,
                 early_terminated=False, seed_path=stream.label())

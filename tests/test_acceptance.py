@@ -324,8 +324,8 @@ def test_criterion_7_congest():
             run = cg.combined_protocol(path_net, 4, 1.0, make_uniform(4),
                                        Stream(902).child(trial),
                                        detection=path_det)
-            assert run.path == "pipelined"
-            s = run.pipelined.plan.runs[0][0]
+            assert run.schedule.path == "pipelined"
+            s = run.schedule.plan.runs[0][0]
             assert run.rounds <= cg.C_PIPE * (path_net.diameter + s) + cg.C0
 
         # a path where no tau whatsoever certifies the topology (|E| = 399
@@ -335,8 +335,8 @@ def test_criterion_7_congest():
                              long_net.topology.two_path_count, 16, 1.0) is None
         long_run = cg.combined_protocol(long_net, 16, 1.0, make_uniform(16),
                                         Stream(903).child(0))
-        assert long_run.path == "pipelined"
-        long_s = long_run.pipelined.plan.runs[0][0]
+        assert long_run.schedule.path == "pipelined"
+        long_s = long_run.schedule.plan.runs[0][0]
         assert long_run.rounds <= cg.C_PIPE * (
             long_net.diameter + long_s) + cg.C0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collitest import congest as cg
-from collitest.conditions import Plan, _plan, plan_centralized
+from collitest.conditions import Plan, _plan, certify_stats, plan_centralized
 from collitest.dist import Distribution, make_bump, make_uniform
 from collitest.errors import (CapacityError, InvalidNetworkError,
                               ModelViolationError, ProtocolRefusedError)
@@ -342,10 +342,10 @@ class TestPipelined:
             net = cg.Network(make_path(k), n)
             run = cg.pipelined_bundle_protocol(net, n, 1.0, make_uniform(n),
                                                Stream(22).child(0))
-            assert run.plan == cg.choose_bundle_plan(n, 1.0, k)
+            assert run.schedule.plan == cg.choose_bundle_plan(n, 1.0, k)
             assert (run.schedule.bits["message"]
-                    == run.plan.resources.message_bits)
-            assert all(m.encoded_bits == run.plan.resources.message_bits
+                    == run.schedule.plan.resources.message_bits)
+            assert all(m.encoded_bits == run.schedule.plan.resources.message_bits
                        for m in run.messages)
 
     def test_path_topology_end_to_end(self):
@@ -361,7 +361,7 @@ class TestPipelined:
                                                Stream(21).child(trial),
                                                tree=tree, meter=meter)
             graph = make_clique_union([s] * ell)
-            order = [v for bundle in run.assignment.bundles for v in bundle]
+            order = [v for bundle in run.schedule.assignment.bundles for v in bundle]
             spec = tester.TesterSpec(graph, plan.tau, 4, 1.0)
             mono = tester.evaluate(spec, run.values[np.array(order)])
             assert run.decision == mono.decision
@@ -389,7 +389,7 @@ class TestPipelined:
         run = cg.pipelined_bundle_protocol(net, 2, 1.0, make_uniform(2),
                                            Stream(9).child(0), tree=tree,
                                            plan=plan)
-        assert len(run.assignment.bundles) == 2
+        assert len(run.schedule.assignment.bundles) == 2
         assert run.rounds + tree.rounds <= cg.C_PIPE * (7 + 4) + cg.C0
 
 
@@ -400,13 +400,13 @@ class TestCombined:
         run = cg.combined_protocol(
             net, 4, 1.0, make_uniform(4), Stream(12).child(0),
             tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau])
-        assert run.path == "local"
+        assert run.schedule.path == "local"
 
     def test_star_falls_back_to_pipelining(self):
         net = cg.Network(make_star(149), 4)
         run = cg.combined_protocol(net, 4, 1.0, make_uniform(4),
                                    Stream(13).child(0))
-        assert run.path == "pipelined"
+        assert run.schedule.path == "pipelined"
         assert not run.detection.certified
 
     def test_path_falls_back_to_pipelining(self):
@@ -417,8 +417,8 @@ class TestCombined:
                                        Stream(14).child(trial),
                                        detection=detection)
             detection = run.detection
-            assert run.path == "pipelined"
-            s = run.pipelined.plan.runs[0][0]
+            assert run.schedule.path == "pipelined"
+            s = run.schedule.plan.runs[0][0]
             assert run.rounds <= cg.C_PIPE * (net.diameter + s) + cg.C0
 
     def test_local_path_is_cheaper_when_both_apply(self):
@@ -435,9 +435,38 @@ class TestCombined:
                                              Stream(15).child(0), tree=tree)
         assert local.rounds <= piped.rounds
 
+    def test_combined_run_is_the_chosen_paths_run(self):
+        """The combined run draws, counts and decides as the path it took,
+        run directly on the detection's tree, does."""
+        plan = plan_centralized(4, 1.0)
+        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
+        p = make_uniform(4)
+        for net in (cg.Network(make_clique(plan.runs[0][0]), 4),
+                    cg.Network(make_star(149), 4)):
+            det = cg.detect_topology(net, 4, 1.0, tau_grid=grid,
+                                     tree=cg.build_bfs_tree(net))
+            for trial in range(3):
+                run = cg.combined_protocol(net, 4, 1.0, p,
+                                           Stream(17).child(trial),
+                                           detection=det)
+                if det.certified:
+                    alone = cg.local_collision_protocol(
+                        net, 4, 1.0, det.tau_star, p, Stream(17).child(trial),
+                        tree=det.tree)
+                else:
+                    alone = cg.pipelined_bundle_protocol(
+                        net, 4, 1.0, p, Stream(17).child(trial), tree=det.tree)
+                assert run.detection is det
+                assert run.schedule.path == alone.schedule.path
+                assert (run.decision, run.z) == (alone.decision, alone.z)
+                assert np.array_equal(run.values, alone.values)
+                assert run.messages == alone.messages
+
 
 class TestRoundsBreakdown:
-    def test_breakdowns_sum_to_rounds(self):
+    @staticmethod
+    def combined_runs():
+        """A combined run on each path: a certified clique and a star."""
         plan = plan_centralized(4, 1.0)
         grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
         clique = cg.Network(make_clique(plan.runs[0][0]), 4)
@@ -446,15 +475,26 @@ class TestRoundsBreakdown:
         star = cg.Network(make_star(149), 4)
         piped = cg.combined_protocol(star, 4, 1.0, make_uniform(4),
                                      Stream(16).child(1))
-        assert (local.path, piped.path) == ("local", "pipelined")
-        assert local.local.rounds_breakdown == {
-            "exchange": 1, "sum": local.local.rounds - 1}
+        return local, piped
+
+    def test_breakdowns_sum_to_rounds(self):
+        local, piped = self.combined_runs()
+        assert (local.schedule.path, piped.schedule.path) == ("local",
+                                                              "pipelined")
+        assert local.schedule.rounds_breakdown == {
+            "exchange": 1, "sum": local.schedule.rounds - 1}
         assert set(local.rounds_breakdown) == {"tree", "detect", "exchange", "sum"}
         assert set(piped.rounds_breakdown) == {"tree", "detect", "count",
                                                "pipeline", "answers"}
-        for run in (local, piped, local.local, piped.pipelined):
+        for run in (local, piped, local.schedule, piped.schedule):
             assert sum(run.rounds_breakdown.values()) == run.rounds
         assert piped.rounds_breakdown["tree"] == piped.detection.tree.rounds > 0
+
+    def test_combined_rounds_add_tree_and_detection(self):
+        for run in self.combined_runs():
+            assert run.rounds == (run.schedule.rounds + run.detection.tree.rounds
+                                  + run.detection.rounds)
+            assert run.detection.tree is run.schedule.tree
 
 
 class TestRoundReplay:
@@ -484,6 +524,31 @@ class TestRoundReplay:
 
 
 class TestGraphPowerDetection:
+    def test_returns_a_detection_result_on_its_tree(self):
+        plan = plan_centralized(4, 1.0)
+        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
+        # the star's square is the clique that the centralized plan certifies
+        net = cg.Network(make_star(plan.runs[0][0] - 1), 4)
+        tree = cg.build_bfs_tree(net)
+        for t, certified in ((1, False), (2, True)):
+            pw = cg.graph_power_detection(net, 4, 1.0, t, tau_grid=grid,
+                                          tree=tree)
+            assert isinstance(pw, cg.DetectionResult)
+            assert pw.tree is tree
+            assert pw.certified is certified
+            if certified:
+                assert pw.report == certify_stats(
+                    pw.edge_count, pw.two_path_count, pw.tau_star, 4, 1.0)
+            else:
+                assert pw.report is None
+        built = cg.graph_power_detection(net, 4, 1.0, 2, tau_grid=grid)
+        assert built.tree.root == net.k - 1
+
+    def test_only_power_detection_sets_congestion(self):
+        net = cg.Network(make_cycle(12), 16)
+        assert cg.detect_topology(net, 16, 1.0).congestion_ok is None
+        assert cg.graph_power_detection(net, 16, 1.0, 1).congestion_ok is True
+
     def test_power_one_agrees_with_detection(self):
         net = cg.Network(make_cycle(12), 16)
         det = cg.detect_topology(net, 16, 1.0)

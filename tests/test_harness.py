@@ -351,6 +351,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no_dir" in err
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_run_needs_exactly_one_scenario(self, tmp_path, capsys, count):
+        spec = dict(id="demo", model="centralized", n=16, eps=1.0,
+                    dist={"kind": "uniform"}, trials=2)
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"scenarios": [spec] * count}))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1",
+                         "--out-prefix", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: `run` expects exactly one scenario; use `suite`\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_scenario_without_trials_exit_code(self, tmp_path, capsys):
         spec = dict(id="demo", model="centralized", n=16, eps=1.0,
                     dist={"kind": "uniform"})

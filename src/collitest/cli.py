@@ -18,9 +18,10 @@ from pathlib import Path
 
 from .conditions import cycle_plus_hub_counterexample
 from .errors import CapacityError
-from .harness import (PLANNERS, build_distribution, build_graph,
-                      load_scenarios, moment_audit, plan_for, records_to_jsonl,
-                      run_scenario, run_suite, summaries_to_csv)
+from .harness import (PLANNERS, _checked, _number, build_distribution,
+                      build_graph, load_scenarios, moment_audit, plan_for,
+                      records_to_jsonl, run_scenario, run_suite,
+                      summaries_to_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,9 +131,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_audit(args) -> int:
     graph = build_graph(json.loads(args.graph))
-    dist_spec = json.loads(args.dist)
-    n = int(dist_spec.get("n", 0)) or len(dist_spec.get("probs", []))
-    dist = build_distribution(dist_spec, n, float(dist_spec.get("eps", 1.0)))
+    dist_spec = _checked(json.loads(args.dist), dict, "dist")
+    n = (_number(dist_spec, "n", int, 0)
+         or len(_checked(dist_spec.get("probs", []), list, "probs")))
+    dist = build_distribution(dist_spec, n, _number(dist_spec, "eps", float, 1.0))
     report = moment_audit(graph, dist, args.trials, args.seed)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0

@@ -27,9 +27,10 @@ closed forms; they search with exact statistics.
 
 For fixed |E| and c(G) the three conditions solve to an interval
 [tau_lo, tau_hi] (`_feasible_tau`).  Planners take the smallest layout
-whose interval is non-empty and report a tau from inside it.  Detection
-protocols send tau down a tree as a grid index, so they certify on an
-explicit grid instead (`first_certified_tau`).
+whose interval is non-empty and report a tau from inside it.  A given
+graph is certified when some tau certifies it: `certifying_tau` returns
+the first tau of `COARSE_TAU_GRID` that does, else the exact one, so
+detection can send its tau down a tree as a grid index or "exact".
 """
 from __future__ import annotations
 
@@ -239,16 +240,17 @@ def _feasible_tau(edge_count: int, two_path: int, n: int, eps: float) -> float |
 
 def first_certified_tau(edge_count: int, two_path: int, grid, n: int,
                         eps: float) -> float | None:
-    """The first tau of `grid` that certifies these statistics, or None.
-
-    Detection protocols certify on an explicit grid because the chosen
-    tau travels down the tree as a grid index; the planners use the
-    exact interval of `_feasible_tau` instead.
-    """
-    if edge_count < 1:
-        return None
+    """The first tau of `grid` that certifies these statistics, or None."""
     return next((tau for tau in grid
                  if _stats_pass(edge_count, two_path, tau, n, eps)), None)
+
+
+def certifying_tau(edge_count: int, two_path: int, n: int,
+                   eps: float) -> float | None:
+    """The first tau of `COARSE_TAU_GRID` that certifies these statistics,
+    else the exact tau of `_feasible_tau`, else None."""
+    tau = first_certified_tau(edge_count, two_path, COARSE_TAU_GRID, n, eps)
+    return tau if tau is not None else _feasible_tau(edge_count, two_path, n, eps)
 
 
 def _smallest(ok, lo: int, what: str) -> int:
@@ -639,30 +641,28 @@ class CounterexampleResult:
         return all(not r.cond3.passed for r in self.augmented_reports.values())
 
 
-def cycle_plus_hub_counterexample(n: int, eps: float, b: float,
-                                  tau_grid=COARSE_TAU_GRID) -> CounterexampleResult:
+def cycle_plus_hub_counterexample(n: int, eps: float, b: float) -> CounterexampleResult:
     """Build a cycle of ~b n / eps^4 vertices and its hub-augmented supergraph.
 
     The cycle has c = 2|E| and certifies for some tau once b is large
     enough; adding one vertex's edges to all non-neighbors drives
-    c/|E|^2 above 1/12, past what any tau can tolerate.  Raises
-    CapacityError when no tau in the grid certifies the cycle (b too
-    small).
+    c/|E|^2 above 1/12, past what any tau can tolerate; the supergraph
+    is reported at every tau of `COARSE_TAU_GRID`.  Raises CapacityError
+    when no tau certifies the cycle (b too small).
     """
     _validate_inputs(n, eps)
     length = max(3, math.ceil(b * n / eps**4))
     cyc = make_cycle(length)
-    cycle_tau = first_certified_tau(cyc.edge_count, cyc.two_path_count,
-                                    tau_grid, n, eps)
+    cycle_tau = certifying_tau(cyc.edge_count, cyc.two_path_count, n, eps)
     if cycle_tau is None:
         raise CapacityError(
             f"b = {b} is too small: the cycle of size {length} certifies "
-            f"for no tau in the grid")
+            f"for no tau")
     hub = 0
     extra = [(hub, j) for j in range(2, length - 1)]
     augmented = ComparisonGraph(
         length, [tuple(e) for e in cyc.edges.tolist()] + extra)
-    reports = {tau: certify_graph(augmented, tau, n, eps) for tau in tau_grid}
+    reports = {t: certify_graph(augmented, t, n, eps) for t in COARSE_TAU_GRID}
     ratio = augmented.two_path_count / augmented.edge_count**2
     return CounterexampleResult(
         cycle=cyc, augmented=augmented, cycle_tau=cycle_tau,

@@ -35,7 +35,8 @@ Protocols:
   than that node's eccentricity.
 * `detect_topology` aggregates the degree sums |E| = sum(d)/2 and
   c = sum(d (d-1)) up the tree, certifies the topology itself as a
-  comparison graph over a tau grid at the root, and floods the answer.
+  comparison graph at the root when some tau certifies it
+  (`conditions.certifying_tau`), and floods the answer.
 * `local_collision_protocol` (certified topologies): one round in which
   every node sends its sample to each higher-id neighbor, local counts,
   one convergecast, decision at the root.
@@ -67,8 +68,8 @@ import numpy as np
 
 from . import tester
 from .conditions import (COARSE_TAU_GRID, Plan, _feasible_tau, _plan,
-                         _stats_pass, certify_stats, collision_threshold,
-                         equal_cliques_stats, first_certified_tau)
+                         _stats_pass, certify_stats, certifying_tau,
+                         collision_threshold, equal_cliques_stats)
 from .dist import Distribution
 from .encoding import sample_bit_width
 from .models import Message, Reports, _referee
@@ -81,7 +82,7 @@ CHANNEL_COEFF = 8        # channel_bits = ceil(8 (log2 n + log2 k)) per directio
 C_BFS = 2                # tree build finishes within C_BFS * D + C0 rounds
 C_DET = 4                # detection within C_DET * D + C0
 C_SUM = 2                # local path within 1 + C_SUM * D + C0
-C_PIPE = 8               # pipelined path (incl. detection) within C_PIPE (D + s) + C0
+C_PIPE = 8               # pipelined path or combined fallback within C_PIPE (D + s) + C0
 C_POW = 8                # power-t detection within C_POW * t * D + C0 when balls fit
 C0 = 10
 BALL_ROUND_CAP = 4       # a t-ball is "too large" if it cannot be sent in this many rounds
@@ -418,11 +419,10 @@ class DetectionResult:
 
 
 def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
-                     tau_grid, n: int, eps: float) -> DetectionResult:
+                     n: int, eps: float) -> DetectionResult:
     """Sum |E| and c(G) from node degrees up the tree, certify at the root
-    on the tau grid (`COARSE_TAU_GRID` by default) and flood the verdict
-    down."""
-    tau_grid = tuple(tau_grid) if tau_grid is not None else COARSE_TAU_GRID
+    by `certifying_tau` and flood the verdict down: a certified bit and a
+    `COARSE_TAU_GRID` index or "exact"."""
     k = degrees.size
     degree_sum = int(degrees.sum())
     assert degree_sum % 2 == 0
@@ -430,9 +430,9 @@ def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
     two_path = int(np.sum(degrees * (degrees - 1)))
     up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
     rounds = _tree_rounds(tree, meter, up_bits, toward_root=True)
-    tau_star = first_certified_tau(edge_count, two_path, tau_grid, n, eps)
-    rounds += _tree_rounds(tree, meter, 1 + sample_bit_width(len(tau_grid) + 1),
-                           toward_root=False)
+    tau_star = certifying_tau(edge_count, two_path, n, eps)
+    down_bits = 1 + sample_bit_width(len(COARSE_TAU_GRID) + 2)
+    rounds += _tree_rounds(tree, meter, down_bits, toward_root=False)
     certified = tau_star is not None
     report = (certify_stats(edge_count, two_path, tau_star, n, eps)
               if certified else None)
@@ -441,20 +441,19 @@ def _certify_at_root(tree: BfsTree, meter: BitMeter, degrees: np.ndarray,
                            rounds=rounds, tree=tree, report=report)
 
 
-def detect_topology(net: Network, n: int, eps: float, tau_grid=None,
-                    tree: BfsTree | None = None,
+def detect_topology(net: Network, n: int, eps: float, tree: BfsTree | None = None,
                     meter: BitMeter | None = None) -> DetectionResult:
     """Aggregate |E| and c(G) of the topology up the tree; certify at the root.
 
     Node degrees are local knowledge; two subtree sums travel in one
     message (both fit in O(log k) bits since |E| <= k^2 and c <= k^3).
-    The first tau in the grid whose certificate passes wins and the
-    verdict is flooded back down.  Rounds exclude the tree build, which
-    is a reusable prerequisite.
+    The topology is certified when some tau certifies it: the root takes
+    `certifying_tau` and floods the verdict back down.  Rounds exclude
+    the tree build, which is a reusable prerequisite.
     """
     meter = meter or BitMeter(net)
     tree = tree or build_bfs_tree(net, BitMeter(net))
-    return _certify_at_root(tree, meter, net.topology.degrees, tau_grid, n, eps)
+    return _certify_at_root(tree, meter, net.topology.degrees, n, eps)
 
 
 def draw_node_samples(net: Network, p: Distribution, stream: Stream) -> np.ndarray:
@@ -739,10 +738,7 @@ def _pipelined_schedule(net: Network, n: int, eps: float,
                         meter: BitMeter | None) -> Schedule:
     plan = plan or choose_bundle_plan(n, eps, net.k)
     meter = meter or BitMeter(net)
-    tree_rounds = 0
-    if tree is None:
-        tree = build_bfs_tree(net, meter)
-        tree_rounds = tree.rounds
+    tree = tree or build_bfs_tree(net, BitMeter(net))
     s, ell = plan.runs[0][0], plan.players
     assignment = bundle_assignment(tree, s)
     if len(assignment.bundles) != ell:
@@ -756,8 +752,7 @@ def _pipelined_schedule(net: Network, n: int, eps: float,
     bundles = np.array(assignment.bundles, dtype=np.int64).reshape(ell, s)
     return Schedule(path="pipelined", net=net, tree=tree, n=n, eps=eps,
                     tau=plan.tau, threshold=plan.threshold,
-                    rounds_breakdown={"tree": tree_rounds, "count": count_rounds,
-                                      "pipeline": pipe_rounds,
+                    rounds_breakdown={"count": count_rounds, "pipeline": pipe_rounds,
                                       "answers": answer_rounds},
                     bits=bits, plan=plan, assignment=assignment,
                     bundles=bundles)
@@ -771,11 +766,11 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
                               schedule: Schedule | None = None) -> CongestRun:
     """Gather samples into bundles of s, run virtual players, aggregate.
 
-    Phases: (build tree if needed), count subtree sizes, pipeline
-    remainders upward, let each bundle play its clique of the
-    simultaneous plan where it gathered, and convergecast (partial
-    collision sum, sentinel flag) to the root acting as referee.  A
-    given `schedule` supplies the tree (when `tree` is None) and the
+    Phases: count subtree sizes, pipeline remainders upward, let each
+    bundle play its clique of the simultaneous plan where it gathered,
+    and convergecast (partial collision sum, sentinel flag) to the root
+    acting as referee.  A tree built here, as everywhere, is not counted.
+    A given `schedule` supplies the tree (when `tree` is None) and the
     plan (when `plan` is None).
     """
     if schedule is None:
@@ -786,8 +781,7 @@ def pipelined_bundle_protocol(net: Network, n: int, eps: float,
 
 
 def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
-                      stream: Stream, tau_grid=None,
-                      detection: DetectionResult | None = None,
+                      stream: Stream, detection: DetectionResult | None = None,
                       schedule: Schedule | None = None) -> CongestRun:
     """Detect first, then test locally in O(D) rounds or fall back to bundles.
 
@@ -800,9 +794,7 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     given.
     """
     if detection is None:
-        tree = (schedule.tree if schedule is not None
-                else build_bfs_tree(net, BitMeter(net)))
-        detection = detect_topology(net, n, eps, tau_grid, tree=tree)
+        detection = detect_topology(net, n, eps, tree=getattr(schedule, "tree", None))
     tree = detection.tree
     if detection.certified:
         run = local_collision_protocol(net, n, eps, detection.tau_star, p,
@@ -810,7 +802,6 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     else:
         run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree,
                                         schedule=schedule)
-    # the pipelined run was handed the tree, so its own "tree" entry is 0
     return CongestRun(decision=run.decision,
                       rounds=tree.rounds + detection.rounds + run.rounds,
                       z=run.z, values=run.values,
@@ -822,7 +813,7 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
 
 
 def graph_power_detection(net: Network, n: int, eps: float, t: int,
-                          tau_grid=None, tree: BfsTree | None = None,
+                          tree: BfsTree | None = None,
                           meter: BitMeter | None = None) -> DetectionResult:
     """Certify the distance-<=t power of the topology as a comparison graph.
 
@@ -860,7 +851,7 @@ def graph_power_detection(net: Network, n: int, eps: float, t: int,
             meter.send(tails[live], heads[live],
                        np.minimum(net.channel_bits, remaining[live]))
         rounds += hop_rounds
-    detection = _certify_at_root(tree, meter, ball_sizes[t] - 1, tau_grid, n, eps)
+    detection = _certify_at_root(tree, meter, ball_sizes[t] - 1, n, eps)
     detection.rounds += rounds
     detection.congestion_ok = congestion_ok
     return detection

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,9 +28,9 @@ import numpy as np
 from . import congest as cg
 from . import models
 from . import tester
-from .conditions import (COARSE_TAU_GRID, Plan, _feasible_tau,
-                         plan_asymmetric, plan_centralized, plan_simultaneous,
-                         plan_simultaneous_streaming, plan_streaming)
+from .conditions import (Plan, plan_asymmetric, plan_centralized,
+                         plan_simultaneous, plan_simultaneous_streaming,
+                         plan_streaming)
 from .dist import Distribution, make_bump, make_heavy, make_uniform
 from .graph import (ComparisonGraph, make_bipartite, make_clique, make_cycle,
                     make_disjoint_cliques, make_matching, make_path,
@@ -49,16 +50,33 @@ MODELS = tuple(PLANNERS) + ("congest_local", "congest_pipelined",
                             "congest_combined")
 
 
+def _checked(value, kind, field: str):
+    """`value` when it is a JSON object, array or finite number (`kind`
+    dict, list or numbers.Real); else a ValueError naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or kind is numbers.Real and not -math.inf < value < math.inf):
+        name = {dict: "object", list: "array"}.get(kind, "number")
+        raise ValueError(f"{field} must be a JSON {name}, "
+                         f"got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _number(spec: dict, field: str, kind=int, default=None):
+    """`spec[field]`, or `default` if given and the field is absent, as `kind`."""
+    value = spec[field] if default is None else spec.get(field, default)
+    return kind(_checked(value, numbers.Real, field))
+
+
 def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
-    kind = spec.get("kind", "explicit")
+    kind = _checked(spec, dict, "dist").get("kind", "explicit")
     if kind == "uniform":
         return make_uniform(n)
     if kind == "bump":
-        return make_bump(n, float(spec.get("eps", eps)))
+        return make_bump(n, _number(spec, "eps", float, eps))
     if kind == "heavy":
-        return make_heavy(n, float(spec.get("eps", eps)))
+        return make_heavy(n, _number(spec, "eps", float, eps))
     if kind == "explicit":
-        dist = Distribution(spec["probs"])
+        dist = Distribution(_checked(spec["probs"], list, "probs"))
         if dist.n != n:
             raise ValueError("explicit probs do not match the scenario's n")
         return dist
@@ -66,42 +84,44 @@ def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
 
 
 def build_graph(spec: dict) -> ComparisonGraph:
-    kind = spec.get("kind", "explicit")
+    kind = _checked(spec, dict, "graph").get("kind", "explicit")
     if kind == "clique":
-        return make_clique(int(spec["q"]))
+        return make_clique(_number(spec, "q"))
     if kind == "disjoint_cliques":
-        return make_disjoint_cliques(int(spec["q"]), int(spec["ell"]))
+        return make_disjoint_cliques(_number(spec, "q"), _number(spec, "ell"))
     if kind == "matching":
-        return make_matching(int(spec["pairs"]))
+        return make_matching(_number(spec, "pairs"))
     if kind == "star":
-        return make_star(int(spec["leaves"]))
+        return make_star(_number(spec, "leaves"))
     if kind == "bipartite":
-        return make_bipartite(int(spec["a"]), int(spec["b"]))
+        return make_bipartite(_number(spec, "a"), _number(spec, "b"))
     if kind == "cycle":
-        return make_cycle(int(spec["length"]))
+        return make_cycle(_number(spec, "length"))
     if kind == "explicit":
-        return ComparisonGraph(spec["vertex_count"], spec["edges"],
+        return ComparisonGraph(_number(spec, "vertex_count"),
+                               _checked(spec["edges"], list, "edges"),
                                owner=spec.get("owner"))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
 def build_topology(spec: dict) -> ComparisonGraph:
-    kind = spec.get("kind", "explicit")
+    kind = _checked(spec, dict, "topology").get("kind", "explicit")
     if kind == "path":
-        return make_path(int(spec["k"]))
+        return make_path(_number(spec, "k"))
     if kind == "cycle":
-        return make_cycle(int(spec["k"]))
+        return make_cycle(_number(spec, "k"))
     if kind == "star":
-        return make_star(int(spec["k"]) - 1)
+        return make_star(_number(spec, "k") - 1)
     if kind == "clique":
-        return make_clique(int(spec["k"]))
+        return make_clique(_number(spec, "k"))
     if kind == "random_connected":
         # the root of the seed, at jump 0: no trial of that seed reads it
-        gen = Stream(int(spec.get("seed", 0))).rng()
-        return random_connected_graph(int(spec["k"]), gen,
-                                      float(spec.get("extra_edge_prob", 0.1)))
+        gen = Stream(_number(spec, "seed", int, 0)).rng()
+        return random_connected_graph(_number(spec, "k"), gen,
+                                      _number(spec, "extra_edge_prob", float, 0.1))
     if kind == "explicit":
-        return ComparisonGraph(spec["vertex_count"], spec["edges"])
+        return ComparisonGraph(_number(spec, "vertex_count"),
+                               _checked(spec["edges"], list, "edges"))
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
@@ -126,13 +146,16 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
+        rates = _checked(obj, dict, "scenario").get("rates")
         return cls(
             scenario_id=str(obj.get("id", obj.get("scenario_id", "scenario"))),
-            model=obj["model"], n=int(obj["n"]), eps=float(obj["eps"]),
-            dist=obj["dist"], trials=int(obj["trials"]),
-            k=None if obj.get("k") is None else int(obj["k"]),
-            rates=None if obj.get("rates") is None else tuple(obj["rates"]),
-            m_bits=None if obj.get("m_bits") is None else int(obj["m_bits"]),
+            model=obj["model"], n=_number(obj, "n"), eps=_number(obj, "eps", float),
+            dist=obj["dist"], trials=_number(obj, "trials"),
+            k=None if obj.get("k") is None else _number(obj, "k"),
+            rates=None if rates is None else tuple(
+                _checked(r, numbers.Real, "rates")
+                for r in _checked(rates, list, "rates")),
+            m_bits=None if obj.get("m_bits") is None else _number(obj, "m_bits"),
             topology=obj.get("topology"),
         )
 
@@ -229,21 +252,6 @@ class ScenarioResult:
     plan: Plan | None = None
 
 
-def _detection_grid(net: cg.Network, scenario: Scenario):
-    """The coarse tau grid plus the exactly-feasible tau, when one exists.
-
-    Scenario runs certify every topology that certifies for some tau.
-    The bare grid is the protocols' default and is narrower: path(150) at
-    n=4, eps=1 has the non-empty interval [0.328, 0.345] and no grid tau.
-    """
-    grid = list(COARSE_TAU_GRID)
-    extra = _feasible_tau(net.topology.edge_count, net.topology.two_path_count,
-                          scenario.n, scenario.eps)
-    if extra is not None and extra not in grid:
-        grid.append(extra)
-    return grid
-
-
 def plan_for(model: str, n: int, eps: float, k: int | None = None,
              rates=None, m_bits: int | None = None) -> Plan:
     """The certified plan of one planned model; ValueError names what is missing."""
@@ -315,9 +323,7 @@ def run_scenario(scenario: Scenario, master_seed: int,
             raise ValueError("CONGEST scenarios need a topology")
         net = cg.Network(build_topology(scenario.topology), scenario.n)
         tree = cg.build_bfs_tree(net, cg.BitMeter(net))
-        detection = cg.detect_topology(net, scenario.n, scenario.eps,
-                                       tau_grid=_detection_grid(net, scenario),
-                                       tree=tree)
+        detection = cg.detect_topology(net, scenario.n, scenario.eps, tree=tree)
         if scenario.model == "congest_local" and not detection.certified:
             raise cg.ProtocolRefusedError(
                 "topology not certified; the local path cannot run")
@@ -388,7 +394,7 @@ def load_scenarios(obj) -> list[Scenario]:
         obj = obj["scenarios"]
     if isinstance(obj, dict):
         obj = [obj]
-    return [Scenario.from_json(o) for o in obj]
+    return [Scenario.from_json(o) for o in _checked(obj, list, "scenarios")]
 
 
 def run_suite(scenarios, master_seed: int, timings: bool = False):

@@ -289,12 +289,7 @@ def test_criterion_7_congest():
         k = plan_centralized(n, eps).runs[0][0]
         net = cg.Network(make_clique(k), n)
         tree = cg.build_bfs_tree(net)
-        grid = list(COARSE_TAU_GRID)
-        extra = _feasible_tau(net.topology.edge_count,
-                              net.topology.two_path_count, n, eps)
-        if extra is not None:
-            grid.append(extra)
-        det = cg.detect_topology(net, n, eps, tau_grid=grid, tree=tree)
+        det = cg.detect_topology(net, n, eps, tree=tree)
         assert det.certified
         trials = 2000
         for p, low_side in ((make_uniform(n), True), (make_bump(n, eps), False)):
@@ -311,10 +306,12 @@ def test_criterion_7_congest():
             rate = yes / trials
             assert rate >= 0.70 if low_side else rate <= 0.30, (low_side, rate)
 
-        # path topology: local refuses on the standard grid, combined falls back
-        path_net = cg.Network(make_path(150), 4)
-        path_det = cg.detect_topology(path_net, 4, 1.0,
-                                      tau_grid=COARSE_TAU_GRID)
+        # path(150) certifies only at a tau between grid points; path(144),
+        # the longest path no tau certifies: local refuses, combined falls back
+        assert cg.detect_topology(cg.Network(make_path(150), 4), 4,
+                                  1.0).tau_star == _feasible_tau(149, 296, 4, 1.0)
+        path_net = cg.Network(make_path(144), 4)
+        path_det = cg.detect_topology(path_net, 4, 1.0)
         assert not path_det.certified
         with pytest.raises(ProtocolRefusedError):
             cg.local_collision_protocol(path_net, 4, 1.0, 0.5, make_uniform(4),

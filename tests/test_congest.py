@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from collitest import congest as cg
-from collitest.conditions import Plan, _plan, certify_stats, plan_centralized
+from collitest.conditions import (Plan, _feasible_tau, _plan, certify_stats,
+                                  plan_centralized)
 from collitest.dist import Distribution, make_bump, make_uniform
 from collitest.errors import (CapacityError, InvalidNetworkError,
                               ModelViolationError, ProtocolRefusedError)
 from collitest.graph import (ComparisonGraph, graph_power, make_clique,
                              make_clique_union, make_cycle, make_path,
                              make_star, random_connected_graph)
+from collitest.harness import Scenario, run_scenario
 from collitest.rng import Stream
 from collitest import tester
 
@@ -152,8 +154,7 @@ class TestDetection:
         plan = plan_centralized(4, 1.0)
         k = plan.runs[0][0]
         net = cg.Network(make_clique(k), 4)
-        det = cg.detect_topology(net, 4, 1.0,
-                                 tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau])
+        det = cg.detect_topology(net, 4, 1.0)
         assert det.certified
 
     def test_aggregates_match_direct_computation(self):
@@ -180,9 +181,7 @@ class TestLocalProtocol:
         self.k = plan.runs[0][0]
         self.net = cg.Network(make_clique(self.k), 4)
         self.tree = cg.build_bfs_tree(self.net)
-        self.det = cg.detect_topology(
-            self.net, 4, 1.0,
-            tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau], tree=self.tree)
+        self.det = cg.detect_topology(self.net, 4, 1.0, tree=self.tree)
         assert self.det.certified
 
     def test_decision_matches_topology_tester(self):
@@ -231,9 +230,7 @@ class TestLocalProtocol:
         tree = cg.build_bfs_tree(net)
         rounds = []
         for n in (2, 4):
-            det = cg.detect_topology(
-                net, n, 1.0,
-                tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau, self.det.tau_star])
+            det = cg.detect_topology(net, n, 1.0)
             assert det.certified
             run = cg.local_collision_protocol(
                 net, n, 1.0, det.tau_star, make_uniform(n),
@@ -370,6 +367,18 @@ class TestPipelined:
             assert (tree.rounds + run.rounds
                     <= cg.C_PIPE * (net.diameter + s) + cg.C0)
 
+    def test_a_tree_built_by_the_run_is_not_counted(self):
+        net = cg.Network(make_path(150), 4)
+        given = cg.pipelined_bundle_protocol(net, 4, 1.0, make_bump(4, 1.0),
+                                             Stream(23).child(0),
+                                             tree=cg.build_bfs_tree(net))
+        built = cg.pipelined_bundle_protocol(net, 4, 1.0, make_bump(4, 1.0),
+                                             Stream(23).child(0))
+        assert given.rounds_breakdown == built.rounds_breakdown
+        assert "tree" not in built.rounds_breakdown
+        assert ((given.rounds, given.decision, given.z)
+                == (built.rounds, built.decision, built.z))
+
     def test_bundle_size_rejected_below_three(self):
         with pytest.raises(CapacityError):
             cg.choose_bundle_plan(256, 1.0, 20)
@@ -397,9 +406,8 @@ class TestCombined:
     def test_certified_clique_takes_local_path(self):
         plan = plan_centralized(4, 1.0)
         net = cg.Network(make_clique(plan.runs[0][0]), 4)
-        run = cg.combined_protocol(
-            net, 4, 1.0, make_uniform(4), Stream(12).child(0),
-            tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau])
+        run = cg.combined_protocol(net, 4, 1.0, make_uniform(4),
+                                   Stream(12).child(0))
         assert run.schedule.path == "local"
 
     def test_star_falls_back_to_pipelining(self):
@@ -410,7 +418,8 @@ class TestCombined:
         assert not run.detection.certified
 
     def test_path_falls_back_to_pipelining(self):
-        net = cg.Network(make_path(150), 4)
+        # path(144) is the longest path that no tau certifies at n=4, eps=1
+        net = cg.Network(make_path(144), 4)
         detection = None
         for trial in range(5):
             run = cg.combined_protocol(net, 4, 1.0, make_uniform(4),
@@ -419,15 +428,35 @@ class TestCombined:
             detection = run.detection
             assert run.schedule.path == "pipelined"
             s = run.schedule.plan.runs[0][0]
+            assert s == 3
             assert run.rounds <= cg.C_PIPE * (net.diameter + s) + cg.C0
+        assert not detection.certified
+        assert cg.detect_topology(cg.Network(make_path(145), 4), 4,
+                                  1.0).certified
+
+    def test_path_certified_off_the_grid_agrees_with_the_scenario_runner(self):
+        """path(150) at n=4, eps=1 certifies only between grid points; a
+        direct combined run and a scenario run take the same local path
+        at the same tau and in the same rounds."""
+        net = cg.Network(make_path(150), 4)
+        det = cg.detect_topology(net, 4, 1.0, tree=cg.build_bfs_tree(net))
+        tau = _feasible_tau(149, 296, 4, 1.0)
+        assert det.certified and det.tau_star == tau
+        assert tau not in cg.COARSE_TAU_GRID
+        run = cg.combined_protocol(net, 4, 1.0, make_uniform(4),
+                                   Stream(18).child(0))
+        result = run_scenario(Scenario(
+            "path150", "congest_combined", 4, 1.0, {"kind": "uniform"}, 2,
+            topology={"kind": "path", "k": 150}), 18)
+        assert (run.schedule.path, run.schedule.tau) == ("local", tau)
+        assert (result.summary.family, result.summary.tau) == ("topology", tau)
+        assert [r.rounds for r in result.records] == [run.rounds] * 2 == [598] * 2
 
     def test_local_path_is_cheaper_when_both_apply(self):
         plan = plan_centralized(4, 1.0)
         net = cg.Network(make_clique(plan.runs[0][0]), 4)
         tree = cg.build_bfs_tree(net)
-        det = cg.detect_topology(net, 4, 1.0,
-                                 tau_grid=list(cg.COARSE_TAU_GRID) + [plan.tau],
-                                 tree=tree)
+        det = cg.detect_topology(net, 4, 1.0, tree=tree)
         local = cg.local_collision_protocol(net, 4, 1.0, det.tau_star,
                                             make_uniform(4),
                                             Stream(15).child(0), tree=tree)
@@ -439,12 +468,10 @@ class TestCombined:
         """The combined run draws, counts and decides as the path it took,
         run directly on the detection's tree, does."""
         plan = plan_centralized(4, 1.0)
-        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
         p = make_uniform(4)
         for net in (cg.Network(make_clique(plan.runs[0][0]), 4),
                     cg.Network(make_star(149), 4)):
-            det = cg.detect_topology(net, 4, 1.0, tau_grid=grid,
-                                     tree=cg.build_bfs_tree(net))
+            det = cg.detect_topology(net, 4, 1.0, tree=cg.build_bfs_tree(net))
             for trial in range(3):
                 run = cg.combined_protocol(net, 4, 1.0, p,
                                            Stream(17).child(trial),
@@ -468,10 +495,9 @@ class TestRoundsBreakdown:
     def combined_runs():
         """A combined run on each path: a certified clique and a star."""
         plan = plan_centralized(4, 1.0)
-        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
         clique = cg.Network(make_clique(plan.runs[0][0]), 4)
         local = cg.combined_protocol(clique, 4, 1.0, make_uniform(4),
-                                     Stream(16).child(0), tau_grid=grid)
+                                     Stream(16).child(0))
         star = cg.Network(make_star(149), 4)
         piped = cg.combined_protocol(star, 4, 1.0, make_uniform(4),
                                      Stream(16).child(1))
@@ -526,13 +552,11 @@ class TestRoundReplay:
 class TestGraphPowerDetection:
     def test_returns_a_detection_result_on_its_tree(self):
         plan = plan_centralized(4, 1.0)
-        grid = list(cg.COARSE_TAU_GRID) + [plan.tau]
         # the star's square is the clique that the centralized plan certifies
         net = cg.Network(make_star(plan.runs[0][0] - 1), 4)
         tree = cg.build_bfs_tree(net)
         for t, certified in ((1, False), (2, True)):
-            pw = cg.graph_power_detection(net, 4, 1.0, t, tau_grid=grid,
-                                          tree=tree)
+            pw = cg.graph_power_detection(net, 4, 1.0, t, tree=tree)
             assert isinstance(pw, cg.DetectionResult)
             assert pw.tree is tree
             assert pw.certified is certified
@@ -541,7 +565,7 @@ class TestGraphPowerDetection:
                     pw.edge_count, pw.two_path_count, pw.tau_star, 4, 1.0)
             else:
                 assert pw.report is None
-        built = cg.graph_power_detection(net, 4, 1.0, 2, tau_grid=grid)
+        built = cg.graph_power_detection(net, 4, 1.0, 2)
         assert built.tree.root == net.k - 1
 
     def test_only_power_detection_sets_congestion(self):

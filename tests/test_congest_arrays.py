@@ -195,8 +195,11 @@ def oracle_power_detection(net, n, eps, t, tree, meter):
     up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
     rounds += oracle_tree_rounds(tree, meter, up_bits, toward_root=True)
     tau_star = first_certified_tau(edge_count, two_path, COARSE_TAU_GRID, n, eps)
+    if tau_star is None:
+        tau_star = _feasible_tau(edge_count, two_path, n, eps)
+    # the verdict: a certified bit and a grid index or "exact"
     rounds += oracle_tree_rounds(
-        tree, meter, 1 + sample_bit_width(len(COARSE_TAU_GRID) + 1),
+        tree, meter, 1 + sample_bit_width(len(COARSE_TAU_GRID) + 2),
         toward_root=False)
     return (tau_star is not None, tau_star, congestion_ok, edge_count,
             two_path, rounds)
@@ -447,12 +450,13 @@ def test_flood_matches_oracle_on_permuted_topologies(monkeypatch, seed,
     ref_meter = cg.BitMeter(net, record_transcript=True)
     _precharge(meter, Stream(seed, (2,)).rng())
     _precharge(ref_meter, Stream(seed, (2,)).rng())
-    schedule = cg._pipelined_schedule(net, 16, 1.0, None, plan, meter)
+    tree = cg.build_bfs_tree(net, meter)
+    schedule = cg._pipelined_schedule(net, 16, 1.0, tree, plan, meter)
     ref = oracle_bfs_tree(net, ref_meter)
     ref_schedule = cg._pipelined_schedule(net, 16, 1.0, ref, plan, ref_meter)
     assert_same_tree(schedule.tree, ref)
-    assert schedule.rounds_breakdown == {**ref_schedule.rounds_breakdown,
-                                         "tree": ref.rounds}
+    assert schedule.rounds_breakdown == ref_schedule.rounds_breakdown
+    assert "tree" not in schedule.rounds_breakdown
     assert_same_meter(meter, ref_meter)
 
 
@@ -580,10 +584,7 @@ def test_reused_schedules_match_fresh_runs(topologies, name, n, eps):
                                fresh.schedule.assignment)
         assert reused.schedule is schedule
 
-    grid = list(COARSE_TAU_GRID)
-    extra = _feasible_tau(topology.edge_count, topology.two_path_count, n, eps)
-    detection = cg.detect_topology(net, n, eps, tree=tree,
-                                   tau_grid=grid + [extra] if extra else grid)
+    detection = cg.detect_topology(net, n, eps, tree=tree)
     if not detection.certified:
         try:
             cg.choose_bundle_plan(n, eps, net.k)

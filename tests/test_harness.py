@@ -52,6 +52,20 @@ class TestBuilders:
         r = build_topology({"kind": "random_connected", "k": 12, "seed": 3})
         assert r.vertex_count == 12
 
+    @pytest.mark.parametrize("build, spec, field", [
+        (build_topology, 7, "topology"),
+        (build_topology, {"kind": "path", "k": None}, "k"),
+        (build_topology, {"vertex_count": 3, "edges": None}, "edges"),
+        (build_graph, {"kind": "bipartite", "a": 2, "b": True}, "b"),
+        (lambda spec: build_distribution(spec, 2, 1.0), {"probs": {}}, "probs"),
+        (load_scenarios, {"scenarios": 5}, "scenarios"),
+        (load_scenarios, dict(model="asymmetric", n=16, eps=1.0, rates=[2, "1"],
+                              dist={"kind": "uniform"}, trials=2), "rates"),
+    ])
+    def test_spec_of_the_wrong_json_type(self, build, spec, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON "):
+            build(spec)
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             scenario(model="sideways")
@@ -372,6 +386,39 @@ class TestCli:
         code = cli_main(["run", "--scenario", str(path), "--seed", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: missing field 'trials'\n"
+
+    @pytest.mark.parametrize("obj, err", [
+        (dict(id="demo", model="centralized", n=16, eps=1.0, dist=5,
+              trials=2), "dist must be a JSON object, got 5"),
+        (dict(id="demo", model="centralized", n=16, eps=1.0,
+              dist={"kind": "uniform"}, trials=None),
+         "trials must be a JSON number, got null"),
+        ([42], "scenario must be a JSON object, got 42"),
+    ])
+    def test_scenario_of_the_wrong_json_type_exit_code(self, tmp_path, capsys,
+                                                        obj, err):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1",
+                         "--out-prefix", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("graph, dist, err", [
+        ('{"kind": "clique", "q": "5"}', '{"kind": "uniform", "n": 8}',
+         'q must be a JSON number, got "5"'),
+        ('[]', '{"kind": "uniform", "n": 8}', "graph must be a JSON object, got []"),
+        ('{"kind": "clique", "q": 5}', '5', "dist must be a JSON object, got 5"),
+        ('{"kind": "clique", "q": 5}', '{"kind": "bump", "n": 8, "eps": NaN}',
+         "eps must be a JSON number, got NaN"),
+    ])
+    def test_audit_spec_of_the_wrong_json_type_exit_code(self, capsys, graph,
+                                                         dist, err):
+        code = cli_main(["audit", "--graph", graph, "--dist", dist,
+                         "--trials", "5", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_graph_without_size_exit_code(self, capsys):
         code = cli_main(["audit", "--graph", '{"kind": "clique"}',

@@ -7,7 +7,8 @@ and `counterexample` (the certified cycle whose hub-augmented supergraph
 certifies for no tau).
 
 Exit codes: 0 success, 1 usage error (a bad option, a missing file or
-field; printed as `error: ...`), 2 planner capacity error.
+field, a CONGEST topology that is disconnected or that the protocol
+refuses; printed as `error: ...`), 2 planner capacity error.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .conditions import cycle_plus_hub_counterexample
-from .errors import CapacityError
+from .errors import CapacityError, InvalidNetworkError, ProtocolRefusedError
 from .harness import (PLANNERS, _checked, _number, build_distribution,
                       build_graph, load_scenarios, moment_audit, plan_for,
                       records_to_jsonl, run_scenario, run_suite,
@@ -165,7 +166,8 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, InvalidNetworkError,
+            ProtocolRefusedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

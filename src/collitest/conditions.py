@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .encoding import counter_bit_width, message_bit_width, sample_bit_width
 from .errors import CapacityError
@@ -374,6 +375,12 @@ class Plan:
     and the simulators read them run by run.  The plan's graph is the
     disjoint union of the cliques with the clique index as the vertex
     owner.
+
+    `layout` and `oblivious_layout` are the simultaneous simulators'
+    per-plan arrays (`models.TrialLayout`), built on first read and kept
+    with the plan.  They are not fields, so equality, `repr` and JSON
+    never see them, and a plan no simultaneous simulator runs (a
+    streaming plan) never builds one.
     """
 
     family: str  # clique | disjoint_cliques | rate_cliques | batched_cliques
@@ -399,6 +406,16 @@ class Plan:
     @property
     def samples_total(self) -> int:
         return sum(size * count for size, count, _ in self.runs)
+
+    @cached_property
+    def layout(self):
+        from .models import trial_layout  # models imports this module
+        return trial_layout(self)
+
+    @cached_property
+    def oblivious_layout(self):
+        from .models import trial_layout
+        return trial_layout(self, oblivious=True)
 
     def build_graph(self) -> ComparisonGraph:
         return make_clique_union(

@@ -67,6 +67,25 @@ def _number(spec: dict, field: str, kind=int, default=None):
     return kind(_checked(value, numbers.Real, field))
 
 
+def _int_entries(spec: dict, field: str, pairs: bool = False) -> list:
+    """`spec[field]` when each entry is a JSON integer that fits the
+    graph's int32 arrays or, with `pairs`, an array of two; else a
+    ValueError naming the first bad entry."""
+    def integer(x):
+        return (isinstance(x, int) and not isinstance(x, bool)
+                and -2**31 <= x < 2**31)
+
+    entries = _checked(spec[field], list, field)
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and integer(entry[0]) and integer(entry[1])
+                if pairs else integer(entry)):
+            what = "array of two 32-bit integers" if pairs else "32-bit integer"
+            raise ValueError(f"{field}[{i}] must be a JSON {what}, "
+                             f"got {json.dumps(entry, default=repr)}")
+    return entries
+
+
 def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
     kind = _checked(spec, dict, "dist").get("kind", "explicit")
     if kind == "uniform":
@@ -98,9 +117,10 @@ def build_graph(spec: dict) -> ComparisonGraph:
     if kind == "cycle":
         return make_cycle(_number(spec, "length"))
     if kind == "explicit":
-        return ComparisonGraph(_number(spec, "vertex_count"),
-                               _checked(spec["edges"], list, "edges"),
-                               owner=spec.get("owner"))
+        owner = spec.get("owner")
+        return ComparisonGraph(
+            _number(spec, "vertex_count"), _int_entries(spec, "edges", True),
+            owner=None if owner is None else _int_entries(spec, "owner"))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -121,7 +141,7 @@ def build_topology(spec: dict) -> ComparisonGraph:
                                       _number(spec, "extra_edge_prob", float, 0.1))
     if kind == "explicit":
         return ComparisonGraph(_number(spec, "vertex_count"),
-                               _checked(spec["edges"], list, "edges"))
+                               _int_entries(spec, "edges", True))
     raise ValueError(f"unknown topology kind {kind!r}")
 
 

@@ -15,10 +15,16 @@ labelings.  The only allowed divergence is early termination in the
 streaming models, which can only ever turn into a NO that the
 monolithic tester also reaches.
 
-The simultaneous and asymmetric simulators read all cliques of a trial
-in one `Distribution.sample` call, count them with one
-`tester.block_collisions` call and sum the counts per owner of
-`Plan.runs`.  The referee decides from the int64 count per player
+The simultaneous and asymmetric simulators build everything that
+depends only on the plan once, as its `TrialLayout` (`Plan.layout`, or
+`Plan.oblivious_layout`): the clique sizes and their counting route
+(`tester.BlockLayout`), the clique-to-player fold (none when clique
+``b`` is player ``b``), the samples per player, the threshold and the
+message bits, with the oblivious exponents and the asymmetric schedule
+checked on the way.  A trial then only reads all cliques in one
+`Distribution.sample` call, counts them with one
+`tester.layout_collisions` call, folds the counts onto their players
+and lets the referee decide from the int64 count per player
 (`_referee`); a run builds its `Message` list only when it is read.  The
 streaming simulators walk the plan's runs of equal batches (`Plan.runs`)
 once, a chunk at a time.  A chunk is one word range, read forward: an
@@ -40,7 +46,7 @@ from .dist import Distribution
 from .encoding import counter_bit_width, message_bit_width
 from .errors import ModelViolationError
 from .rng import Stream
-from .tester import block_collisions
+from .tester import BlockLayout, block_collisions, layout_collisions
 # no longer called here; perfbench's tracer wraps the name in this module
 from .tester import within_clique_collisions  # noqa: F401
 
@@ -136,19 +142,42 @@ def _referee(z: np.ndarray, t: float, bits: int, exponents=None):
     return "NO", reports, None if (z >= t).any() else total
 
 
-def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
-                          *, oblivious: bool = False) -> SimulationRun:
-    """k players each test their own clique and send one short message.
+@dataclass(frozen=True, eq=False)
+class TrialLayout:
+    """The part of a simultaneous trial that depends only on its plan.
 
-    Cross-player comparisons are impossible by construction: every
-    comparison happens inside a clique and each clique belongs to one
-    player.  With `oblivious=True` every player rounds her sample count
-    up to a power of two and transmits the exponent; the referee then
-    reconstructs the comparison count from the messages alone instead of
-    reading it from shared configuration.
+    `blocks` are the cliques in plan order; `owners` maps clique to
+    player, or is None when clique ``b`` is player ``b``.  `samples` is
+    each player's sample count, `bits` the bits of every message, and
+    `exponents` the oblivious players' sample-count exponents.
     """
-    if plan.family not in ("clique", "disjoint_cliques", "rate_cliques"):
-        raise ValueError(f"not a simultaneous-style plan: {plan.family}")
+
+    blocks: BlockLayout
+    owners: np.ndarray | None
+    samples: tuple[int, ...]
+    threshold: float
+    bits: int
+    exponents: tuple[int, ...] | None = None
+
+
+def trial_layout(plan: Plan, oblivious: bool = False) -> TrialLayout:
+    """Build `plan`'s `TrialLayout`; `Plan.layout` and
+    `Plan.oblivious_layout` call this once per plan and keep the result.
+
+    A rate plan whose cliques are not ``floor(rate * time)`` samples
+    raises `ModelViolationError` (schedule drift).  In oblivious mode
+    every player's sample count is rounded up to a power of two, the
+    threshold is taken on the rounded cliques, and the referee must
+    recover their edge count from the exponents alone.
+    """
+    if plan.rates is not None:
+        for (size, _, _), rate in zip(plan.runs, plan.rates):
+            scheduled = int(math.floor(rate * plan.sampling_time))
+            if scheduled != size:
+                raise ModelViolationError(
+                    f"schedule drift: rate {rate} over time "
+                    f"{plan.sampling_time} yields {scheduled} samples, "
+                    f"plan says {size}")
     sizes, counts, owners = np.array(plan.runs, dtype=np.int64).T
     exponents = None
     exponent_bits = 0
@@ -167,17 +196,42 @@ def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
             raise ModelViolationError("referee reconstruction mismatch")
     else:
         t = plan.threshold
-    per_clique = block_collisions(p.sample(int(sizes @ counts), stream.rng()),
-                                  np.repeat(sizes, counts))
-    z = np.zeros(plan.players, dtype=np.int64)
+    owner = np.repeat(owners, counts)
+    if np.array_equal(owner, np.arange(plan.players)):
+        owner = None
     samples = np.zeros(plan.players, dtype=np.int64)
-    np.add.at(z, np.repeat(owners, counts), per_clique)
     np.add.at(samples, owners, sizes * counts)
-    decision, reports, total = _referee(
-        z, t, message_bit_width(t) + exponent_bits, exponents)
+    return TrialLayout(BlockLayout(np.repeat(sizes, counts), plan.n), owner,
+                       tuple(samples.tolist()), t,
+                       message_bit_width(t) + exponent_bits, exponents)
+
+
+def simulate_simultaneous(plan: Plan, p: Distribution, stream: Stream,
+                          *, oblivious: bool = False) -> SimulationRun:
+    """k players each test their own clique and send one short message.
+
+    Cross-player comparisons are impossible by construction: every
+    comparison happens inside a clique and each clique belongs to one
+    player.  With `oblivious=True` every player rounds her sample count
+    up to a power of two and transmits the exponent; the referee then
+    reconstructs the comparison count from the messages alone instead of
+    reading it from shared configuration.
+    """
+    if plan.family not in ("clique", "disjoint_cliques", "rate_cliques"):
+        raise ValueError(f"not a simultaneous-style plan: {plan.family}")
+    if p.n != plan.n:  # the layout keys samples on the plan's domain
+        raise ValueError("distribution domain does not match the plan")
+    layout = plan.oblivious_layout if oblivious else plan.layout
+    blocks = layout.blocks
+    z = layout_collisions(p.sample(blocks.total, stream.rng()), blocks)
+    if layout.owners is not None:
+        z, per_clique = np.zeros(plan.players, dtype=np.int64), z
+        np.add.at(z, layout.owners, per_clique)
+    t = layout.threshold
+    decision, reports, total = _referee(z, t, layout.bits, layout.exponents)
     ledger = ResourceLedger(
-        samples=samples.tolist(),
-        message_bits=[reports.bits] * plan.players,
+        samples=list(layout.samples),
+        message_bits=[layout.bits] * plan.players,
         memory_bits=[0] * plan.players,
     )
     return SimulationRun(decision, ledger, reports, total, t)
@@ -187,12 +241,6 @@ def simulate_asymmetric(plan: Plan, p: Distribution, stream: Stream) -> Simulati
     """Rate-proportional sampling: player i draws floor(R_i t) samples."""
     if plan.family != "rate_cliques" or plan.rates is None:
         raise ValueError("not an asymmetric-rate plan")
-    for (size, _, _), rate in zip(plan.runs, plan.rates):
-        scheduled = int(math.floor(rate * plan.sampling_time))
-        if scheduled != size:
-            raise ModelViolationError(
-                f"schedule drift: rate {rate} over time {plan.sampling_time} "
-                f"yields {scheduled} samples, plan says {size}")
     run = simulate_simultaneous(plan, p, stream)
     run.ledger.sampling_time = plan.sampling_time
     return run

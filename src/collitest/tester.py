@@ -18,8 +18,12 @@ Z has one counting route per graph form, for one labeling or a batch of
 them: a disjoint union of cliques goes through `block_collisions`
 (never building its edges), any other graph through one gather of its
 edges' endpoint samples (`_collisions`).  The monolithic tester, the
-moment audit, the exact enumeration, the clique and streaming
-simulators and the CONGEST local path all count Z this way.
+moment audit, the exact enumeration, the streaming simulators and the
+CONGEST local path all count Z this way.  The clique simulators count
+the same blocks through a `BlockLayout` built once per plan, which
+keys on the domain instead of each call's values; `block_collisions`
+builds one without a domain per call, and both are counted by
+`layout_collisions`, so one rule chooses every block count's route.
 """
 from __future__ import annotations
 
@@ -34,15 +38,18 @@ from .graph import ComparisonGraph
 from .rng import Stream
 
 ENUMERATION_CAP = 10_000_000
-# `block_collisions` counts equal blocks up to this size by sorting each
-# row (`row_collisions`).  Measured (2-core VM), 409 blocks of 20 samples
+# Equal blocks up to this size are counted by sorting each row
+# (`row_collisions`).  Measured (2-core VM), 409 blocks of 20 samples
 # from 1024 values: 130 us sorting rows, 370 us sorting keyed runs.
 SMALL_BLOCK = 64
-# `block_collisions` takes one bincount over its keys while there are at
-# most this many keys per sample, and sorts the samples into runs beyond.
+# Keyed blocks are counted by one bincount while there are at most this
+# many keys per sample, and by sorting the samples into runs beyond.
 # Measured (2-core VM): bincount 2-4x faster at 1.5-4 keys per sample,
 # even near 16, sort-runs 2-4x faster at 40-100; its bins take at most
-# this many int64 words per sample.
+# this many int64 words per sample.  A `BlockLayout` with a domain
+# {1..n} keys on it and fixes its route once, when it is built; without
+# one (`block_collisions`) it keys on the range of each call's values,
+# so the route can change from call to call.
 DENSE_KEYS = 8
 # samples per chunk drawn by `collision_counts_batch`, and elements per
 # edge-endpoint matrix gathered for a batch of labelings in `_collisions`
@@ -110,30 +117,72 @@ def row_collisions(rows: np.ndarray) -> np.ndarray:
 def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     """Equal pairs within each block of `values`, as int64 per block.
 
-    Block ``b`` is the next ``sizes[b]`` values.  A lone block is counted
-    by `within_clique_collisions` and equal blocks of at most
-    `SMALL_BLOCK` values by `row_collisions`.  Otherwise value ``v`` of
-    block ``b`` is keyed ``v - min + b * span``, with ``span`` the range
-    of the values, so equal keys are equal values of one block and a
-    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.  The
-    counts come from one bincount while there are at most `DENSE_KEYS`
-    keys per sample, and from runs of the sorted keys otherwise.
+    Block ``b`` is the next ``sizes[b]`` values.  Counted by
+    `layout_collisions` on a `BlockLayout` with no fixed domain, whose
+    keyed routes key on the range of these values.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
     if values.size == 0:
-        return np.zeros(sizes.size, dtype=np.int64)
-    if sizes.size == 1:
+        return np.zeros(len(sizes), dtype=np.int64)
+    return layout_collisions(values, BlockLayout(sizes))
+
+
+class BlockLayout:
+    """Blocks of fixed sizes, with the route that counts them: a lone
+    block by `within_clique_collisions`, equal blocks of at most
+    `SMALL_BLOCK` by `row_collisions`, else by keys (see
+    `layout_collisions`), with one bincount while
+    ``blocks * n <= DENSE_KEYS * samples`` and sorted runs beyond.
+
+    With a domain {1..n} the keyed routes key value ``v`` of block ``b``
+    as ``v - 1 + b * n`` by adding `offsets` (``b * n - 1`` per sample,
+    at most one int64 per sample), so the route is fixed when the layout
+    is built and a count needs no per-call min, max or repeat.  With
+    ``n=None`` a keyed count takes ``n`` from the range of its values.
+    """
+
+    __slots__ = ("sizes", "n", "total", "route", "offsets")
+
+    def __init__(self, sizes, n: int | None = None) -> None:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self.sizes, self.n, self.offsets = sizes, n, None
+        size = int(sizes[0])
+        if sizes.size == 1:
+            self.route, self.total = "lone", size
+        elif size <= SMALL_BLOCK and (sizes == size).all():
+            self.route, self.total = "rows", sizes.size * size
+        else:
+            self.total = int(sizes.sum())
+            if n is None:
+                self.route = "keyed"
+            else:
+                self.route = ("bincount"
+                              if sizes.size * n <= DENSE_KEYS * self.total
+                              else "runs")
+                self.offsets = np.repeat(np.arange(sizes.size) * n - 1, sizes)
+
+
+def layout_collisions(values: np.ndarray, blocks: BlockLayout) -> np.ndarray:
+    """Equal pairs within each block of `blocks`, as int64 per block, for
+    `blocks.total` values (in {1..n} when `blocks` has a domain); `values`
+    is left as it is.
+
+    On the keyed routes equal keys are equal values of one block, so a
+    block's Z is ``sum c (c - 1) / 2`` over its key counts ``c``.
+    """
+    if blocks.route == "lone":
         return np.array([within_clique_collisions(values)])
-    size = int(sizes[0])
-    if size <= SMALL_BLOCK and sizes.min() == sizes.max():
-        return row_collisions(values.reshape(sizes.size, size))
-    low = values.min()
-    span = int(values.max() - low) + 1
-    keys = np.subtract(values, low, dtype=np.int64)
-    keys += np.repeat(np.arange(sizes.size) * span, sizes)
-    if sizes.size * span <= DENSE_KEYS * values.size:
-        counts = np.bincount(keys, minlength=sizes.size * span)
-        counts = counts.reshape(sizes.size, span)
+    if blocks.route == "rows":
+        return row_collisions(values.reshape(blocks.sizes.size, -1))
+    if blocks.route == "keyed":  # the domain is this call's range, shifted to 1
+        keys = np.subtract(values, int(values.min()) - 1, dtype=np.int64)
+        blocks = BlockLayout(blocks.sizes, int(keys.max()))
+        keys += blocks.offsets
+    else:
+        keys = values + blocks.offsets
+    sizes, n = blocks.sizes, blocks.n
+    if blocks.route == "bincount":
+        counts = np.bincount(keys, minlength=sizes.size * n)
+        counts = counts.reshape(sizes.size, n)
         # sum c (c - 1) = sum c^2 - size
         return (np.einsum("ij,ij->i", counts, counts) - sizes) // 2
     keys.sort()
@@ -141,7 +190,7 @@ def block_collisions(values: np.ndarray, sizes) -> np.ndarray:
     run = np.diff(np.append(first, keys.size))
     pairs = np.concatenate(([0], np.cumsum(run * (run - 1) // 2)))
     # runs come in block order; block b's pairs end after its last run
-    ends = np.searchsorted(keys[first] // span, np.arange(sizes.size),
+    ends = np.searchsorted(keys[first] // n, np.arange(sizes.size),
                            side="right")
     return np.diff(pairs[ends], prepend=0)
 

@@ -420,6 +420,56 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize("entries, err", [
+        ('"edges": [[0, null]]',
+         "edges[0] must be a JSON array of two 32-bit integers, got [0, null]"),
+        ('"edges": [[0, 1.5]]',
+         "edges[0] must be a JSON array of two 32-bit integers, got [0, 1.5]"),
+        ('"edges": [[0, "1"]]',
+         'edges[0] must be a JSON array of two 32-bit integers, got [0, "1"]'),
+        ('"edges": [[0, 1], [true, 1]]',
+         "edges[1] must be a JSON array of two 32-bit integers, got [true, 1]"),
+        ('"edges": [[0]]',
+         "edges[0] must be a JSON array of two 32-bit integers, got [0]"),
+        ('"edges": [[0, 1]], "owner": [0, null]',
+         "owner[1] must be a JSON 32-bit integer, got null"),
+        ('"edges": [[0, 1]], "owner": [0, 0.5]',
+         "owner[1] must be a JSON 32-bit integer, got 0.5"),
+        ('"edges": [[0, 100000000000000000000]]',
+         "edges[0] must be a JSON array of two 32-bit integers, "
+         "got [0, 100000000000000000000]"),
+        ('"edges": [[0, 1]], "owner": [0, 0, 2147483648]',
+         "owner[2] must be a JSON 32-bit integer, got 2147483648"),
+    ], ids=["null", "float", "string", "bool", "short", "owner-null",
+            "owner-float", "huge", "owner-huge"])
+    def test_explicit_graph_entries_are_checked(self, capsys, entries, err):
+        code = cli_main(["audit", "--graph",
+                         '{"vertex_count": 3, %s}' % entries,
+                         "--dist", '{"kind": "uniform", "n": 4}',
+                         "--trials", "3", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("topology, err", [
+        ({"vertex_count": 3, "edges": [[0, 1], [1, None]]},
+         "edges[1] must be a JSON array of two 32-bit integers, got [1, null]"),
+        ({"vertex_count": 4, "edges": [[0, 1], [2, 3]]},
+         "the topology is disconnected"),
+        ({"kind": "path", "k": 10},
+         "topology not certified; the local path cannot run"),
+    ], ids=["bad-edge", "disconnected", "not-certified"])
+    def test_congest_input_faults_exit_code(self, tmp_path, capsys, topology,
+                                            err):
+        spec = dict(id="demo", model="congest_local", n=64, eps=0.5,
+                    dist={"kind": "uniform"}, trials=2, topology=topology)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1",
+                         "--out-prefix", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_graph_without_size_exit_code(self, capsys):
         code = cli_main(["audit", "--graph", '{"kind": "clique"}',
                          "--dist", '{"kind": "uniform", "n": 8}',

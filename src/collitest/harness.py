@@ -62,9 +62,13 @@ def _checked(value, kind, field: str):
 
 
 def _number(spec: dict, field: str, kind=int, default=None):
-    """`spec[field]`, or `default` if given and the field is absent, as `kind`."""
-    value = spec[field] if default is None else spec.get(field, default)
-    return kind(_checked(value, numbers.Real, field))
+    """`spec[field]`, or `default` if given and the field is absent, as
+    `kind`; an int field refuses a value with a fractional part."""
+    value = _checked(spec[field] if default is None
+                     else spec.get(field, default), numbers.Real, field)
+    if kind is int and value != int(value):
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return kind(value)
 
 
 def _int_entries(spec: dict, field: str, pairs: bool = False) -> list:

@@ -29,10 +29,12 @@ and lets the referee decide from the int64 count per player
 streaming simulators walk the plan's runs of equal batches (`Plan.runs`)
 once, a chunk at a time.  A chunk is one word range, read forward: an
 advance to the chunk's first batch, then one read, and one
-`block_collisions` call counts it, so no per-batch array of the plan is
-ever built.  A chunk may run past the batch at which the player's
-counter reaches T; those samples are drawn and discarded, which no other
-batch can notice since each owns its own words.
+`tester.layout_collisions` call counts it on the `BlockLayout` of its
+shape (batch size, batches), built once per trial, so no per-batch
+array of the plan is ever built.  A chunk may run past the batch at
+which the player's counter reaches T; those samples are drawn and
+discarded, which no other batch can notice since each owns its own
+words.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .dist import Distribution
 from .encoding import counter_bit_width, message_bit_width
 from .errors import ModelViolationError
 from .rng import Stream
-from .tester import BlockLayout, block_collisions, layout_collisions
+from .tester import BlockLayout, layout_collisions
 # no longer called here; perfbench's tracer wraps the name in this module
 from .tester import within_clique_collisions  # noqa: F401
 
@@ -168,7 +170,9 @@ def trial_layout(plan: Plan, oblivious: bool = False) -> TrialLayout:
     raises `ModelViolationError` (schedule drift).  In oblivious mode
     every player's sample count is rounded up to a power of two, the
     threshold is taken on the rounded cliques, and the referee must
-    recover their edge count from the exponents alone.
+    recover their edge count from the exponents alone, one per player in
+    player order, so a plan where a player holds no clique or several
+    raises ValueError.
     """
     if plan.rates is not None:
         for (size, _, _), rate in zip(plan.runs, plan.rates):
@@ -179,24 +183,27 @@ def trial_layout(plan: Plan, oblivious: bool = False) -> TrialLayout:
                     f"{plan.sampling_time} yields {scheduled} samples, "
                     f"plan says {size}")
     sizes, counts, owners = np.array(plan.runs, dtype=np.int64).T
+    owner = np.repeat(owners, counts)
     exponents = None
     exponent_bits = 0
     if oblivious:
         if plan.family != "disjoint_cliques":
             raise ValueError("oblivious mode applies to equal-clique plans")
-        exponents = tuple(math.ceil(math.log2(s)) for s in sizes.tolist())
-        sizes = np.left_shift(1, exponents)
+        # a message's one exponent stands for one clique, so each player
+        # must hold exactly one (and every run is then one clique)
+        if not np.array_equal(np.sort(owner), np.arange(plan.players)):
+            raise ValueError("oblivious mode needs one clique per player")
+        clique_exponents = [math.ceil(math.log2(s)) for s in sizes.tolist()]
+        exponents = tuple(e for _, e in sorted(zip(owners.tolist(),
+                                                   clique_exponents)))
+        sizes = np.left_shift(1, clique_exponents)
         max_exp = max(exponents)
         exponent_bits = math.ceil(math.log2(max_exp)) if max_exp > 1 else 0
-        edge_count, _ = clique_union_stats(np.repeat(sizes, counts).tolist())
+        # one clique of 2**e samples per exponent e: the referee's |E|
+        edge_count, _ = clique_union_stats(sizes.tolist())
         t = collision_threshold(edge_count, plan.tau, plan.n, plan.eps)
-        # the referee must be able to recover |E| from the exponents alone
-        recovered = sum((1 << e) * ((1 << e) - 1) // 2 for e in exponents)
-        if recovered != edge_count:
-            raise ModelViolationError("referee reconstruction mismatch")
     else:
         t = plan.threshold
-    owner = np.repeat(owners, counts)
     if np.array_equal(owner, np.arange(plan.players)):
         owner = None
     samples = np.zeros(plan.players, dtype=np.int64)
@@ -263,15 +270,17 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
 
     The runs are walked once in plan order, each in chunks of at most
     `rows` batches of that run, `rows` doubling per chunk of its player.
-    Returns per player the counter, the samples drawn and whether it
-    stopped with batches left.
+    Each chunk shape's `BlockLayout` is built once per trial.  The
+    counts only grow, so the batch at which a counter reaches t is looked
+    up only in the chunk whose total crosses it.  Returns per player the
+    counter, the samples drawn and whether it stopped with batches left.
     """
     gen = stream.rng()
     at = word = 0  # the word `gen` reads next; the end of the runs so far
-    counter = np.zeros(plan.players, dtype=np.int64)
-    drawn = np.zeros(plan.players, dtype=np.int64)
-    early = np.zeros(plan.players, dtype=bool)
+    counter, drawn = [0] * plan.players, [0] * plan.players
+    early = [False] * plan.players
     rows = [FIRST_CHUNK] * plan.players
+    layouts: dict[tuple[int, int], BlockLayout] = {}
     for size, count, owner in plan.runs:
         first, word = word, word + size * count
         while first < word:
@@ -284,11 +293,18 @@ def _stream_counters(plan: Plan, p: Distribution, stream: Stream, t: float):
                 gen.bit_generator.advance(first - at)
             values = p.sample(size * batches, gen)
             at = first + size * batches
-            cum = counter[owner] + np.cumsum(
-                block_collisions(values, np.full(batches, size)))
-            hit = np.flatnonzero(cum >= t)
-            used = hit[0] + 1 if hit.size else batches
-            counter[owner] = cum[used - 1]
+            blocks = layouts.get((size, batches))
+            if blocks is None:
+                blocks = layouts[size, batches] = BlockLayout(
+                    np.full(batches, size), p.n)
+            z = layout_collisions(values, blocks)
+            total = counter[owner] + int(z.sum())
+            used = batches
+            if total >= t:  # the first batch whose running count reaches t
+                cum = counter[owner] + np.cumsum(z)
+                used = int(np.searchsorted(cum, t)) + 1
+                total = int(cum[used - 1])
+            counter[owner] = total
             drawn[owner] += size * used
             first, rows[owner] = first + size * used, 2 * rows[owner]
     return counter, drawn, early
@@ -305,11 +321,10 @@ def simulate_streaming(plan: Plan, p: Distribution, stream: Stream) -> Simulatio
     if plan.family not in ("batched_cliques", "clique") or plan.players != 1:
         raise ValueError(f"not a single-player streaming plan: {plan.family}")
     t, peak = _streaming_fields(plan)
-    counter, drawn, early = _stream_counters(plan, p, stream, t)
-    counter = int(counter[0])
+    (counter,), drawn, (early,) = _stream_counters(plan, p, stream, t)
     decision = "YES" if counter < t else "NO"
-    ledger = ResourceLedger(samples=[int(drawn[0])], message_bits=[],
-                            memory_bits=[peak], early_terminated=bool(early[0]))
+    ledger = ResourceLedger(samples=drawn, message_bits=[],
+                            memory_bits=[peak], early_terminated=early)
     return SimulationRun(decision, ledger, None, counter, t)
 
 
@@ -328,11 +343,12 @@ def simulate_simultaneous_streaming(plan: Plan, p: Distribution,
         raise ModelViolationError(
             f"message needs {base_bits} bits; half the memory is {plan.m_bits / 2:g}")
     z_per_player, samples, early = _stream_counters(plan, p, stream, t)
-    decision, reports, total = _referee(z_per_player, t, base_bits)
+    decision, reports, total = _referee(np.array(z_per_player, dtype=np.int64),
+                                        t, base_bits)
     ledger = ResourceLedger(
-        samples=samples.tolist(),
+        samples=samples,
         message_bits=[base_bits] * plan.players,
         memory_bits=[peak] * plan.players,
-        early_terminated=bool(early.any()),
+        early_terminated=any(early),
     )
     return SimulationRun(decision, ledger, reports, total, t)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import collitest
 from collitest import congest, models, tester
-from collitest.conditions import (plan_asymmetric, plan_centralized,
+from collitest.conditions import (_plan, plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
 from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
@@ -407,17 +407,38 @@ class TestStreamingMatchesPerPathLoop:
                 assert_same_run(simulate_streaming(plan, p, stream),
                                 reference_streaming(plan, p, stream))
 
+    @pytest.mark.parametrize("stop", [1, 96, 100])
+    def test_a_counter_that_lands_on_t_stops_at_that_batch(self, stop):
+        """A point mass adds C(4, 2) = 6 a batch and T = 6 * `stop`, so the
+        counter equals T exactly after batch `stop`: the first batch of the
+        first chunk, the last of the second, or inside the third."""
+        p = point_mass(48)
+        for players in (1, 2):
+            # T = |E| (1 + 0.5) / 48 with |E| = 6 * 32 * stop per player
+            plan = _plan(48, 1.0, [(4, 32 * stop, j) for j in range(players)],
+                         players, tau=0.5, m_bits=10**4)
+            assert plan.threshold == 6 * stop * players
+            simulate, reference = ((simulate_streaming, reference_streaming)
+                                   if players == 1 else
+                                   (simulate_simultaneous_streaming,
+                                    reference_simultaneous_streaming))
+            got = simulate(plan, p, Stream(5).child(0))
+            want = reference(plan, p, Stream(5).child(0))
+            assert_same_run(got, want)
+            if players == 1:
+                assert got.ledger.samples == [4 * stop] and got.z == 6 * stop
+
     def test_chunks_are_capped_by_their_samples(self, monkeypatch):
         """A small first batch does not let 64-sample batches past the cap."""
         monkeypatch.setattr(models, "MAX_CHUNK_SAMPLES", 200)
         chunks = []
-        real = models.block_collisions
+        real = models.layout_collisions
 
-        def record(values, sizes):  # one call a chunk, one size a batch
-            chunks.append(np.asarray(sizes).tolist())
-            return real(values, sizes)
+        def record(values, blocks):  # one call a chunk, one size a batch
+            chunks.append(blocks.sizes.tolist())
+            return real(values, blocks)
 
-        monkeypatch.setattr(models, "block_collisions", record)
+        monkeypatch.setattr(models, "layout_collisions", record)
         base = plan_streaming(64, 1.0, 48)
         sizes = tuple([1] + [64] * 40 + [1, 300, 2])
         plan = replace(base, runs=as_runs(sizes), m_bits=10**6)
@@ -427,6 +448,7 @@ class TestStreamingMatchesPerPathLoop:
             stream = Stream(4).child(0)
             got = simulate_streaming(plan, p, stream)
             assert_same_run(got, reference_streaming(plan, p, stream))
+            assert chunks
             assert all(sum(c) <= 200 or len(c) == 1 for c in chunks)
             if not got.ledger.early_terminated:
                 assert sum(map(len, chunks)) == len(sizes)
@@ -435,18 +457,19 @@ class TestStreamingMatchesPerPathLoop:
     def test_each_player_starts_with_a_first_chunk(self, monkeypatch):
         """Players that stop at once draw at most one first chunk each."""
         drawn = []
-        real = models.block_collisions
+        real = models.layout_collisions
 
-        def record(values, sizes):  # one call a chunk, one size a batch
-            drawn.append(len(sizes))
-            return real(values, sizes)
+        def record(values, blocks):  # one call a chunk, one size a batch
+            drawn.append(blocks.sizes.size)
+            return real(values, blocks)
 
-        monkeypatch.setattr(models, "block_collisions", record)
+        monkeypatch.setattr(models, "layout_collisions", record)
         plan = plan_simultaneous_streaming(1024, 0.5, 8, 400)
         p, stream = point_mass(1024), Stream(2).child(0)
         got = simulate_simultaneous_streaming(plan, p, stream)
         assert_same_run(got, reference_simultaneous_streaming(plan, p, stream))
         assert got.ledger.early_terminated
+        assert drawn
         assert sum(drawn) <= plan.players * models.FIRST_CHUNK
 
     def test_chunks_read_forward_only(self):

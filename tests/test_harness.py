@@ -470,6 +470,40 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("graph, dist, err", [
+        ('{"kind": "clique", "q": 4.9}', '{"kind": "uniform", "n": 4}',
+         "q must be a JSON integer, got 4.9"),
+        ('{"vertex_count": 3.5, "edges": [[0, 1]]}',
+         '{"kind": "uniform", "n": 4}',
+         "vertex_count must be a JSON integer, got 3.5"),
+        ('{"kind": "clique", "q": 4.0}', '{"kind": "uniform", "n": 4.7}',
+         "n must be a JSON integer, got 4.7"),
+    ], ids=["graph-q", "graph-vertex-count", "dist-n"])
+    def test_audit_integer_fields_refuse_fractions(self, capsys, graph, dist,
+                                                   err):
+        """A fractional size is refused, not truncated; an integral float
+        (q 4.0) is an integer."""
+        code = cli_main(["audit", "--graph", graph, "--dist", dist,
+                         "--trials", "3", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 16.5), ("trials", 2.5), ("k", 3.2), ("m_bits", 400.1)])
+    def test_scenario_integer_fields_refuse_fractions(self, tmp_path, capsys,
+                                                      field, value):
+        spec = dict(id="demo", model="simultaneous_streaming", n=16, eps=1.0,
+                    dist={"kind": "uniform"}, trials=2, k=2, m_bits=400)
+        spec[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        code = cli_main(["run", "--scenario", str(path), "--seed", "1",
+                         "--out-prefix", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {field} must be a JSON integer, got {value}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_graph_without_size_exit_code(self, capsys):
         code = cli_main(["audit", "--graph", '{"kind": "clique"}',
                          "--dist", '{"kind": "uniform", "n": 8}',

@@ -319,20 +319,14 @@ def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
     simulate = data.draw(st.sampled_from(SIMULATORS[family]))
     p, stream = input_for(kind, plan.n), Stream(seed).child(trial)
     recording, counted = Recording(stream), []
-    real_count, real_layout_count = (models.block_collisions,
-                                     models.layout_collisions)
+    real_count = models.layout_collisions
 
-    def count(values, sizes):  # a streaming chunk
-        counted.append((values, tuple(np.asarray(sizes).tolist())))
-        return real_count(values, sizes)
-
-    def layout_count(values, blocks):  # a simultaneous trial's cliques
+    def count(values, blocks):  # a streaming chunk, or a trial's cliques
         counted.append((values, tuple(blocks.sizes.tolist())))
-        return real_layout_count(values, blocks)
+        return real_count(values, blocks)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(models, "block_collisions", count)
-        m.setattr(models, "layout_collisions", layout_count)
+        m.setattr(models, "layout_collisions", count)
         run = simulate(plan, p, recording)
     if family.endswith("streaming"):  # each chunk is its batches' words
         labeling = tester.draw_labeling(plan.build_graph(), p, stream).values

@@ -17,8 +17,8 @@ from collitest import tester
 from collitest.tester import (SMALL_BLOCK, TesterSpec, block_collisions,
                               count_collisions, draw_labeling, evaluate,
                               exact_error_probability, expected_collisions,
-                              run, threshold, variance_collisions,
-                              within_clique_collisions)
+                              row_collisions, run, threshold,
+                              variance_collisions, within_clique_collisions)
 
 
 def enum_error_oracle(spec, p):
@@ -93,6 +93,28 @@ class TestCliqueKernels:
             for size in (2, 65, 4450):
                 values = gen.integers(0, high, size=size)
                 assert within_clique_collisions(values) == equal_pairs(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 12),
+           width=st.one_of(st.sampled_from([0, 1, 2]),
+                           st.integers(0, SMALL_BLOCK)),
+           high=st.one_of(st.sampled_from([1, 2, 5, 1024, 2**40]),
+                          st.integers(1, 2**40)),
+           seed=st.integers(0, 2**32))
+    def test_row_collisions_match_a_pair_count_per_row(self, rows, width, high,
+                                                       seed):
+        """From one value (a single chain of hits a row) to 2**40 values (no
+        hits), each row's count is its brute-force pair count."""
+        values = np.random.default_rng(seed).integers(1, high + 1,
+                                                      size=(rows, width))
+        got = row_collisions(values)
+        assert got.dtype == np.int64 and got.shape == (rows,)
+        # ranks keep equality and let the bincount kernel take 2**40 values
+        assert got.tolist() == [
+            within_clique_collisions(np.unique(r, return_inverse=True)[1])
+            for r in values]
+        if high == 1:
+            assert got.tolist() == [width * (width - 1) // 2] * rows
 
     @pytest.mark.parametrize("base", [0, 1])
     def test_equal_large_blocks_match_per_block_counts(self, base):

@@ -35,18 +35,15 @@ def point_mass(n):
 
 @st.composite
 def clique_plans(draw, route):
-    """(plan, oblivious): cliques whose count takes `route`, their owners
-    a shuffle of the players or drawn so that some players hold several
-    cliques, out of order, and some none; an oblivious plan gives each
-    player one clique."""
+    """(plan, oblivious): cliques whose count takes `route` (any route
+    for "oblivious"), their owners a shuffle of the players or drawn so
+    that some players hold several cliques, out of order, and some none."""
     tau = 0.5
     if route == "oblivious":
         n = draw(st.sampled_from([16, 100, 1024]))
         sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=5))
         sizes[0] = max(sizes[0], 2)  # a plan needs an edge
-        groups = [(size, 1, j) for j, size in enumerate(sizes)]
-        return _plan(n, 1.0, groups, len(sizes), tau=tau, referee=True), True
-    if route == "lone":
+    elif route == "lone":
         n = draw(st.sampled_from([16, 100, 1024]))
         sizes = [draw(st.integers(2, 300))]
     elif route == "rows":
@@ -65,9 +62,11 @@ def clique_plans(draw, route):
         st.permutations(range(players)).map(lambda perm: perm[:len(sizes)]),
         st.lists(st.integers(0, players - 1), min_size=len(sizes),
                  max_size=len(sizes))))
-    referee = players > 1 or draw(st.booleans())
+    oblivious = route == "oblivious"
+    referee = oblivious or players > 1 or draw(st.booleans())
     groups = [(size, 1, owner) for size, owner in zip(sizes, owners)]
-    return _plan(n, 1.0, groups, players, tau=tau, referee=referee), False
+    return (_plan(n, 1.0, groups, players, tau=tau, referee=referee),
+            oblivious)
 
 
 def reference_trial(plan, p, stream, oblivious):
@@ -76,9 +75,11 @@ def reference_trial(plan, p, stream, oblivious):
     sizes = [size for size, count, _ in plan.runs for _ in range(count)]
     owners = [owner for _, count, owner in plan.runs for _ in range(count)]
     t, exponents, extra = plan.threshold, None, 0
-    if oblivious:
-        exponents = [math.ceil(math.log2(s)) for s in sizes]
-        sizes = [1 << e for e in exponents]
+    if oblivious:  # one clique per player, sent as its exponent
+        exponents = [0] * plan.players
+        for size, owner in zip(sizes, owners):
+            exponents[owner] = math.ceil(math.log2(size))
+        sizes = [1 << exponents[owner] for owner in owners]
         edges = sum(s * (s - 1) // 2 for s in sizes)
         t = collision_threshold(edges, plan.tau, plan.n, plan.eps)
         extra = math.ceil(math.log2(max(exponents))) if max(exponents) > 1 else 0
@@ -99,6 +100,13 @@ ROUTES = ("lone", "rows", "bincount", "runs", "oblivious")
 @given(data=st.data(), seed=st.integers(0, 2**64), trial=st.integers(0, 2**20))
 def test_layout_trial_equals_the_per_clique_count(route, data, seed, trial):
     plan, oblivious = data.draw(clique_plans(route))
+    owners = [owner for _, count, owner in plan.runs for _ in range(count)]
+    if oblivious and sorted(owners) != list(range(plan.players)):
+        # a player's one exponent cannot stand for no clique or several
+        with pytest.raises(ValueError, match="one clique per player"):
+            models.simulate_simultaneous(plan, make_uniform(plan.n),
+                                         Stream(seed), oblivious=True)
+        return
     layout = plan.oblivious_layout if oblivious else plan.layout
     if not oblivious:
         assert layout.blocks.route == route
@@ -188,6 +196,29 @@ class TestLayoutIsPlanState:
                      tau=0.5, referee=True)
         assert plan.layout.owners.tolist() == [2, 0, 2]
         assert plan.layout.samples == (7, 0, 10, 0)
+
+    def test_oblivious_exponents_follow_their_players(self):
+        """Clique 0 is player 1's, clique 1 player 0's: each message pairs
+        a player's count with the exponent of that player's own clique."""
+        plan = _plan(64, 1.0, [(5, 1, 1), (9, 1, 0)], 2, tau=0.5, referee=True)
+        layout = plan.oblivious_layout
+        assert layout.samples == (16, 8)
+        assert layout.exponents == (4, 3)
+        run = models.simulate_simultaneous(plan, point_mass(64), Stream(0),
+                                           oblivious=True)
+        assert run.reports.z.tolist() == [120, 28]
+        assert [m.sample_count_exponent for m in run.messages] == [4, 3]
+
+    @pytest.mark.parametrize("groups, players", [
+        ([(5, 2, 0), (9, 1, 1)], 3),  # a player with two cliques, one with none
+        ([(5, 1, 0), (9, 1, 0)], 2),
+        ([(5, 1, 0), (9, 1, 2)], 3)])
+    def test_oblivious_needs_one_clique_per_player(self, groups, players):
+        plan = _plan(64, 1.0, groups, players, tau=0.5, referee=True)
+        with pytest.raises(ValueError, match="one clique per player"):
+            models.simulate_simultaneous(plan, make_uniform(64), Stream(0),
+                                         oblivious=True)
+        assert plan.layout.samples  # the plain layout still runs
 
     def test_cached_offsets_hold_one_trial_of_samples(self):
         plan = plan_asymmetric(1024, 0.5, (4, 2, 1, 1))

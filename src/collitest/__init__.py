@@ -16,16 +16,15 @@ from .conditions import (COARSE_TAU_GRID, CliqueFamilyReport, ConditionReport,
                          cycle_plus_hub_counterexample, plan_asymmetric,
                          plan_centralized, plan_simultaneous,
                          plan_simultaneous_streaming, plan_streaming)
-from .dist import (Distribution, SampleLabeling, l1_distance, make_bump,
-                   make_heavy, make_uniform, sample_labeling)
+from .dist import (Distribution, l1_distance, make_bump, make_heavy,
+                   make_uniform)
 from .errors import (CapacityError, InvalidNetworkError, ModelViolationError,
                      ProtocolRefusedError)
 from .graph import (ComparisonGraph, GraphInequalityReport,
                     check_graph_inequalities, graph_power, make_bipartite,
                     make_clique, make_clique_union, make_cycle,
                     make_disjoint_cliques, make_matching, make_path, make_star,
-                    random_connected_graph, random_simple_graph,
-                    two_path_count)
+                    random_connected_graph, random_simple_graph)
 from .models import (Message, ResourceLedger, SimulationRun,
                      simulate_asymmetric, simulate_simultaneous,
                      simulate_simultaneous_streaming, simulate_streaming)

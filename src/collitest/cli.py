@@ -8,7 +8,8 @@ certifies for no tau).
 
 Exit codes: 0 success, 1 usage error (a bad option, a missing file or
 field, a CONGEST topology that is disconnected or that the protocol
-refuses; printed as `error: ...`), 2 planner capacity error.
+refuses; printed as `error: ...`), 2 capacity error (a plan that cannot
+fit, or a spec above `harness.MAX_SPEC_SIZE`; `capacity error: ...`).
 """
 from __future__ import annotations
 

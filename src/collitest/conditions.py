@@ -35,7 +35,7 @@ detection can send its tau down a tree as a grid index or "exact".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .encoding import counter_bit_width, message_bit_width, sample_bit_width
@@ -58,9 +58,7 @@ class ConditionCheck:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "actual": self.actual,
-                "required": self.required, "sense": self.sense,
-                "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,13 +88,17 @@ class ConditionReport:
         }
 
 
+def _validate_inputs(n: int, eps: float) -> None:
+    if n < 1:
+        raise ValueError("domain size must be >= 1")
+    if not 0.0 < eps <= 1.0 or eps**4 == 0.0:
+        raise ValueError("eps must lie in (0, 1] with eps**4 > 0")
+
+
 def _validate_problem(tau: float, n: int, eps: float) -> None:
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly inside (0, 1)")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("domain size must be >= 1")
+    _validate_inputs(n, eps)
 
 
 def _stats_pass(edge_count: int, two_paths: int, tau: float, n: int,
@@ -239,19 +241,14 @@ def _feasible_tau(edge_count: int, two_path: int, n: int, eps: float) -> float |
     return None
 
 
-def first_certified_tau(edge_count: int, two_path: int, grid, n: int,
-                        eps: float) -> float | None:
-    """The first tau of `grid` that certifies these statistics, or None."""
-    return next((tau for tau in grid
-                 if _stats_pass(edge_count, two_path, tau, n, eps)), None)
-
-
 def certifying_tau(edge_count: int, two_path: int, n: int,
                    eps: float) -> float | None:
     """The first tau of `COARSE_TAU_GRID` that certifies these statistics,
     else the exact tau of `_feasible_tau`, else None."""
-    tau = first_certified_tau(edge_count, two_path, COARSE_TAU_GRID, n, eps)
-    return tau if tau is not None else _feasible_tau(edge_count, two_path, n, eps)
+    for tau in COARSE_TAU_GRID:
+        if _stats_pass(edge_count, two_path, tau, n, eps):
+            return tau
+    return _feasible_tau(edge_count, two_path, n, eps)
 
 
 def _smallest(ok, lo: int, what: str) -> int:
@@ -358,11 +355,7 @@ class PlanResources:
     memory_bits: int | None = None
 
     def to_json(self) -> dict:
-        return {"samples_total": self.samples_total,
-                "samples_per_player": self.samples_per_player,
-                "sampling_time": self.sampling_time,
-                "message_bits": self.message_bits,
-                "memory_bits": self.memory_bits}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -449,13 +442,6 @@ class Plan:
             m_bits=obj["m_bits"],
             rates=None if obj["rates"] is None else tuple(obj["rates"]),
             sampling_time=obj["sampling_time"])
-
-
-def _validate_inputs(n: int, eps: float) -> None:
-    if n < 1:
-        raise ValueError("domain size must be >= 1")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
 
 
 def _streaming_memory_fields(n: int, m_bits: int) -> tuple[int, int]:

@@ -94,8 +94,7 @@ class Network:
     """Connected topology plus the per-round channel budget.
 
     The adjacency is kept once, in CSR form: v's neighbours, ascending,
-    are `indices[indptr[v]:indptr[v + 1]]`.  `adjacency`, the same lists
-    split per node, is built on first read; no run path reads it.
+    are `indices[indptr[v]:indptr[v + 1]]`.
     """
 
     def __init__(self, topology: ComparisonGraph, n: int):
@@ -120,11 +119,6 @@ class Network:
         self.channel_bits = math.ceil(
             CHANNEL_COEFF * (math.log2(max(self.n, 1)) + math.log2(max(self.k, 1))))
         self.id_bits = sample_bit_width(self.k)
-
-    @cached_property
-    def adjacency(self) -> list[np.ndarray]:
-        """`adjacency[v]` is v's sorted neighbour array (views of `indices`)."""
-        return np.split(self.indices, self.indptr[1:-1])
 
     @cached_property
     def diameter(self) -> int:
@@ -285,10 +279,6 @@ class BitMeter:
 
     def send_bulk(self, us: np.ndarray, vs: np.ndarray, bits: int) -> None:
         self.send(us, vs, bits)
-
-    def to_json(self) -> list:
-        return [{"round": i + 1, "sends": sends}
-                for i, sends in enumerate(self.transcript)]
 
 
 @dataclass
@@ -802,14 +792,10 @@ def combined_protocol(net: Network, n: int, eps: float, p: Distribution,
     else:
         run = pipelined_bundle_protocol(net, n, eps, p, stream, tree=tree,
                                         schedule=schedule)
-    return CongestRun(decision=run.decision,
-                      rounds=tree.rounds + detection.rounds + run.rounds,
-                      z=run.z, values=run.values,
-                      rounds_breakdown={**run.rounds_breakdown,
-                                        "tree": tree.rounds,
-                                        "detect": detection.rounds},
-                      schedule=run.schedule, reports=run.reports,
-                      detection=detection)
+    run.rounds += tree.rounds + detection.rounds
+    run.rounds_breakdown.update(tree=tree.rounds, detect=detection.rounds)
+    run.detection = detection
+    return run
 
 
 def graph_power_detection(net: Network, n: int, eps: float, t: int,

@@ -8,11 +8,7 @@ A sample therefore owns a fixed word of its trial's stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .rng import Stream
 
 SUM_TOLERANCE = 1e-12
 
@@ -147,16 +143,6 @@ class Distribution:
             self._accept = accept
         return self._accept, self._alias
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "probs": [float(p) for p in self.probs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Distribution":
-        dist = cls(obj["probs"])
-        if dist.n != int(obj["n"]):
-            raise ValueError("n does not match the length of probs")
-        return dist
-
     def __repr__(self) -> str:
         return f"Distribution(n={self.n})"
 
@@ -206,23 +192,3 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
         raise ValueError("distributions live on different domain sizes")
     return float(np.abs(p.probs - q.probs).sum())
 
-
-@dataclass(frozen=True, eq=False)
-class SampleLabeling:
-    """I.i.d. samples attached to comparison-graph vertices.
-
-    `values` holds one 1-based domain element per vertex; `seed_path`
-    records which stream produced them.
-    """
-
-    values: np.ndarray
-    seed_path: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def sample_labeling(p: Distribution, vertex_count: int, stream: Stream) -> SampleLabeling:
-    """Label `vertex_count` vertices with i.i.d. samples from one stream."""
-    values = p.sample(vertex_count, stream.rng())
-    return SampleLabeling(values=values, seed_path=stream.label())

@@ -113,17 +113,6 @@ class ComparisonGraph:
             self._edges = arr
         return self._edges
 
-    def to_json(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "edges": self.edges.tolist(),
-            "owner": None if self.owner is None else self.owner.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ComparisonGraph":
-        return cls(obj["vertex_count"], obj["edges"], owner=obj.get("owner"))
-
     def adjacency(self) -> list[np.ndarray]:
         """Sorted neighbor array per vertex."""
         e = self.edges.astype(np.int64)
@@ -136,11 +125,6 @@ class ComparisonGraph:
     def __repr__(self) -> str:
         return (f"ComparisonGraph(|V|={self.vertex_count}, |E|={self.edge_count}, "
                 f"c={self.two_path_count})")
-
-
-def two_path_count(graph: ComparisonGraph) -> int:
-    """Directed two-path count c(G) = sum_v d_v (d_v - 1)."""
-    return graph.two_path_count
 
 
 def make_clique(q: int) -> ComparisonGraph:

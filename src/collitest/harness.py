@@ -20,18 +20,20 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import congest as cg
 from . import models
 from . import tester
-from .conditions import (Plan, plan_asymmetric, plan_centralized,
-                         plan_simultaneous, plan_simultaneous_streaming,
-                         plan_streaming)
+from .conditions import (Plan, _validate_inputs, plan_asymmetric,
+                         plan_centralized, plan_simultaneous,
+                         plan_simultaneous_streaming, plan_streaming)
 from .dist import Distribution, make_bump, make_heavy, make_uniform
+from .errors import CapacityError
 from .graph import (ComparisonGraph, make_bipartite, make_clique, make_cycle,
                     make_disjoint_cliques, make_matching, make_path,
                     make_star, random_connected_graph)
@@ -48,17 +50,30 @@ PLANNERS = {
 }
 MODELS = tuple(PLANNERS) + ("congest_local", "congest_pipelined",
                             "congest_combined")
+# The largest size a spec may ask for: n, trials, players k, a graph's
+# vertices, or the edges a generator builds (a * b for a bipartite graph,
+# k * k for a topology).  A larger one is refused with `CapacityError`
+# before anything is allocated.
+MAX_SPEC_SIZE = 1 << 22
 
 
 def _checked(value, kind, field: str):
-    """`value` when it is a JSON object, array or finite number (`kind`
-    dict, list or numbers.Real); else a ValueError naming the field."""
+    """`value` when it is a JSON object, array or a number a float holds
+    (`kind` dict, list or numbers.Real); else a ValueError naming the
+    field."""
     if (isinstance(value, bool) or not isinstance(value, kind)
-            or kind is numbers.Real and not -math.inf < value < math.inf):
+            or kind is numbers.Real and not abs(value) <= sys.float_info.max):
         name = {dict: "object", list: "array"}.get(kind, "number")
         raise ValueError(f"{field} must be a JSON {name}, "
                          f"got {json.dumps(value, default=repr)}")
     return value
+
+
+def _capped(size: int, what: str) -> int:
+    """`size`, or a `CapacityError` when it is above `MAX_SPEC_SIZE`."""
+    if size > MAX_SPEC_SIZE:
+        raise CapacityError(f"{what} = {size} is above {MAX_SPEC_SIZE}")
+    return size
 
 
 def _number(spec: dict, field: str, kind=int, default=None):
@@ -92,6 +107,7 @@ def _int_entries(spec: dict, field: str, pairs: bool = False) -> list:
 
 def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
     kind = _checked(spec, dict, "dist").get("kind", "explicit")
+    _capped(n, "n")
     if kind == "uniform":
         return make_uniform(n)
     if kind == "bump":
@@ -99,7 +115,8 @@ def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
     if kind == "heavy":
         return make_heavy(n, _number(spec, "eps", float, eps))
     if kind == "explicit":
-        dist = Distribution(_checked(spec["probs"], list, "probs"))
+        probs = _checked(spec["probs"], list, "probs")
+        dist = Distribution([_checked(x, numbers.Real, "probs") for x in probs])
         if dist.n != n:
             raise ValueError("explicit probs do not match the scenario's n")
         return dist
@@ -109,27 +126,34 @@ def build_distribution(spec: dict, n: int, eps: float) -> Distribution:
 def build_graph(spec: dict) -> ComparisonGraph:
     kind = _checked(spec, dict, "graph").get("kind", "explicit")
     if kind == "clique":
-        return make_clique(_number(spec, "q"))
+        return make_clique(_capped(_number(spec, "q"), "q"))
     if kind == "disjoint_cliques":
-        return make_disjoint_cliques(_number(spec, "q"), _number(spec, "ell"))
+        q, ell = _number(spec, "q"), _number(spec, "ell")
+        _capped(q * ell, "q * ell")
+        return make_disjoint_cliques(q, ell)
     if kind == "matching":
-        return make_matching(_number(spec, "pairs"))
+        return make_matching(_capped(_number(spec, "pairs"), "pairs"))
     if kind == "star":
-        return make_star(_number(spec, "leaves"))
+        return make_star(_capped(_number(spec, "leaves"), "leaves"))
     if kind == "bipartite":
-        return make_bipartite(_number(spec, "a"), _number(spec, "b"))
+        a, b = _number(spec, "a"), _number(spec, "b")
+        _capped(a * b, "a * b")  # its edges
+        return make_bipartite(a, b)
     if kind == "cycle":
-        return make_cycle(_number(spec, "length"))
+        return make_cycle(_capped(_number(spec, "length"), "length"))
     if kind == "explicit":
         owner = spec.get("owner")
         return ComparisonGraph(
-            _number(spec, "vertex_count"), _int_entries(spec, "edges", True),
+            _capped(_number(spec, "vertex_count"), "|V|"),
+            _int_entries(spec, "edges", True),
             owner=None if owner is None else _int_entries(spec, "owner"))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
 def build_topology(spec: dict) -> ComparisonGraph:
     kind = _checked(spec, dict, "topology").get("kind", "explicit")
+    if kind in ("path", "cycle", "star", "clique", "random_connected"):
+        _capped(_number(spec, "k") ** 2, "k * k")
     if kind == "path":
         return make_path(_number(spec, "k"))
     if kind == "cycle":
@@ -144,7 +168,7 @@ def build_topology(spec: dict) -> ComparisonGraph:
         return random_connected_graph(_number(spec, "k"), gen,
                                       _number(spec, "extra_edge_prob", float, 0.1))
     if kind == "explicit":
-        return ComparisonGraph(_number(spec, "vertex_count"),
+        return ComparisonGraph(_capped(_number(spec, "vertex_count"), "|V|"),
                                _int_entries(spec, "edges", True))
     raise ValueError(f"unknown topology kind {kind!r}")
 
@@ -165,8 +189,10 @@ class Scenario:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.trials < 1:
+        if _capped(self.trials, "trials") < 1:
             raise ValueError("trials must be >= 1")
+        _capped(self.k or 0, "k")
+        _validate_inputs(self.n, self.eps)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
@@ -442,13 +468,7 @@ class AuditReport:
     flagged: bool
 
     def to_json(self) -> dict:
-        return {"trials": self.trials, "mean_z": self.mean_z,
-                "expected_z": self.expected_z,
-                "mean_z_score": self.mean_z_score,
-                "sample_variance": self.sample_variance,
-                "formula_variance": self.formula_variance,
-                "variance_rel_err": self.variance_rel_err,
-                "flagged": self.flagged}
+        return asdict(self)
 
 
 def moment_audit(graph: ComparisonGraph, p: Distribution, trials: int,
@@ -459,6 +479,7 @@ def moment_audit(graph: ComparisonGraph, p: Distribution, trials: int,
     the distribution of Z matters here).  Flags the audit when the mean
     deviates by more than 4 standard errors.
     """
+    _capped(trials, "trials")
     zs = tester.collision_counts_batch(graph, p, trials, Stream(seed).child(0))
     expected = tester.expected_collisions(graph, p)
     var_formula = tester.variance_collisions(graph, p)

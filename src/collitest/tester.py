@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import collision_threshold
-from .dist import Distribution, SampleLabeling, l1_distance, make_uniform
+from .dist import Distribution, l1_distance, make_uniform
 from .errors import CapacityError
 from .graph import ComparisonGraph
 from .rng import Stream
@@ -85,9 +85,6 @@ class TestOutcome:
     z: int
     t: float
     decision: str  # "YES" | "NO"
-
-    def to_json(self) -> dict:
-        return {"z": self.z, "t": self.t, "decision": self.decision}
 
 
 def threshold(spec: TesterSpec) -> float:
@@ -239,14 +236,14 @@ def _collisions(graph: ComparisonGraph, values: np.ndarray):
 
 def count_collisions(graph: ComparisonGraph, labeling) -> int:
     """Z: number of comparison edges whose endpoint samples are equal."""
-    values = labeling.values if isinstance(labeling, SampleLabeling) else np.asarray(labeling)
+    values = np.asarray(labeling)
     if values.size != graph.vertex_count:
         raise ValueError(
             f"labeling has {values.size} values for {graph.vertex_count} vertices")
     return _collisions(graph, values)
 
 
-def draw_labeling(graph: ComparisonGraph, p: Distribution, stream: Stream) -> SampleLabeling:
+def draw_labeling(graph: ComparisonGraph, p: Distribution, stream: Stream) -> np.ndarray:
     """Owner-aware labeling: the trial stream's samples in owner order.
 
     One generator reads all |V| words in one call; sample ``j`` (raw
@@ -262,7 +259,7 @@ def draw_labeling(graph: ComparisonGraph, p: Distribution, stream: Stream) -> Sa
     if order is not None:
         values, grouped = np.empty_like(values), values
         values[order] = grouped
-    return SampleLabeling(values=values, seed_path=stream.label())
+    return values
 
 
 def evaluate(spec: TesterSpec, labeling) -> TestOutcome:
@@ -314,23 +311,22 @@ def collision_counts_batch(graph: ComparisonGraph, p: Distribution,
     return out
 
 
-def exact_error_probability(spec: TesterSpec, p: Distribution,
-                            cap: int = ENUMERATION_CAP) -> float:
+def exact_error_probability(spec: TesterSpec, p: Distribution) -> float:
     """Exact error mass of the tester against `p`, by full enumeration.
 
     Sums the probability of every one of the n^|V| labelings on which
     the decision is wrong: NO when `p` is uniform, YES otherwise (any
     non-uniform `p` is treated as a far instance).  Requires
-    n^|V| <= cap.
+    n^|V| <= `ENUMERATION_CAP`.
     """
     if p.n != spec.n:
         raise ValueError("distribution domain does not match the tester")
     nv = spec.graph.vertex_count
     n = p.n
     total = n**nv
-    if total > cap:
-        raise CapacityError(
-            f"state space {n}^{nv} = {total} exceeds the enumeration cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapacityError(f"state space {n}^{nv} = {total} exceeds the "
+                            f"enumeration cap {ENUMERATION_CAP}")
     uniform = l1_distance(p, make_uniform(n)) <= _UNIFORM_TOL
     t = threshold(spec)
     powers = [n**j for j in range(nv)]

@@ -562,7 +562,7 @@ class TestLabelingMatchesPerOwnerLoop:
             for p in (make_uniform(64), make_heavy(64, 0.5)):
                 for trial in range(3):
                     stream = Stream(12).child(trial)
-                    got = tester.draw_labeling(g, p, stream).values
+                    got = tester.draw_labeling(g, p, stream)
                     want = reference_labeling(g, p, stream)
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want), (g, trial)

@@ -15,7 +15,7 @@ from collitest.conditions import (COARSE_TAU_GRID, Plan,
                                   certify_stats, clique_union_stats,
                                   conjectured_floor,
                                   cycle_plus_hub_counterexample,
-                                  equal_cliques_stats, first_certified_tau,
+                                  certifying_tau, equal_cliques_stats,
                                   minimal_clique_count,
                                   minimal_clique_size, plan_asymmetric,
                                   plan_centralized, plan_simultaneous,
@@ -357,15 +357,11 @@ class TestSearchHelpers:
         passing = [t for t in COARSE_TAU_GRID
                    if certify_stats(edges, paths, t, 16, 1.0).overall]
         assert len(passing) > 1
-        assert first_certified_tau(edges, paths, COARSE_TAU_GRID, 16,
-                                   1.0) == passing[0]
-        assert first_certified_tau(edges, paths, COARSE_TAU_GRID[::-1], 16,
-                                   1.0) == passing[-1]
+        assert certifying_tau(edges, paths, 16, 1.0) == passing[0]
 
     def test_first_certified_tau_none(self):
-        assert first_certified_tau(0, 0, COARSE_TAU_GRID, 16, 1.0) is None
-        assert first_certified_tau(*equal_cliques_stats(5, 1),
-                                   COARSE_TAU_GRID, 16, 1.0) is None
+        assert certifying_tau(0, 0, 16, 1.0) is None
+        assert certifying_tau(*equal_cliques_stats(5, 1), 16, 1.0) is None
 
 
 class TestConjecturedFloors:

@@ -83,8 +83,7 @@ class TestBitMeter:
         meter.begin_round()
         meter.send([0, 1, 2], [1, 2, 1], [3, 4, 5], offset=[0, 2, 2])
         assert meter.rounds == 3
-        assert [r["sends"] for r in meter.to_json()] == [
-            [[0, 1, 3]], [], [[1, 2, 4], [2, 1, 5]]]
+        assert meter.transcript == [[[0, 1, 3]], [], [[1, 2, 4], [2, 1, 5]]]
         meter.send(1, 2, net.channel_bits - 4)  # the current round is now 3
         with pytest.raises(ModelViolationError, match="round 3: edge 1->2"):
             meter.send(1, 2, 1)
@@ -98,9 +97,7 @@ class TestBitMeter:
         meter.send(0, 1, 3)
         meter.begin_round()
         meter.send(1, 2, 4)
-        log = meter.to_json()
-        assert log[0]["sends"] == [[0, 1, 3]]
-        assert log[1]["round"] == 2
+        assert meter.transcript == [[[0, 1, 3]], [[1, 2, 4]]]
 
 
 class TestBfsTree:
@@ -202,9 +199,10 @@ class TestLocalProtocol:
         values = run.values
         e = self.net.topology.edges
         direct = int(np.count_nonzero(values[e[:, 0]] == values[e[:, 1]]))
+        adjacency = self.net.topology.adjacency()
         higher = sum(
-            int(np.count_nonzero((values[self.net.adjacency[v]] == values[v])
-                                 & (self.net.adjacency[v] > v)))
+            int(np.count_nonzero((values[adjacency[v]] == values[v])
+                                 & (adjacency[v] > v)))
             for v in range(self.net.k))
         assert run.z == direct == higher
 
@@ -542,9 +540,9 @@ class TestRoundReplay:
                                            meter=pipe_meter)
         assert pipe_meter.rounds == run.rounds
         # transcript replay: per-edge totals never exceed the channel
-        for entry in pipe_meter.to_json():
+        for sends in pipe_meter.transcript:
             per_edge = {}
-            for u, v, bits in entry["sends"]:
+            for u, v, bits in sends:
                 per_edge[(u, v)] = per_edge.get((u, v), 0) + bits
             assert all(b <= net.channel_bits for b in per_edge.values())
 

@@ -14,7 +14,7 @@ import pytest
 
 from collitest import congest as cg
 from collitest.conditions import (COARSE_TAU_GRID, _feasible_tau, _plan,
-                                  first_certified_tau, plan_centralized)
+                                  _stats_pass, plan_centralized)
 from collitest.dist import make_bump, make_uniform
 from collitest.encoding import sample_bit_width
 from collitest.errors import (CapacityError, InvalidNetworkError,
@@ -41,6 +41,7 @@ class ListMeter:
 
 def oracle_bfs_tree(net, meter):
     k = net.k
+    adjacency = net.topology.adjacency()
     msg_bits = 2 * net.id_bits
     root_of = list(range(k))
     depth = [0] * k
@@ -52,7 +53,7 @@ def oracle_bfs_tree(net, meter):
         rounds += 1
         offers = {}
         for v in changed:
-            for u in net.adjacency[v]:
+            for u in adjacency[v]:
                 meter.send(v, int(u), msg_bits)
                 offer = (root_of[v], depth[v] + 1, v)
                 best = offers.get(int(u))
@@ -161,6 +162,7 @@ def oracle_bundle_assignment(tree, s):
 def oracle_power_detection(net, n, eps, t, tree, meter):
     """(certified, tau_star, congestion_ok, edge_count, two_path, rounds)."""
     k = net.k
+    adjacency = net.topology.adjacency()
     adj = np.zeros((k, k), dtype=bool)
     e = net.topology.edges
     adj[e[:, 0], e[:, 1]] = True
@@ -172,7 +174,7 @@ def oracle_power_detection(net, n, eps, t, tree, meter):
         bits_per_node = reach.sum(axis=1) * net.id_bits
         hop_rounds = 1
         for v in range(k):
-            if not net.adjacency[v].size:
+            if not adjacency[v].size:
                 continue
             need = max(1, math.ceil(bits_per_node[v] / net.channel_bits))
             hop_rounds = max(hop_rounds, int(need))
@@ -185,7 +187,7 @@ def oracle_power_detection(net, n, eps, t, tree, meter):
                 if remaining <= 0:
                     continue
                 chunk = min(net.channel_bits, remaining)
-                for u in net.adjacency[v]:
+                for u in adjacency[v]:
                     meter.send(v, int(u), chunk)
         rounds += hop_rounds
         reach = reach | (reach.astype(np.float32) @ adj.astype(np.float32) > 0)
@@ -194,7 +196,9 @@ def oracle_power_detection(net, n, eps, t, tree, meter):
     two_path = int(np.sum(power_degrees * (power_degrees - 1)))
     up_bits = sample_bit_width(k * k + 1) + sample_bit_width(k**3 + 1)
     rounds += oracle_tree_rounds(tree, meter, up_bits, toward_root=True)
-    tau_star = first_certified_tau(edge_count, two_path, COARSE_TAU_GRID, n, eps)
+    tau_star = next((tau for tau in COARSE_TAU_GRID
+                     if _stats_pass(edge_count, two_path, tau, n, eps)),
+                    None)
     if tau_star is None:
         tau_star = _feasible_tau(edge_count, two_path, n, eps)
     # the verdict: a certified bit and a grid index or "exact"

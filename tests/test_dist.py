@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collitest.dist import (Distribution, SampleLabeling, l1_distance,
-                            make_bump, make_heavy, make_uniform,
-                            sample_labeling)
+from collitest.dist import (Distribution, l1_distance, make_bump, make_heavy,
+                            make_uniform)
 from collitest.rng import Stream
 
 
@@ -127,12 +126,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
-    def test_json_roundtrip(self):
-        p = make_bump(6, 0.25)
-        q = Distribution.from_json(p.to_json())
-        assert np.allclose(q.probs, p.probs)
-        assert q.n == 6
-
 
 class TestSampling:
     def test_point_mass_always_hits(self):
@@ -141,8 +134,8 @@ class TestSampling:
         assert np.all(values == 3)
 
     def test_empty_draw(self):
-        lab = sample_labeling(make_uniform(3), 0, Stream(0))
-        assert len(lab) == 0
+        values = make_uniform(3).sample(0, Stream(0).rng())
+        assert values.size == 0
 
     def test_values_live_in_domain(self):
         p = make_heavy(7, 0.5)
@@ -150,22 +143,21 @@ class TestSampling:
         assert values.min() >= 1 and values.max() <= 7
 
     def test_uniform_frequency_concentrates(self):
-        lab = sample_labeling(make_uniform(2), 10**5, Stream(11))
-        freq = np.mean(lab.values == 1)
+        values = make_uniform(2).sample(10**5, Stream(11).rng())
+        freq = np.mean(values == 1)
         assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / 10**5)
 
     def test_reproducible_per_stream(self):
         p = make_bump(10, 0.5)
-        a = sample_labeling(p, 1000, Stream(5).child(3))
-        b = sample_labeling(p, 1000, Stream(5).child(3))
-        assert np.array_equal(a.values, b.values)
-        assert a.seed_path == b.seed_path == (5, 3)
+        a = p.sample(1000, Stream(5).child(3).rng())
+        b = p.sample(1000, Stream(5).child(3).rng())
+        assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         p = make_uniform(50)
-        a = sample_labeling(p, 1000, Stream(5).child(0))
-        b = sample_labeling(p, 1000, Stream(5).child(1))
-        assert not np.array_equal(a.values, b.values)
+        a = p.sample(1000, Stream(5).child(0).rng())
+        b = p.sample(1000, Stream(5).child(1).rng())
+        assert not np.array_equal(a, b)
 
     def test_alias_table_matches_probabilities(self):
         # skewed vector; empirical frequencies within 5 sigma each
@@ -178,9 +170,8 @@ class TestSampling:
             assert abs(counts[i] / trials - prob) <= 5 * sigma
 
     def test_labeling_length_matches_request(self):
-        lab = sample_labeling(make_uniform(3), 17, Stream(0))
-        assert isinstance(lab, SampleLabeling)
-        assert len(lab) == 17
+        values = make_uniform(3).sample(17, Stream(0).rng())
+        assert values.shape == (17,) and values.dtype == np.int64
 
 
 prob_vectors = st.lists(

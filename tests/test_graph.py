@@ -12,7 +12,7 @@ from collitest.graph import (ComparisonGraph, check_graph_inequalities,
                              make_clique_union, make_cycle,
                              make_disjoint_cliques, make_matching, make_path,
                              make_star, random_connected_graph,
-                             random_simple_graph, two_path_count)
+                             random_simple_graph)
 from collitest.rng import Stream
 
 
@@ -121,13 +121,6 @@ class TestValidation:
         assert g.owner.tolist() == [0, 0, 1, 1]
         assert make_clique_union([2, 0, 2]).owner.tolist() == [0, 0, 2, 2]
 
-    def test_json_roundtrip(self):
-        g = make_disjoint_cliques(3, 2)
-        h = ComparisonGraph.from_json(g.to_json())
-        assert np.array_equal(h.edges, g.edges)
-        assert np.array_equal(h.owner, g.owner)
-        assert h.two_path_count == g.two_path_count
-
 
 class TestBlockGraphs:
     def test_planned_clique_builds_no_edge_array(self):
@@ -173,7 +166,7 @@ class TestBlockGraphs:
 class TestTwoPathCount:
     def test_matches_brute_force_on_corpus(self):
         for g in corpus_small():
-            assert two_path_count(g) == brute_two_paths(g), g
+            assert g.two_path_count == brute_two_paths(g), g
 
     def test_zero_iff_max_degree_le_one(self):
         for g in corpus_small():

@@ -34,9 +34,8 @@ from collitest import congest, models, tester
 from collitest.conditions import (plan_asymmetric, plan_centralized,
                                   plan_simultaneous,
                                   plan_simultaneous_streaming, plan_streaming)
-from collitest.dist import (Distribution, make_bump, make_heavy, make_uniform,
-                            sample_labeling)
-from collitest.graph import make_clique_union, make_star, random_connected_graph
+from collitest.dist import Distribution, make_bump, make_heavy, make_uniform
+from collitest.graph import make_clique_union, random_connected_graph
 from collitest.harness import (build_topology, load_scenarios,
                                records_to_jsonl, run_scenario,
                                summaries_to_csv)
@@ -329,7 +328,7 @@ def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
         m.setattr(models, "layout_collisions", count)
         run = simulate(plan, p, recording)
     if family.endswith("streaming"):  # each chunk is its batches' words
-        labeling = tester.draw_labeling(plan.build_graph(), p, stream).values
+        labeling = tester.draw_labeling(plan.build_graph(), p, stream)
         sizes, counts, _ = np.array(plan.runs).T
         bounds = set(np.cumsum(np.repeat(sizes, counts)).tolist()) | {0}
         assert len(recording.reads) == len(counted)
@@ -342,7 +341,7 @@ def test_simulator_samples_are_slices_of_the_labeling(family, seed, trial, kind,
         ((values, sizes),) = counted
         assert recording.reads == [(0, sum(sizes))]
         graph = make_clique_union(sizes)
-        labeling = tester.draw_labeling(graph, p, stream).values
+        labeling = tester.draw_labeling(graph, p, stream)
         assert np.array_equal(values, labeling)
 
 
@@ -475,11 +474,3 @@ def test_a_column_of_odd_n_splits_on_the_float_fraction():
     words = [((2**51 - 1) << 11) | (2**11 - 1), 2**51 << 11]
     assert p.sample(2, Words(words)).tolist() == [1, 3]
     assert [reference_map(p, w) for w in words] == [1, 3]
-
-
-def test_sample_labeling_equals_the_unowned_labeling():
-    g = make_star(9)
-    for p in (make_uniform(7), make_heavy(7, 0.5)):
-        stream = Stream(8).child(5)
-        assert np.array_equal(sample_labeling(p, g.vertex_count, stream).values,
-                              tester.draw_labeling(g, p, stream).values)

@@ -224,10 +224,10 @@ class TestRun:
                   for t in range(2000))
         assert yes / 2000 >= 0.75
 
-    def test_outcome_json(self):
+    def test_outcome_fields(self):
         spec = TesterSpec(make_clique(3), 0.5, 4, 1.0)
         out = evaluate(spec, np.array([1, 2, 3]))
-        assert out.to_json() == {"z": 0, "t": out.t, "decision": "YES"}
+        assert (out.z, out.t, out.decision) == (0, 3 * 1.5 / 4, "YES")
 
 
 def words_from(p, stream, start, count):
@@ -245,15 +245,15 @@ class TestLabelingConvention:
         p = make_uniform(9)
         stream = Stream(8).child(4)
         lab = draw_labeling(g, p, stream)
-        assert np.array_equal(lab.values[:3], words_from(p, stream, 0, 3))
-        assert np.array_equal(lab.values[3:], words_from(p, stream, 3, 3))
+        assert np.array_equal(lab[:3], words_from(p, stream, 0, 3))
+        assert np.array_equal(lab[3:], words_from(p, stream, 3, 3))
 
     def test_unowned_graph_is_owner_zero(self):
         g = make_star(4)
         p = make_uniform(9)
         stream = Stream(8).child(5)
         lab = draw_labeling(g, p, stream)
-        assert np.array_equal(lab.values, p.sample(5, stream.rng()))
+        assert np.array_equal(lab, p.sample(5, stream.rng()))
 
     def test_interleaved_owners_match_per_owner_scans(self):
         """Owner ids out of vertex order, with gaps, and a lone vertex."""
@@ -270,8 +270,8 @@ class TestLabelingConvention:
                 want[idx] = words_from(p, stream, start, idx.size)
                 start += idx.size
             got = draw_labeling(g, p, stream)
-            assert got.values.dtype == want.dtype
-            assert np.array_equal(got.values, want)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestMoments:
